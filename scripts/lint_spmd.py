@@ -2,7 +2,7 @@
 """Static SPMD-discipline lint — the compile-time companion of the runtime
 conformance verifier (src/analysis/conformance).
 
-Three checks over src/, bench/ and tests/:
+Four checks over src/, bench/ and tests/:
 
   affinity    A raw `.local_span(` on a GlobalArray outside src/pgas/ and
               src/collectives/.  Private-pointer block access is the
@@ -34,11 +34,20 @@ Three checks over src/, bench/ and tests/:
               Deliberate block-only fast paths go on the allowlist with a
               reason.
 
+  fiber       `thread_local`, `std::this_thread`, `std::condition_variable`
+              or `sleep_for` / `sleep_until` in src/ outside
+              src/pgas/runtime.*.  SPMD threads run as fibers, several to
+              one OS thread (src/pgas/executor.hpp): thread-local state is
+              shared between the fibers of a worker, and a blocking wait
+              stalls every sibling until it returns.  Only the runtime may
+              keep per-OS-thread state (it restores it on every fiber
+              resume).
+
 Allowlist: scripts/lint_spmd_allow.txt.  Each non-comment line is
   <glob>[:<check>]   [# reason]
 matching repo-relative paths (fnmatch); a bare glob suppresses all
-checks for matching files, `:affinity` / `:uniformity` / `:ownerarith`
-suppresses one.
+checks for matching files, `:affinity` / `:uniformity` / `:ownerarith` /
+`:fiber` suppresses one.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 `--self-test` runs the built-in fixture snippets instead of the tree.
@@ -52,12 +61,19 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCAN_DIRS = ("src", "bench", "tests")
 EXEMPT_PREFIXES = ("src/pgas/", "src/collectives/")
+FIBER_SCOPE = "src/"
+FIBER_EXEMPT_PREFIX = "src/pgas/runtime."
+CHECKS = ("affinity", "uniformity", "ownerarith", "fiber")
 ALLOWLIST = os.path.join("scripts", "lint_spmd_allow.txt")
 
 AFFINITY_RE = re.compile(r"[.\->]\s*local_span\s*\(")
 OWNERARITH_RE = re.compile(
     r"(?:\.|->)\s*(?:block_begin|block_end)\s*\(|/\s*blk\b")
 THREAD_ID_RE = re.compile(r"\b\w+\s*(?:\.|->)\s*(?:id|tid)\s*\(\s*\)")
+FIBER_RE = re.compile(
+    r"\bthread_local\b|\bstd\s*::\s*this_thread\b"
+    r"|\bstd\s*::\s*condition_variable(?:_any)?\b"
+    r"|\bsleep_(?:for|until)\s*\(")
 COLLECTIVE_RE = re.compile(
     r"(?:\b(?:getd|setd|setd_min|setd_add|setd_combine|replicate_to_buddy)"
     r"\s*\(|(?:\.|->)\s*(?:barrier|exchange_barrier)\s*\()"
@@ -158,6 +174,17 @@ def check_ownerarith(path, clean):
     return out
 
 
+def check_fiber(path, clean):
+    out = []
+    for m in FIBER_RE.finditer(clean):
+        out.append(
+            (path, line_of(clean, m.start()), "fiber",
+             "`%s` outside src/pgas/runtime.* — SPMD threads share OS "
+             "threads as fibers, so thread-local state is shared and a "
+             "blocking wait stalls sibling threads" % m.group(0).strip()))
+    return out
+
+
 IF_RE = re.compile(r"\bif\s*\(")
 
 
@@ -201,7 +228,7 @@ def load_allowlist(repo):
                 continue
             if ":" in line:
                 glob, check = line.rsplit(":", 1)
-                if check not in ("affinity", "uniformity", "ownerarith"):
+                if check not in CHECKS:
                     glob, check = line, None
             else:
                 glob, check = line, None
@@ -216,11 +243,16 @@ def allowed(rules, path, check):
 
 
 def scan_file(relpath, text):
-    if any(relpath.startswith(p) for p in EXEMPT_PREFIXES):
-        return []
     clean = strip_comments_and_strings(text)
-    return (check_affinity(relpath, clean) + check_uniformity(relpath, clean)
-            + check_ownerarith(relpath, clean))
+    out = []
+    if (relpath.startswith(FIBER_SCOPE)
+            and not relpath.startswith(FIBER_EXEMPT_PREFIX)):
+        out += check_fiber(relpath, clean)
+    if not any(relpath.startswith(p) for p in EXEMPT_PREFIXES):
+        out += (check_affinity(relpath, clean)
+                + check_uniformity(relpath, clean)
+                + check_ownerarith(relpath, clean))
+    return out
 
 
 def run_tree(repo):
@@ -285,6 +317,24 @@ SELF_TESTS = [
      []),
     ("commented-out block arithmetic is ignored", "src/core/od.cpp",
      "// const std::uint64_t base = d.block_begin(me);\nint x = 0;", []),
+    ("thread_local in a kernel", "src/core/tl.cpp",
+     "thread_local std::vector<int> scratch;", ["fiber"]),
+    ("thread_local in the runtime is the implementation",
+     "src/pgas/runtime.cpp", "thread_local ThreadCtx* t_current_ctx;", []),
+    ("thread_local elsewhere in pgas", "src/pgas/global_array.hpp",
+     "static thread_local int last_owner = -1;", ["fiber"]),
+    ("std::this_thread in the serving layer", "src/serve/ty.cpp",
+     "std::this_thread::yield();", ["fiber"]),
+    ("condition variable in a collective", "src/collectives/cv.hpp",
+     "std::condition_variable_any cv; cv.wait(lk);", ["fiber"]),
+    ("sleep_for behind a using-declaration", "src/stream/sl.cpp",
+     "using namespace std::chrono; sleep_for(1ms);", ["fiber"]),
+    ("sleep_until", "src/fault/su.cpp",
+     "std::this_thread::sleep_until(deadline);", ["fiber"]),
+    ("thread_local outside src/ is out of scope", "tests/tl.cpp",
+     "thread_local int calls = 0;", []),
+    ("thread_local in a comment or string is ignored", "src/core/tc.cpp",
+     "// no thread_local here\nconst char* s = \"sleep_for(\";", []),
 ]
 
 
@@ -306,6 +356,9 @@ def self_test():
         failures += 1
     if not allowed(rules, "tests/t.cpp", "uniformity"):
         print("SELF-TEST FAIL: bare allowlist glob did not match")
+        failures += 1
+    if allowed([("src/core/*", "fiber")], "src/core/x.cpp", "affinity"):
+        print("SELF-TEST FAIL: fiber allowlist rule leaked across checks")
         failures += 1
     if failures:
         return 1

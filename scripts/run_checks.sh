@@ -8,13 +8,16 @@
 #   default  plain RelWithDebInfo build + ctest
 #   check    PGRAPH_CHECK_ACCESS=ON build + ctest (access-discipline checker)
 #   tsan     -fsanitize=thread build + ctest
-#   asan     -fsanitize=address,undefined build + ctest
+#   asan     -fsanitize=address,undefined build + ctest; fails if any test
+#            log shows ASan ignoring __asan_handle_no_return (the mark of a
+#            fiber switch the executor did not annotate)
 #   lint     scripts/lint_spmd.py (SPMD-discipline static lint; self-test
 #            first, then the tree against scripts/lint_spmd_allow.txt),
 #            plus clang-tidy over src/tests/examples (skipped if not
 #            installed)
 #   ubsan    -fsanitize=undefined (non-recoverable) build; collectives,
-#            fault and stream test binaries under it
+#            fault, stream and runtime (fiber executor, value collectives)
+#            test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
 #            (scripts/baselines/BENCH_smoke.json; skipped without python3)
 #   stream   dynamic-graph smoke: Stream* tests in the default and check
@@ -75,6 +78,20 @@ run_preset() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$preset" -j "$JOBS"
+  if [ "$preset" = asan ]; then asan_log_gate; fi
+}
+
+# ASan prints "ignoring requested __asan_handle_no_return" when a throw or
+# longjmp runs on a stack it does not know -- what an unannotated fiber
+# switch leaves behind, followed by false or missed reports.  Fail on it
+# in the log of the last asan ctest run.
+asan_log_gate() {
+  local log=build-asan/Testing/Temporary/LastTest.log
+  if grep -q "__asan_handle_no_return" "$log"; then
+    echo "asan: $log shows an unannotated stack switch:" >&2
+    grep -m 5 "__asan_handle_no_return" "$log" >&2
+    exit 1
+  fi
 }
 
 for stage in "${STAGES[@]}"; do
@@ -99,11 +116,12 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
-        --target test_collectives --target test_fault --target test_stream
-      ctest --preset ubsan -R '^(Collectives|Fault|Stream)' \
+        --target test_collectives --target test_fault --target test_stream \
+        --target test_runtime
+      ctest --preset ubsan -R '^(Collectives|Fault|Stream|Runtime|Coll)' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)
@@ -212,6 +230,7 @@ EOF
       cmake --build --preset asan -j "$JOBS" --target test_serve
       PGRAPH_CHAOS_SEED=2 ctest --preset asan \
         -R '^ServeResilience' --output-on-failure -j "$JOBS"
+      asan_log_gate
       if command -v python3 > /dev/null 2>&1; then
         cmake --build --preset default -j "$JOBS" \
           --target srv02_degraded_serving srv01_query_serving
@@ -265,6 +284,7 @@ EOF
       cmake --build --preset asan -j "$JOBS" --target test_fault
       PGRAPH_CHAOS_SEED=2 ctest --preset asan \
         -R '^Fault' --output-on-failure -j "$JOBS"
+      asan_log_gate
       if command -v python3 > /dev/null 2>&1; then
         echo "---- [chaos] zero-fault plan leaves bench times unchanged ----"
         cmake --build --preset default -j "$JOBS" \
@@ -295,6 +315,7 @@ EOF
       cmake --preset asan
       cmake --build --preset asan -j "$JOBS" --target test_partition
       ctest --preset asan -R '^Partition' --output-on-failure -j "$JOBS"
+      asan_log_gate
       if command -v python3 > /dev/null 2>&1; then
         cmake --build --preset default -j "$JOBS" \
           --target part01_skew_scaling
@@ -337,6 +358,7 @@ EOF
       cmake --build --preset asan -j "$JOBS" --target test_scrub
       PGRAPH_CHAOS_SEED=2 ctest --preset asan \
         -R '^Scrub' --output-on-failure -j "$JOBS"
+      asan_log_gate
       if command -v python3 > /dev/null 2>&1; then
         cmake --build --preset default -j "$JOBS" \
           --target rob01_sdc_scrub --target fig05_opt_breakdown_random

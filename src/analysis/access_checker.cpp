@@ -21,7 +21,9 @@ constexpr std::size_t kMaxThreads = 1024;
 struct alignas(64) CostCell {
   // Plain (non-atomic) on purpose: each cell is written only by its own
   // SPMD thread between barriers and read/reset only inside the barrier
-  // completion step, which the std::barrier orders against both sides.
+  // completion step, which the runtime's barrier orders against both
+  // sides (arrivals are an acq_rel countdown; parked fibers resume only
+  // after an acquire of the generation word the completer releases).
   std::uint64_t moved = 0;
   std::uint64_t charged = 0;
 };

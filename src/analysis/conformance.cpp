@@ -29,8 +29,8 @@ struct SeqEntry {
 struct alignas(64) ThreadCell {
   // Plain (non-atomic) on purpose: each cell is written only by its own
   // SPMD thread between barriers and read/reset only inside the barrier
-  // completion step (or host-side begin_run), which the std::barrier
-  // orders against both sides.
+  // completion step (or host-side begin_run), which the runtime's barrier
+  // (or run()'s hand-off to the worker threads) orders against both sides.
   std::vector<SeqEntry> seq;  ///< this epoch's collective fingerprint
   std::array<std::uint32_t, kHistory> hist{};
   std::size_t hist_len = 0;

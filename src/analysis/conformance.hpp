@@ -120,7 +120,7 @@ class ConformanceVerifier {
                     const machine::PhaseStats* const* actual);
 
   /// --- run lifecycle ----------------------------------------------------
-  /// Called by Runtime::run before spawning SPMD threads: re-baseline each
+  /// Called by Runtime::run before starting SPMD threads: re-baseline each
   /// thread's ledger from the runtime's saved cumulative stats (a ThreadCtx
   /// starts from those) and clear any stale fingerprints.  This is what
   /// keeps consecutively attached runtimes from leaking verifier state

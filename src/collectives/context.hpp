@@ -103,6 +103,12 @@ struct CollWorkspace {
   // real machine and must do so in the model too.
   std::vector<std::uint64_t> touched;
 
+  // Per-call scratch kept here so a collective allocates nothing in the
+  // steady state: the counting-sort write cursors and the per-node byte
+  // totals of the hierarchical sends.
+  std::vector<std::size_t> cursor;
+  std::vector<std::size_t> node_bytes;
+
   void invalidate_keys() { keys_valid = false; }
 };
 

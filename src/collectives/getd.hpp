@@ -81,18 +81,15 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
 
     ws.sorted.resize(kept);
     ws.rank.resize(kept);
-    {
-      std::vector<std::size_t> cursor(ws.bucket_off.begin(),
-                                      ws.bucket_off.end() - 1);
-      for (std::size_t i = 0; i < m; ++i) {
-        if (offload && indices[i] == known->index) {
-          out[i] = static_cast<T>(known->value);
-          continue;
-        }
-        const std::size_t pos = cursor[ws.keys[i]]++;
-        ws.sorted[pos] = indices[i];
-        ws.rank[pos] = static_cast<std::uint32_t>(i);
+    ws.cursor.assign(ws.bucket_off.begin(), ws.bucket_off.end() - 1);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (offload && indices[i] == known->index) {
+        out[i] = static_cast<T>(known->value);
+        continue;
       }
+      const std::size_t pos = ws.cursor[ws.keys[i]]++;
+      ws.sorted[pos] = indices[i];
+      ws.rank[pos] = static_cast<std::uint32_t>(i);
     }
     detail::charge_group_sort(ctx, m, w, sizeof(std::uint64_t) + 4);
 
@@ -139,7 +136,8 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
   ws.touched.assign((nlines + 63) / 64, 0);
   ctx.mem_seq(ws.touched.size() * 8, Cat::Copy);
   std::size_t distinct_lines = 0;
-  std::vector<std::size_t> node_bytes;  // hierarchical per-node combining
+  // Hierarchical per-node combining.
+  std::vector<std::size_t>& node_bytes = ws.node_bytes;
   if (opt.hierarchical)
     node_bytes.assign(static_cast<std::size_t>(ctx.nnodes()), 0);
 
@@ -274,14 +272,11 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
     for (std::size_t b = 0; b < nb; ++b) ws.perm_off[b + 1] += ws.perm_off[b];
     ws.perm_rank.resize(kept);
     ws.perm_val.resize(kept);
-    {
-      std::vector<std::size_t> cursor(ws.perm_off.begin(),
-                                      ws.perm_off.end() - 1);
-      for (std::size_t k = 0; k < kept; ++k) {
-        const std::size_t pos = cursor[ws.rank[k] / blk_elems]++;
-        ws.perm_rank[pos] = ws.rank[k];
-        ws.perm_val[pos] = ws.reply[k];
-      }
+    ws.cursor.assign(ws.perm_off.begin(), ws.perm_off.end() - 1);
+    for (std::size_t k = 0; k < kept; ++k) {
+      const std::size_t pos = ws.cursor[ws.rank[k] / blk_elems]++;
+      ws.perm_rank[pos] = ws.rank[k];
+      ws.perm_val[pos] = ws.reply[k];
     }
     for (std::size_t j = 0; j < kept; ++j)
       out[ws.perm_rank[j]] = ws.perm_val[j];

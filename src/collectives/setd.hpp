@@ -90,14 +90,11 @@ void setd_combine(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
 
     ws.sorted.resize(m);
     ws.sorted_val.resize(m);
-    {
-      std::vector<std::size_t> cursor(ws.bucket_off.begin(),
-                                      ws.bucket_off.end() - 1);
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t pos = cursor[ws.keys[i]]++;
-        ws.sorted[pos] = indices[i];
-        ws.sorted_val[pos] = values[i];
-      }
+    ws.cursor.assign(ws.bucket_off.begin(), ws.bucket_off.end() - 1);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t pos = ws.cursor[ws.keys[i]]++;
+      ws.sorted[pos] = indices[i];
+      ws.sorted_val[pos] = values[i];
     }
     detail::charge_group_sort(ctx, m, w, sizeof(std::uint64_t) + sizeof(T));
 
@@ -169,7 +166,8 @@ void setd_combine(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
   ws.touched.assign((nlines + 63) / 64, 0);
   ctx.mem_seq(ws.touched.size() * 8, Cat::Copy);
   std::size_t distinct_lines = 0;
-  std::vector<std::size_t> node_bytes;  // hierarchical per-node combining
+  // Hierarchical per-node combining.
+  std::vector<std::size_t>& node_bytes = ws.node_bytes;
   if (opt.hierarchical)
     node_bytes.assign(static_cast<std::size_t>(ctx.nnodes()), 0);
 

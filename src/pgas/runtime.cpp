@@ -4,17 +4,24 @@
 #include <cassert>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <utility>
 
 #include "analysis/access_checker.hpp"
 #include "analysis/conformance.hpp"
 #include "pgas/digest.hpp"
+#include "pgas/executor.hpp"
 
 namespace pgraph::pgas {
 
 namespace {
 
+// Per OS thread, so every fiber resume must restore it (barrier_sync).
 thread_local ThreadCtx* t_current_ctx = nullptr;
+
+/// Unwinds SPMD threads parked in a barrier that aborted because a peer
+/// left `f` by exception.  Runtime-private and not derived from
+/// std::exception, so no catch clause in SPMD code matches it.
+struct SpmdAbort {};
 
 /// Credit `bytes` of data motion against this thread's cost clock in the
 /// access checker's per-epoch ledger (no-op unless PGRAPH_CHECK_ACCESS).
@@ -232,17 +239,14 @@ Runtime::Runtime(Topology topo, machine::CostParams params)
       bus_(std::make_unique<NodeBus[]>(static_cast<std::size_t>(topo.nodes))),
       thread_node_(topo.thread_node_map()),
       saved_stats_(static_cast<std::size_t>(topo.total_threads())),
-      saved_clocks_(static_cast<std::size_t>(topo.total_threads()), 0.0) {
-  bar_ = std::make_unique<std::barrier<std::function<void()>>>(
-      topo.total_threads(), std::function<void()>([this] { on_barrier(); }));
-}
+      saved_clocks_(static_cast<std::size_t>(topo.total_threads()), 0.0),
+      exch_plan_(static_cast<std::size_t>(topo.total_threads())) {}
 
 Runtime::~Runtime() {
   if (sink_ != nullptr) sink_->on_runtime_gone();
 }
 
 void Runtime::run(const std::function<void(ThreadCtx&)>& f) {
-  const int s = topo_.total_threads();
   fault_failed_.store(false, std::memory_order_relaxed);
   mirror_poisoned_.store(false, std::memory_order_relaxed);
   corrupt_index_.store(false, std::memory_order_relaxed);
@@ -251,48 +255,41 @@ void Runtime::run(const std::function<void(ThreadCtx&)>& f) {
   // (what each ThreadCtx starts from) and clear stale fingerprints, so
   // consecutively attached runtimes never leak verifier state into each
   // other's rows.
-  analysis::ConformanceVerifier::instance().begin_run(s, saved_stats_.data());
+  analysis::ConformanceVerifier::instance().begin_run(topo_.total_threads(),
+                                                      saved_stats_.data());
 #endif
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(s));
-  for (int i = 0; i < s; ++i) {
-    threads.emplace_back([this, &f, &first_error, &error_mu, i] {
-      ThreadCtx ctx(*this, i);
-      slots_[static_cast<std::size_t>(i)].ctx = &ctx;
-      t_current_ctx = &ctx;
-      // Initial sync: every slot registered before anyone proceeds.
-      barrier_sync(ctx, false);
-      bool ok = true;
-      try {
-        f(ctx);
-      } catch (...) {
-        // FaultError is thrown collectively (all threads, same barrier),
-        // so nobody is left waiting for us at the final barrier.
-        ok = false;
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      // Final alignment so modeled_time_ns() reflects the critical path.
-      if (ok) barrier_sync(ctx, false);
-      saved_clocks_[static_cast<std::size_t>(i)] = ctx.clock_;
-      saved_stats_[static_cast<std::size_t>(i)] = ctx.stats_;
-      slots_[static_cast<std::size_t>(i)].ctx = nullptr;
-      t_current_ctx = nullptr;
-    });
-  }
-  for (auto& t : threads) t.join();
+  if (!exec_)
+    exec_ = std::make_unique<FiberExecutor>(topo_.total_threads(),
+                                            [this] { on_barrier(); });
+  exec_->run([this, &f](int i) { spmd_main(i, f); });
   finish_ns_ = last_barrier_ns_;
-  if (first_error) {
-    // All threads threw after the same barrier, so no arrival is pending;
-    // rebuild the phase-synchronization barrier anyway so a later run()
-    // starts from a known-clean state.
-    bar_ = std::make_unique<std::barrier<std::function<void()>>>(
-        topo_.total_threads(),
-        std::function<void()>([this] { on_barrier(); }));
-    std::rethrow_exception(first_error);
+  if (first_error_) std::rethrow_exception(std::exchange(first_error_, {}));
+}
+
+void Runtime::spmd_main(int i,
+                        const std::function<void(ThreadCtx&)>& f) noexcept {
+  ThreadCtx ctx(*this, i);
+  slots_[static_cast<std::size_t>(i)].ctx = &ctx;
+  t_current_ctx = &ctx;
+  try {
+    // Initial sync: every slot registered before anyone proceeds.
+    barrier_sync(ctx, false);
+    f(ctx);
+    // Final alignment so modeled_time_ns() reflects the critical path.
+    barrier_sync(ctx, false);
+  } catch (const SpmdAbort&) {
+    // A peer left `f` by exception; run() rethrows that one.
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(error_mu_);
+      if (!first_error_) first_error_ = std::current_exception();
+    }
+    exec_->drop();
   }
+  saved_clocks_[static_cast<std::size_t>(i)] = ctx.clock_;
+  saved_stats_[static_cast<std::size_t>(i)] = ctx.stats_;
+  slots_[static_cast<std::size_t>(i)].ctx = nullptr;
+  t_current_ctx = nullptr;
 }
 
 void Runtime::accrue_bus(int node, double ns) {
@@ -371,7 +368,12 @@ void Runtime::set_trace_sink(TraceSink* sink) {
   const std::size_t s = static_cast<std::size_t>(topo_.total_threads());
   trace_arrival_.assign(s, 0.0);
   trace_stats_.assign(s, machine::PhaseStats{});
-  trace_nodes_.assign(static_cast<std::size_t>(topo_.nodes), NodeSuperstep{});
+  const std::size_t nodes = static_cast<std::size_t>(topo_.nodes);
+  trace_nodes_.assign(nodes, NodeSuperstep{});
+  trace_nic_.assign(nodes, machine::NetworkModel::NicDrain{});
+  trace_bus_.assign(nodes, 0.0);
+  trace_exch_.assign(nodes, machine::ExchangeNodeStats{});
+  trace_attempt_.assign(nodes, machine::ExchangeNodeStats{});
   trace_prev_msgs_ = net_->total_messages();
   trace_prev_bytes_ = net_->total_bytes();
   trace_prev_fine_ = net_->fine_messages();
@@ -414,15 +416,18 @@ machine::PhaseStats Runtime::total_stats() const {
 }
 
 void Runtime::barrier_sync(ThreadCtx& ctx, bool exchange) {
+  // A handler that swallowed SpmdAbort must not park in a new barrier.
+  if (exec_->aborted()) throw SpmdAbort{};
 #ifdef PGRAPH_CHECK_ACCESS
   // Fingerprint the barrier kind closing this epoch; the completion step
   // cross-checks it together with the collective sequence.
   analysis::ConformanceVerifier::instance().note_barrier(ctx.id(), exchange);
 #else
-  (void)ctx;
   (void)exchange;
 #endif
-  bar_->arrive_and_wait();
+  const bool completed = exec_->arrive_and_wait(ctx.id());
+  t_current_ctx = &ctx;  // sibling fibers ran on this OS thread meanwhile
+  if (!completed) throw SpmdAbort{};
 }
 
 bool Runtime::try_shrink_after_exhaustion(
@@ -668,16 +673,11 @@ void Runtime::on_barrier() {
   // Per-node serialization floors: fine-grained network traffic on the
   // NIC, and DRAM traffic on the shared memory bus.  With a sink attached
   // we additionally keep the per-node breakdown instead of only the max.
-  std::vector<machine::NetworkModel::NicDrain> nic_nodes;
-  std::vector<double> bus_nodes;
-  std::vector<machine::ExchangeNodeStats> exch_nodes;
   double nic_drain = 0.0;
   double bus_drain = 0.0;
   if (traced) {
-    nic_nodes.resize(static_cast<std::size_t>(topo_.nodes));
-    bus_nodes.resize(static_cast<std::size_t>(topo_.nodes));
-    nic_drain = net_->drain_nic_ns(nic_nodes.data());
-    bus_drain = drain_bus_ns(bus_nodes.data());
+    nic_drain = net_->drain_nic_ns(trace_nic_.data());
+    bus_drain = drain_bus_ns(trace_bus_.data());
   } else {
     nic_drain = net_->drain_nic_max_ns();
     bus_drain = drain_bus_max_ns();
@@ -685,15 +685,15 @@ void Runtime::on_barrier() {
 
   double exch_dur = 0.0;
   if (any_exchange) {
-    machine::ExchangePlan plan(static_cast<std::size_t>(s));
-    for (int i = 0; i < s; ++i) {
-      ThreadCtx* c = slots_[static_cast<std::size_t>(i)].ctx;
-      plan[static_cast<std::size_t>(i)] = std::move(c->pending_);
-      c->pending_.clear();
-    }
-    if (traced) exch_nodes.resize(static_cast<std::size_t>(topo_.nodes));
-    std::vector<machine::ExchangeNodeStats> attempt_nodes(
-        traced ? static_cast<std::size_t>(topo_.nodes) : 0);
+    // Every plan row is empty here, so each thread gets back an empty
+    // list that keeps the capacity of an earlier superstep.
+    machine::ExchangePlan& plan = exch_plan_;
+    for (int i = 0; i < s; ++i)
+      plan[static_cast<std::size_t>(i)].swap(
+          slots_[static_cast<std::size_t>(i)].ctx->pending_);
+    if (traced)
+      std::fill(trace_exch_.begin(), trace_exch_.end(),
+                machine::ExchangeNodeStats{});
     // Ack/timeout protocol in modeled time: the injector marks each
     // attempt's losses, the sweep prices what actually flew, and lost
     // messages are retransmitted after a timeout plus exponential backoff
@@ -709,13 +709,13 @@ void Runtime::on_barrier() {
       const double before = exch_dur;
       exch_dur += machine::exchange_duration_ns(
           plan, thread_node_, topo_.nodes, params_.net_latency_ns,
-          traced ? attempt_nodes.data() : nullptr);
+          traced ? trace_attempt_.data() : nullptr);
       if (traced) {
         for (int n = 0; n < topo_.nodes; ++n) {
           machine::ExchangeNodeStats& acc =
-              exch_nodes[static_cast<std::size_t>(n)];
+              trace_exch_[static_cast<std::size_t>(n)];
           const machine::ExchangeNodeStats& a =
-              attempt_nodes[static_cast<std::size_t>(n)];
+              trace_attempt_[static_cast<std::size_t>(n)];
           acc.send_busy_ns += a.send_busy_ns;
           acc.recv_busy_ns += a.recv_busy_ns;
           acc.send_finish_ns =
@@ -755,6 +755,7 @@ void Runtime::on_barrier() {
       fault_->count_retransmits(ef.retry.size());
       ++attempt;
     }
+    for (auto& row : plan) row.clear();
   }
 
   // The four competing terms of the barrier max; the largest wins and is
@@ -859,9 +860,9 @@ void Runtime::on_barrier() {
           slots_[static_cast<std::size_t>(i)].ctx->stats_;
     for (int n = 0; n < topo_.nodes; ++n) {
       NodeSuperstep& ns = trace_nodes_[static_cast<std::size_t>(n)];
-      ns.nic = nic_nodes[static_cast<std::size_t>(n)];
-      ns.bus_busy_ns = bus_nodes[static_cast<std::size_t>(n)];
-      ns.exch = any_exchange ? exch_nodes[static_cast<std::size_t>(n)]
+      ns.nic = trace_nic_[static_cast<std::size_t>(n)];
+      ns.bus_busy_ns = trace_bus_[static_cast<std::size_t>(n)];
+      ns.exch = any_exchange ? trace_exch_[static_cast<std::size_t>(n)]
                              : machine::ExchangeNodeStats{};
     }
     SuperstepRecord rec;

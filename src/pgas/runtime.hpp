@@ -1,9 +1,9 @@
 #pragma once
 
 #include <atomic>
-#include <barrier>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -23,6 +23,7 @@
 
 namespace pgraph::pgas {
 
+class FiberExecutor;
 class Runtime;
 
 /// A data structure whose per-thread partitions can be mirrored on a buddy
@@ -210,7 +211,8 @@ class ThreadCtx {
   std::vector<machine::ExchangeMsg> pending_;
 };
 
-/// SPMD PGAS runtime: spawns one OS thread per UPC thread, provides
+/// SPMD PGAS runtime: runs the UPC threads as cooperative fibers on one
+/// persistent worker per available core (FiberExecutor), provides
 /// cost-aligned barriers (BSP superstep boundaries), and owns the machine
 /// models.
 ///
@@ -241,15 +243,22 @@ class Runtime {
 
   /// Run `f` SPMD on all threads; blocks until all complete.  May be called
   /// repeatedly; cost clocks and stats persist across calls until
-  /// reset_costs().
+  /// reset_costs().  The SPMD threads are fibers sharing a few OS threads:
+  /// `f` must follow the rules in executor.hpp (no thread_local state, no
+  /// blocking waits, no barrier inside a catch handler).
   ///
-  /// Exception safety: if `f` throws on every thread after the same
-  /// barrier (how FaultError is raised — retry exhaustion is detected in
-  /// the completion step, so all threads see it together), the first
-  /// exception is rethrown here after all threads joined and the barrier
-  /// has been rebuilt; the Runtime remains usable.  An exception thrown on
-  /// only some threads while others wait in a barrier deadlocks, exactly
-  /// as diverging SPMD control flow always does.
+  /// Exception safety: a thread whose `f` throws drops out of the barrier.
+  /// If every thread throws after the same barrier (how FaultError is
+  /// raised — retry exhaustion is detected in the completion step, so all
+  /// threads see it together), no barrier runs after the throw, exactly as
+  /// if the threads had returned there.  If only some threads throw, the
+  /// next barrier the others reach aborts instead of completing: its
+  /// completion step is skipped and the parked threads are unwound with a
+  /// runtime-private exception that no user catch clause matches.  Either
+  /// way the thrower's original exception is rethrown here (the first one
+  /// when several threads threw), and the Runtime stays usable; call
+  /// reset_costs() before relying on its clocks again after a divergent
+  /// throw.
   void run(const std::function<void(ThreadCtx&)>& f);
 
   /// Zero all clocks, stats and counters (not the topology).
@@ -418,6 +427,8 @@ class Runtime {
     std::atomic<std::uint64_t> busy_ns{0};
   };
 
+  /// Body of SPMD thread `i` for one run() (runs on its fiber).
+  void spmd_main(int i, const std::function<void(ThreadCtx&)>& f) noexcept;
   void barrier_sync(ThreadCtx& ctx, bool exchange);
   void on_barrier();  // completion step, runs on one thread
   /// Called from the completion step when the exchange retry budget is
@@ -450,7 +461,6 @@ class Runtime {
   std::vector<Slot> slots_;
   std::unique_ptr<NodeBus[]> bus_;
   std::vector<std::int32_t> thread_node_;
-  std::unique_ptr<std::barrier<std::function<void()>>> bar_;
   double last_barrier_ns_ = 0.0;
   double finish_ns_ = 0.0;
   std::uint64_t barriers_ = 0;
@@ -458,6 +468,12 @@ class Runtime {
   // Saved stats from threads of completed run() calls.
   std::vector<machine::PhaseStats> saved_stats_;
   std::vector<double> saved_clocks_;
+  /// Exchange messages being priced by the completion step: row i swaps
+  /// with thread i's pending list, so both keep their capacity.
+  machine::ExchangePlan exch_plan_;
+  /// First exception that left `f` during the current run().
+  std::mutex error_mu_;
+  std::exception_ptr first_error_;
 
   // --- fault injection --------------------------------------------------
   fault::FaultInjector* fault_ = nullptr;
@@ -512,13 +528,22 @@ class Runtime {
   std::vector<double> trace_arrival_;
   std::vector<machine::PhaseStats> trace_stats_;
   std::vector<NodeSuperstep> trace_nodes_;
+  std::vector<machine::NetworkModel::NicDrain> trace_nic_;
+  std::vector<double> trace_bus_;
+  std::vector<machine::ExchangeNodeStats> trace_exch_;
+  std::vector<machine::ExchangeNodeStats> trace_attempt_;
   std::uint64_t trace_prev_msgs_ = 0;
   std::uint64_t trace_prev_bytes_ = 0;
   std::uint64_t trace_prev_fine_ = 0;
+
+  // Last member: destroyed first, so the workers are joined before any
+  // state their fibers could touch goes away.
+  std::unique_ptr<FiberExecutor> exec_;
 };
 
-/// The ThreadCtx of the calling OS thread while inside Runtime::run, or
-/// null outside any SPMD region.  The access checker uses this to identify
+/// The ThreadCtx of the calling SPMD thread while inside Runtime::run, or
+/// null outside any SPMD region (kept per OS thread and restored on every
+/// fiber resume).  The access checker uses this to identify
 /// the accessor on paths that do not take a ThreadCtx parameter
 /// (local_span, raw, the relaxed element accessors); null means
 /// single-threaded verification code, which is exempt from the discipline.

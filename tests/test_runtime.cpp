@@ -1,20 +1,48 @@
-// SPMD runtime: spawn/join, cost-aligned barriers, registry, exchange
-// pricing, value collectives.
+// SPMD runtime: the fiber executor, cost-aligned barriers, failure on a
+// divergent throw, registry, exchange pricing, value collectives.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
+#include "fault/fault.hpp"
 #include "pgas/coll.hpp"
 #include "pgas/runtime.hpp"
 
 namespace pg = pgraph::pgas;
 namespace m = pgraph::machine;
+namespace flt = pgraph::fault;
 
 namespace {
 pg::Runtime make_rt(int nodes, int threads) {
   return pg::Runtime(pg::Topology::cluster(nodes, threads),
                      m::CostParams::hps_cluster());
+}
+
+/// Worker threads the executor uses for `s` SPMD threads: one per CPU in
+/// this process's affinity mask, at most s.
+int expected_workers(int s) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cpus =
+      sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+  return std::min(s, std::max(1, cpus));
+}
+
+/// OS threads of this process, from the "Threads:" line of
+/// /proc/self/status (-1 if unreadable).
+int os_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
 }
 }  // namespace
 
@@ -133,6 +161,134 @@ TEST(Runtime, RegistryPublishAndPeer) {
     EXPECT_EQ(*ctx.peer_as<int>(peer, 0), 100 + peer);
     ctx.barrier();
   });
+}
+
+// --- executor ----------------------------------------------------------
+
+TEST(Runtime, SixtyFourThreadsRunOnOneWorkerPerCore) {
+  // This thread, plus any helper thread a sanitizer runtime starts (TSan
+  // starts one with the process's first extra thread).
+  std::thread([] {}).join();
+  const int before = os_threads();
+  ASSERT_GE(before, 1);
+  auto rt = make_rt(16, 4);
+  int threads = -1;
+  rt.run([&](pg::ThreadCtx& ctx) {
+    ctx.barrier();  // every SPMD thread has started
+    if (ctx.id() == 0) threads = os_threads();
+    ctx.barrier();
+  });
+  EXPECT_GT(threads, before);
+  EXPECT_LE(threads, before + expected_workers(64));
+}
+
+TEST(Runtime, CurrentCtxFollowsTheSpmdThreadAcrossBarriers) {
+  auto rt = make_rt(16, 4);
+  std::atomic<int> wrong{0};
+  rt.run([&](pg::ThreadCtx& ctx) {
+    for (int b = 0; b < 6; ++b) {
+      if (pg::current_ctx() != &ctx) wrong.fetch_add(1);
+      ctx.barrier();
+    }
+    if (pg::current_ctx() != &ctx) wrong.fetch_add(1);
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(pg::current_ctx(), nullptr);
+}
+
+TEST(Runtime, EmptyRunsAddExactlyTwoBarriersEach) {
+  constexpr int kRuns = 1000;
+  auto rt = make_rt(16, 4);
+  for (int r = 0; r < kRuns; ++r) rt.run([](pg::ThreadCtx&) {});
+  EXPECT_EQ(rt.barriers_executed(), 2u * kRuns);
+  EXPECT_EQ(rt.epoch(), 2u * kRuns);
+}
+
+TEST(Runtime, DestructsWithoutEverRunning) {
+  { auto rt = make_rt(16, 4); }
+  SUCCEED();
+}
+
+TEST(Runtime, DestructsRightAfterCollectiveFault) {
+  flt::FaultInjector inj(flt::FaultConfig::parse("drop=1.0,retries=0", 1));
+  auto rt = make_rt(4, 2);
+  rt.set_fault_injector(&inj);
+  EXPECT_THROW(rt.run([](pg::ThreadCtx& ctx) {
+    ctx.post_exchange_msg((ctx.id() + 2) % ctx.nthreads(), 64);
+    ctx.exchange_barrier();
+  }),
+               flt::FaultError);
+}
+
+// --- exceptions leaving f ------------------------------------------------
+
+TEST(Runtime, CollectiveThrowAddsNoBarrier) {
+  auto rt = make_rt(2, 2);
+  EXPECT_THROW(rt.run([](pg::ThreadCtx& ctx) {
+    ctx.charge(m::Cat::Work, 1000.0 * (ctx.id() + 1));
+    ctx.barrier();
+    ctx.charge(m::Cat::Work, 5.0);
+    throw std::runtime_error("every thread");
+  }),
+               std::runtime_error);
+  // The initial barrier and the one in f; no final alignment.
+  EXPECT_EQ(rt.barriers_executed(), 2u);
+  EXPECT_DOUBLE_EQ(rt.modeled_time_ns(), rt.last_barrier_verdict().t_final);
+  EXPECT_DOUBLE_EQ(rt.critical_stats().get(m::Cat::Work), 4005.0);
+}
+
+namespace {
+
+// Thread 1 throws while every other thread waits in a barrier: run() must
+// rethrow thread 1's exception instead of hanging, no catch clause in f may
+// see the unwinding, and after reset_costs() the Runtime must behave like a
+// fresh one.
+void expect_divergent_throw_fails_loud(int nodes, int threads) {
+  auto rt = make_rt(nodes, threads);
+  std::atomic<int> past_barrier{0};
+  std::atomic<int> caught_in_f{0};
+  try {
+    rt.run([&](pg::ThreadCtx& ctx) {
+      ctx.charge(m::Cat::Work, 100.0);
+      if (ctx.id() == 1) throw std::runtime_error("thread 1 diverged");
+      try {
+        ctx.barrier();
+      } catch (const std::exception&) {
+        caught_in_f.fetch_add(1);
+      }
+      past_barrier.fetch_add(1);
+    });
+    ADD_FAILURE() << "run() returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "thread 1 diverged");
+  }
+  EXPECT_EQ(past_barrier.load(), 0);
+  EXPECT_EQ(caught_in_f.load(), 0);
+  EXPECT_EQ(rt.barriers_executed(), 1u);  // only the initial sync completed
+
+  const auto body = [threads](pg::ThreadCtx& ctx) {
+    ctx.charge(m::Cat::Work, 10.0 * (ctx.id() + 1));
+    ctx.remote_put_cost((ctx.id() + threads) % ctx.nthreads(), 8);
+    ctx.barrier();
+    EXPECT_EQ(pg::allreduce_sum(ctx, 1), ctx.nthreads());
+  };
+  rt.reset_costs();
+  rt.run(body);
+  auto fresh = make_rt(nodes, threads);
+  fresh.run(body);
+  EXPECT_DOUBLE_EQ(rt.modeled_time_ns(), fresh.modeled_time_ns());
+  EXPECT_EQ(rt.barriers_executed(), fresh.barriers_executed());
+  EXPECT_EQ(rt.net().total_messages(), fresh.net().total_messages());
+}
+
+}  // namespace
+
+TEST(Runtime, DivergentThrowFailsLoudAtEightThreads) {
+  expect_divergent_throw_fails_loud(4, 2);
+}
+
+TEST(Runtime, DivergentThrowFailsLoudAtSixtyFourThreads) {
+  expect_divergent_throw_fails_loud(16, 4);
 }
 
 TEST(Coll, AllreduceSumAndMax) {
