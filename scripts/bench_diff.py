@@ -20,6 +20,14 @@ warned about, never failed: the chaos invariance gate compares a
 faulted-but-zero-rate candidate against a fault-free baseline, and new
 telemetry keys must not break it.
 
+`--threshold 0` is the bit-for-bit gate: every field the baseline
+records, except the host-clock `wall_ms`, must be equal in the candidate
+-- modeled_ns, breakdown_ns, messages, bytes, barriers, extras,
+attribution and the document's params alike -- so a change in either
+direction fails.  Keys only the candidate has (e.g. a `Scrub: 0`
+breakdown entry, or `digests` from a `--digest` run) are warned about,
+never failed.
+
 Serving benches additionally report tail-latency extras (keys starting
 with `latency_p`, e.g. latency_p50_ns/p95/p99).  When such a key is
 present in both rows it is gated too, with a percentile-aware tolerance:
@@ -76,7 +84,7 @@ def load(path):
         extra = row.get("extra")
         if extra is not None and not isinstance(extra, dict):
             sys.exit(f"bench_diff: {path}: row {i} extra is not an object")
-        by_label[label] = (float(t), dict(extra or {}))
+        by_label[label] = (float(t), dict(extra or {}), row)
     return doc, by_label
 
 
@@ -226,6 +234,45 @@ def check_scrub_extras(label, extras_base, extras_cand):
     return failures
 
 
+def exact_diffs(base, cand, path):
+    """Fields of `base` (bar wall_ms) that `cand` lacks or holds a
+    different value for, as (path, baseline, candidate) tuples, plus the
+    paths of keys only `cand` has.  Objects recurse; anything else must
+    compare equal, so a NaN on either side is always a difference."""
+    diffs, cand_only = [], []
+    if isinstance(base, dict) and isinstance(cand, dict):
+        for key, vb in base.items():
+            if key == "wall_ms":
+                continue
+            sub = f"{path}.{key}" if path else key
+            if key not in cand:
+                diffs.append((sub, vb, "<missing>"))
+                continue
+            d, c = exact_diffs(vb, cand[key], sub)
+            diffs += d
+            cand_only += c
+        cand_only += [
+            f"{path}.{key}" if path else key for key in cand if key not in base
+        ]
+    elif base != cand or isinstance(base, bool) != isinstance(cand, bool):
+        diffs.append((path, base, cand))
+    return diffs, cand_only
+
+
+def check_exact(label, base, cand):
+    """Bit-for-bit gate (--threshold 0); return the failure count."""
+    diffs, cand_only = exact_diffs(base, cand, "")
+    for path, vb, vc in diffs:
+        print(f"MISMATCH  {label!r} {path}: baseline {vb!r}, candidate {vc!r}")
+    if cand_only:
+        print(
+            f"bench_diff: warning: {label!r}: candidate-only field(s) "
+            f"{cand_only}; regenerate the baseline to track them",
+            file=sys.stderr,
+        )
+    return len(diffs)
+
+
 def check_breakdown(path, i, row):
     """Tolerant validation of a row's optional per-category breakdown.
 
@@ -261,7 +308,8 @@ def main():
         type=float,
         default=5.0,
         metavar="PCT",
-        help="allowed modeled-time growth per row, percent (default 5)",
+        help="allowed modeled-time growth per row, percent (default 5); "
+        "0 requires every baseline field but wall_ms to match exactly",
     )
     ap.add_argument(
         "--latency-threshold",
@@ -283,13 +331,26 @@ def main():
         )
         return 1
 
+    exact = args.threshold == 0
     failures = 0
-    for label, (t_base, extras_base) in base.items():
+    if exact:
+        failures += check_exact(
+            "<document>",
+            {k: v for k, v in base_doc.items() if k != "rows"},
+            {k: v for k, v in cand_doc.items() if k != "rows"},
+        )
+    for label, (t_base, extras_base, row_base) in base.items():
         if label not in cand:
             print(f"MISSING  {label!r}: row absent from candidate")
             failures += 1
             continue
-        t_cand, extras_cand = cand[label]
+        t_cand, extras_cand, row_cand = cand[label]
+        if exact:
+            mismatches = check_exact(label, row_base, row_cand)
+            if not mismatches:
+                print(f"ok  {label!r}: identical")
+            failures += mismatches
+            continue
         new_extras = sorted(extras_cand.keys() - extras_base.keys())
         if new_extras:
             print(

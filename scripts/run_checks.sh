@@ -19,7 +19,8 @@
 #            fault, stream and runtime (fiber executor, value collectives)
 #            test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
-#            (scripts/baselines/BENCH_smoke.json; skipped without python3)
+#            (scripts/baselines/BENCH_smoke.json; skipped without python3),
+#            after a self-test that perturbed copies fail the gate
 #   stream   dynamic-graph smoke: Stream* tests in the default and check
 #            (PGRAPH_CHECK_ACCESS) presets, then the str01 bench at a fixed
 #            small configuration gated against
@@ -28,18 +29,16 @@
 #   serve    query-serving smoke: Serve* tests in the default and check
 #            (PGRAPH_CHECK_ACCESS) presets, then the srv01 bench at a fixed
 #            small configuration gated against
-#            scripts/baselines/BENCH_serve_smoke.json (bench_diff applies
-#            percentile-aware tolerances to the latency_p* extras)
+#            scripts/baselines/BENCH_serve_smoke.json
 #   serve-chaos  resilient serving under faults: the ServeResilience /
 #            ServeChaos suites (deadline shedding, retry budgets, breaker
 #            lifecycle, brownout, permanent-loss recovery; each carries a
 #            fault-plan matrix internally) across fault seeds 1..3 in the
 #            default and check presets plus one asan run, then the srv02
 #            availability sweep gated against
-#            scripts/baselines/BENCH_srv02_degraded.json (availability /
-#            crashed extras gated on decrease) and a zero-fault
-#            resilience-off srv01 run gated bit-for-bit (--threshold 0)
-#            against the serve smoke baseline
+#            scripts/baselines/BENCH_srv02_degraded.json and a zero-fault
+#            resilience-off srv01 run gated against the serve smoke
+#            baseline
 #   chaos    fault-injection suite (tests/test_fault.cpp) across fixed fault
 #            seeds 1..3, in the default and check (PGRAPH_CHECK_ACCESS)
 #            presets, plus the zero-fault bench-invariance gate: a bench run
@@ -58,10 +57,14 @@
 #            the mem-flip config/flag tests) across fault seeds 1..3 in the
 #            default and check presets plus one asan run, then the rob01
 #            availability sweep gated against
-#            scripts/baselines/BENCH_rob01_sdc.json (deterministic scrub_*/
-#            certify_* counters gated exactly) and the zero-flip invariance
-#            gate: a bench run with an attached-but-disabled mem-flip plan
-#            must match the committed smoke baseline bit-for-bit
+#            scripts/baselines/BENCH_rob01_sdc.json and the zero-flip
+#            invariance gate: a bench run with an attached-but-disabled
+#            mem-flip plan must match the committed smoke baseline
+#
+# Every bench gate runs bench_diff.py --threshold 0: each field a
+# committed baseline records except wall_ms must match bit-for-bit.
+# Regenerate a baseline with the exact command its stage runs, and only
+# for an intended model change.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -137,23 +140,41 @@ for stage in "${STAGES[@]}"; do
         build/bench/fig05_opt_breakdown_random \
           --n 2048 --m 8192 --nodes 4 --threads 4 --seed 1 \
           --json "$out" --trace build/smoke_trace.json > /dev/null
-        # Gate sanity: identical files diff clean, a perturbed copy fails.
+        # Gate sanity: identical files diff clean, a perturbed copy fails,
+        # and the exact gate also fails on improvements and on counters
+        # and breakdowns that leave modeled_ns alone.
         python3 scripts/bench_diff.py "$out" "$out" > /dev/null
-        if python3 - "$out" <<'EOF'
+        python3 scripts/bench_diff.py --threshold 0 "$out" "$out" > /dev/null
+        python3 - "$out" <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["rows"][0]["modeled_ns"] *= 1.5
-json.dump(doc, open("build/BENCH_smoke_perturbed.json", "w"))
+perturb = {
+    "slower": lambda r: r.update(modeled_ns=r["modeled_ns"] * 1.5),
+    "faster": lambda r: r.update(modeled_ns=r["modeled_ns"] * 0.9),
+    "messages": lambda r: r.update(messages=r["messages"] + 1000),
+    "barriers": lambda r: r.update(barriers=r["barriers"] + 7),
+    "comm": lambda r: r["breakdown_ns"].update(
+        Comm=r["breakdown_ns"]["Comm"] + 12345),
+}
+for name, f in perturb.items():
+    doc = json.load(open(sys.argv[1]))
+    f(doc["rows"][0])
+    json.dump(doc, open(f"build/BENCH_smoke_perturbed_{name}.json", "w"))
 EOF
-        then
-          if python3 scripts/bench_diff.py "$out" \
-              build/BENCH_smoke_perturbed.json > /dev/null 2>&1; then
-            echo "perf: bench_diff.py failed to flag a 50% regression" >&2
+        if python3 scripts/bench_diff.py "$out" \
+            build/BENCH_smoke_perturbed_slower.json > /dev/null 2>&1; then
+          echo "perf: bench_diff.py failed to flag a 50% regression" >&2
+          exit 1
+        fi
+        for name in slower faster messages barriers comm; do
+          if python3 scripts/bench_diff.py --threshold 0 "$out" \
+              "build/BENCH_smoke_perturbed_$name.json" > /dev/null 2>&1; then
+            echo "perf: bench_diff.py --threshold 0 passed a perturbed" \
+              "copy ($name)" >&2
             exit 1
           fi
-        fi
+        done
         # The actual gate: this build vs the committed baseline.
-        python3 scripts/bench_diff.py \
+        python3 scripts/bench_diff.py --threshold 0 \
           scripts/baselines/BENCH_smoke.json "$out"
       else
         echo "==== [perf] python3 not found on PATH; skipping ===="
@@ -177,7 +198,7 @@ EOF
         build/bench/str01_incremental_vs_rebuild \
           --n 2000 --m 8000 --nodes 4 --threads 2 --seed 1 \
           --json "$out" --trace build/stream_trace.json > /dev/null
-        python3 scripts/bench_diff.py \
+        python3 scripts/bench_diff.py --threshold 0 \
           scripts/baselines/BENCH_stream_smoke.json "$out"
       else
         echo "==== [stream] python3 not found; skipping bench gate ===="
@@ -202,7 +223,7 @@ EOF
         build/bench/srv01_query_serving \
           --n 1500 --nodes 4 --threads 2 --seed 1 --sessions 4 \
           --scale 0.5 --json "$out" > /dev/null
-        python3 scripts/bench_diff.py \
+        python3 scripts/bench_diff.py --threshold 0 \
           scripts/baselines/BENCH_serve_smoke.json "$out"
       else
         echo "==== [serve] python3 not found; skipping bench gate ===="
@@ -238,11 +259,11 @@ EOF
         # Fixed configuration of the committed availability baseline; the
         # bench self-checks conservation, the availability floors, breaker
         # engagement and zero-fault raw/res identity, and bench_diff gates
-        # the availability/crashed extras on top.
+        # every field exactly on top.
         build/bench/srv02_degraded_serving \
           --n 1200 --nodes 4 --threads 2 --seed 1 --scale 0.5 \
           --json "$out" > /dev/null
-        python3 scripts/bench_diff.py \
+        python3 scripts/bench_diff.py --threshold 0 \
           scripts/baselines/BENCH_srv02_degraded.json "$out"
         echo "---- [serve-chaos] zero-fault plan leaves serving unchanged ----"
         # Resilience-off serving with an attached all-zero fault plan must
@@ -323,10 +344,10 @@ EOF
         # Fixed configuration of the committed skew baseline; the bench
         # self-checks bit-identical labels across the four schemes and
         # that degree-aware beats block on owner skew and modeled time,
-        # and bench_diff gates the skew_*/nic_* extras on top.
+        # and bench_diff gates every field exactly on top.
         build/bench/part01_skew_scaling \
           --nodes 4 --threads 2 --seed 1 --json "$out" > /dev/null
-        python3 scripts/bench_diff.py \
+        python3 scripts/bench_diff.py --threshold 0 \
           scripts/baselines/BENCH_part_smoke.json "$out"
       else
         echo "---- [partition] python3 not found; skipping bench gate ----"
@@ -365,10 +386,9 @@ EOF
         out=build/BENCH_rob01_sdc.json
         # Fixed configuration of the committed availability baseline; the
         # bench self-checks zero escapes / interval-1 availability, and
-        # bench_diff gates the deterministic scrub_*/certify_* counters
-        # exactly on top.
+        # bench_diff gates every field exactly on top.
         build/bench/rob01_sdc_scrub --seed 21 --json "$out" > /dev/null
-        python3 scripts/bench_diff.py \
+        python3 scripts/bench_diff.py --threshold 0 \
           scripts/baselines/BENCH_rob01_sdc.json "$out"
         echo "---- [scrub-chaos] zero-flip plan leaves bench times unchanged ----"
         # A disabled mem-flip plan (mem_flip_at=0) must reproduce the

@@ -72,13 +72,19 @@ struct CollectiveContext {
   }
 };
 
-/// Per-thread scratch that persists across collective calls so buffers are
-/// allocated once and the `id` key cache can survive iterations.
-template <class T>
-struct CollWorkspace {
+/// The `id` optimization's per-request virtual-block keys, which survive
+/// across calls while the caller's request vector is unchanged.
+struct KeyCache {
   std::vector<std::uint32_t> keys;  ///< cached virtual-block key per request
   bool keys_valid = false;          ///< caller-managed (id_cache contract)
 
+  void invalidate_keys() { keys_valid = false; }
+};
+
+/// Per-thread scratch that persists across collective calls so buffers are
+/// allocated once and the `id` key cache can survive iterations.
+template <class T>
+struct CollWorkspace : KeyCache {
   std::vector<std::uint64_t> sorted;  ///< request indices in bucket order
   std::vector<T> sorted_val;          ///< values in bucket order (SetD*)
   std::vector<std::uint32_t> rank;    ///< original slot of sorted[k]
@@ -108,8 +114,6 @@ struct CollWorkspace {
   // totals of the hierarchical sends.
   std::vector<std::size_t> cursor;
   std::vector<std::size_t> node_bytes;
-
-  void invalidate_keys() { keys_valid = false; }
 };
 
 }  // namespace pgraph::coll

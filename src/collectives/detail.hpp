@@ -1,12 +1,17 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
+#include <vector>
 
 #include "collectives/context.hpp"
 #include "collectives/options.hpp"
+#include "fault/fault.hpp"
 #include "machine/phase_stats.hpp"
+#include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
 #include "sched/virtual_threads.hpp"
 
@@ -28,22 +33,6 @@ inline int resolve_tprime(const pgas::ThreadCtx& ctx,
   const std::size_t blk_bytes =
       std::max<std::size_t>(1, max_part_elems * elem_bytes);
   return static_cast<int>((blk_bytes + cache - 1) / cache);
-}
-
-/// Compute (or reuse) the virtual-block key of every request index.
-/// Charges Cat::Work per the `id` optimization level.
-inline void compute_keys(pgas::ThreadCtx& ctx, const sched::VBlocks& vb,
-                         std::span<const std::uint64_t> indices,
-                         const CollectiveOptions& opt,
-                         std::vector<std::uint32_t>& keys, bool& keys_valid) {
-  const std::size_t m = indices.size();
-  if (opt.id_cache && keys_valid && keys.size() == m) return;
-  keys.resize(m);
-  for (std::size_t i = 0; i < m; ++i)
-    keys[i] = static_cast<std::uint32_t>(vb.vkey(indices[i]));
-  ctx.compute(m * (opt.id_direct ? kDirectKeyOps : kIntrinsicKeyOps),
-              Cat::Work);
-  keys_valid = true;
 }
 
 /// Charge the group-phase counting sort per Section IV: one streamed
@@ -71,18 +60,6 @@ inline void charge_group_sort(pgas::ThreadCtx& ctx, std::size_t m,
     // instead of streamed stores.
     ctx.mem_random_write(m * rec_bytes / line, w * line, line, Cat::Sort);
   }
-}
-
-/// Derive the per-owner-thread offsets from the per-virtual-block offsets.
-inline void derive_thread_offsets(const sched::VBlocks& vb,
-                                  const std::vector<std::size_t>& bucket_off,
-                                  std::size_t kept,
-                                  std::vector<std::size_t>& thr_off) {
-  const int s = vb.nthreads;
-  thr_off.resize(static_cast<std::size_t>(s) + 1);
-  for (int t = 0; t < s; ++t)
-    thr_off[static_cast<std::size_t>(t)] = bucket_off[vb.first_bucket(t)];
-  thr_off[static_cast<std::size_t>(s)] = kept;
 }
 
 /// Step 3 of Algorithm 2: publish per-peer counts and offsets.
@@ -198,6 +175,250 @@ inline std::size_t local_touch_ops(const CollectiveOptions& opt) {
 /// The exchange-loop visit order ("circular" optimization).
 inline int peer_at(const CollectiveOptions& opt, int me, int s, int step) {
   return opt.circular ? (me + step) % s : step;
+}
+
+// --- the exchange skeleton shared by GetD and SetD* -------------------------
+//
+// GetD, SetD and SetDMin are one schedule (Algorithm 2): they differ only
+// in each record's payload, the wire shape, and what the owner does with
+// each element.  getd.hpp and setd.hpp supply those; the rest is here.
+
+/// Step 1 of Algorithm 2: count-sort this thread's requests by virtual
+/// block (owner thread, then sub-block within the owner's block) into
+/// ws.sorted, with payload_of(i) at the same position of `payload`.  A
+/// request with local(i) true never leaves the thread: answer(i) serves
+/// it here.  Leaves the per-owner batch offsets in ws.thr_off; returns
+/// the number of requests sent.
+template <class T, class P, class PayloadOf, class Local, class Answer>
+std::size_t group_by_vblock(pgas::ThreadCtx& ctx, const sched::VBlocks& vb,
+                            std::span<const std::uint64_t> indices,
+                            const CollectiveOptions& opt, CollWorkspace<T>& ws,
+                            std::vector<P>& payload, PayloadOf payload_of,
+                            Local local, Answer answer) {
+  const std::size_t m = indices.size();
+  const std::size_t w = vb.nbuckets();
+  // Compute (or reuse) the virtual-block key of every request index,
+  // charging Cat::Work per the `id` optimization level.
+  if (!(opt.id_cache && ws.keys_valid && ws.keys.size() == m)) {
+    ws.keys.resize(m);
+    for (std::size_t i = 0; i < m; ++i)
+      ws.keys[i] = static_cast<std::uint32_t>(vb.vkey(indices[i]));
+    ctx.compute(m * (opt.id_direct ? kDirectKeyOps : kIntrinsicKeyOps),
+                Cat::Work);
+    ws.keys_valid = true;
+  }
+
+  ws.bucket_off.assign(w + 1, 0);
+  for (std::size_t i = 0; i < m; ++i)
+    if (!local(i)) ++ws.bucket_off[ws.keys[i] + 1];
+  for (std::size_t k = 0; k < w; ++k) ws.bucket_off[k + 1] += ws.bucket_off[k];
+  const std::size_t kept = ws.bucket_off[w];
+
+  ws.sorted.resize(kept);
+  payload.resize(kept);
+  ws.cursor.assign(ws.bucket_off.begin(), ws.bucket_off.end() - 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (local(i)) {
+      answer(i);
+      continue;
+    }
+    const std::size_t pos = ws.cursor[ws.keys[i]]++;
+    ws.sorted[pos] = indices[i];
+    payload[pos] = payload_of(i);
+  }
+  charge_group_sort(ctx, m, w, sizeof(std::uint64_t) + sizeof(P));
+
+  // The per-owner-thread offsets, from the per-virtual-block ones.
+  const int s = vb.nthreads;
+  ws.thr_off.resize(static_cast<std::size_t>(s) + 1);
+  for (int t = 0; t < s; ++t)
+    ws.thr_off[static_cast<std::size_t>(t)] = ws.bucket_off[vb.first_bucket(t)];
+  ws.thr_off[static_cast<std::size_t>(s)] = kept;
+  return kept;
+}
+
+/// One byte range of a checksummed batch.
+struct BatchPart {
+  void* data;
+  std::size_t bytes;
+};
+
+/// Checksum of a batch held in one or two byte ranges.
+inline std::uint64_t batch_checksum(std::initializer_list<BatchPart> parts) {
+  std::uint64_t sum = 0;
+  for (const BatchPart& p : parts)
+    sum ^= fault::checksum_words(p.data, p.bytes);
+  return sum;
+}
+
+/// Checksum-retransmit protocol (docs/ROBUSTNESS.md): while the batch of
+/// `cnt` records in `parts` mismatches its checksum `expect`, charge a
+/// modeled retransmission (round trip + backoff), restore the damaged
+/// bytes and re-validate the fresh copy.  Throws FaultError{Corruption}
+/// with `what` once the retry budget is spent.
+inline void retransmit_until_clean(pgas::ThreadCtx& ctx,
+                                   fault::FaultInjector& finj,
+                                   std::uint64_t expect, std::size_t cnt,
+                                   std::initializer_list<BatchPart> parts,
+                                   const char* what) {
+  std::size_t payload = 0;
+  for (const BatchPart& p : parts) payload += p.bytes;
+  int tries = 0;
+  while (batch_checksum(parts) != expect) {
+    if (tries++ >= finj.config().max_retries)
+      throw fault::FaultError(fault::FaultKind::Corruption, what);
+    finj.count_detected();
+    ctx.charge(Cat::Comm, ctx.net().msg_wire_ns(payload + 24) +
+                              finj.config().backoff_ns_for(tries - 1));
+    ctx.net().count_message(payload + 24);
+    finj.count_retransmits(1);
+    for (const BatchPart& p : parts) finj.repair(p.data, p.bytes);
+    ctx.compute(parts.size() * cnt, Cat::Copy);
+  }
+}
+
+/// Wire shape of a batch, in bytes per record: `in` travels requester ->
+/// owner, `out` owner -> requester (0: the collective posts no reply).
+/// With the fault protocol on, the 8-byte batch checksum seals the payload
+/// that travels with values: the reply when there is one (the owner seals
+/// it after serving), else the request (the owner validates it before
+/// applying — a corrupted index must never be dereferenced).
+struct Wire {
+  std::size_t in;
+  std::size_t out;
+};
+
+/// Steps 4-5 of Algorithm 2, owner side: walk the peers (circular or
+/// identity order), post each batch's messages (one combined message per
+/// node pair when hierarchical), run the owner half of the checksum
+/// protocol, and apply `act(ri, elem, val)` to every requested element
+/// `elem` of this thread's block, where `val` is the record's slot in the
+/// requester's `slot` buffer (GetD's reply, SetD's value).  Charges the
+/// stream of incoming records, one compulsory line fill per first touch,
+/// and reuse accesses at their (often cached) cost.  A guarded index that
+/// fails its bounds/owner check goes to `wild(ri, li)`, which rewrites it
+/// and returns true to serve it anyway, or returns false to skip it.  The
+/// caller follows with ctx.exchange_barrier().
+template <class T, class Wild, class Act>
+void owner_walk(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
+                CollectiveContext& cc, CollWorkspace<T>& ws,
+                const CollectiveOptions& opt, const sched::VBlocks& vb,
+                Wire wire, int slot, bool chk, Wild wild, Act act) {
+  const int s = ctx.nthreads();
+  const int me = ctx.id();
+  const auto srow = cc.smatrix.local_span(me);
+  const auto prow = cc.pmatrix.local_span(me);
+  ctx.mem_seq(2 * static_cast<std::size_t>(s) * sizeof(std::uint64_t),
+              Cat::Setup);
+  const auto myblock = D.local_span(me);
+  // Global -> local mapping of this owner's partition: subtracting the
+  // span base IS the map for identity layouts (block, degree-aware); the
+  // policy computes it otherwise.  `base` is only meaningful when `ident`.
+  const auto& P = D.part();
+  const bool ident = P.is_identity();
+  const std::uint64_t base = D.block_begin(me);
+  // Under an armed mem-flip plan a flipped label bit can escape into a
+  // request index before the scrubber runs; bounds-guard the loop so the
+  // epoch survives to be rolled back instead of faulting on a wild read
+  // or scribbling on a wild write (docs/ROBUSTNESS.md, "At-rest
+  // integrity").
+  const bool guard = ctx.runtime().mem_guard_active();
+  fault::FaultInjector* const finj = ctx.runtime().fault_injector();
+  const std::size_t touch_ops = local_touch_ops(opt);
+  const std::size_t line_bytes = ctx.mem().params().cache_line_bytes;
+  const std::size_t line_elems =
+      std::max<std::size_t>(1, line_bytes / sizeof(T));
+  const std::size_t nlines = myblock.size() / line_elems + 1;
+  ws.touched.assign((nlines + 63) / 64, 0);
+  ctx.mem_seq(ws.touched.size() * 8, Cat::Copy);
+  std::size_t distinct_lines = 0;
+  // Hierarchical per-node combining.
+  std::vector<std::size_t>& node_bytes = ws.node_bytes;
+  if (opt.hierarchical)
+    node_bytes.assign(static_cast<std::size_t>(ctx.nnodes()), 0);
+
+  for (int step = 0; step < s; ++step) {
+    const int j = peer_at(opt, me, s, step);
+    const std::size_t cnt = srow[static_cast<std::size_t>(j)];
+    if (cnt == 0) continue;
+    const std::size_t off = prow[static_cast<std::size_t>(j)];
+    const std::uint64_t* ridx = ctx.peer_as<std::uint64_t>(j, kSlotIdx) + off;
+    T* vals = ctx.peer_as<T>(j, slot) + off;
+    if (j != me) {
+      std::size_t in = cnt * wire.in;
+      std::size_t out = cnt * wire.out;
+      if (chk) (out != 0 ? out : in) += sizeof(std::uint64_t);
+      if (opt.hierarchical) {
+        node_bytes[static_cast<std::size_t>(ctx.topo().node_of(j))] +=
+            in + out;
+      } else {
+        ctx.post_exchange_msg(j, in);
+        if (out != 0) ctx.post_exchange_msg(j, out);
+      }
+    }
+    if (chk && wire.out == 0) {
+      // Validate the request before applying it; a damaged batch is
+      // repaired by a modeled retransmission from requester j.
+      const std::uint64_t expect = ctx.peer_as<std::uint64_t>(j, kSlotSum)[me];
+      ctx.compute(2 * cnt, Cat::Copy);
+      retransmit_until_clean(
+          ctx, *finj, expect, cnt,
+          {{const_cast<std::uint64_t*>(ridx), cnt * sizeof(std::uint64_t)},
+           {vals, cnt * sizeof(T)}},
+          "setd: request batch unrecoverable");
+    }
+    std::size_t first_touches = 0;
+    for (std::size_t k = 0; k < cnt; ++k) {
+      std::uint64_t ri = ridx[k];
+      // A wild ri underflows li past the size check on the identity path
+      // (unsigned wrap); non-identity layouts also need the owner check —
+      // a foreign index can map to an in-range local slot.
+      std::uint64_t li = ident ? ri - base : P.local_of(ri);
+      if (guard && (li >= myblock.size() ||
+                    (!ident && P.owner_of(ri) != me))) [[unlikely]] {
+        ctx.runtime().note_corruption();
+        if (!wild(ri, li)) continue;
+      }
+      assert(li < myblock.size() && (ident || P.owner_of(ri) == me));
+      const std::size_t l = li / line_elems;
+      if (!(ws.touched[l >> 6] & (1ull << (l & 63)))) {
+        ws.touched[l >> 6] |= 1ull << (l & 63);
+        ++first_touches;
+      }
+      act(ri, myblock[li], vals[k]);
+    }
+    if (chk && wire.out != 0) {
+      // Deposit the reply's checksum into the requester's sum array (slot
+      // indexed by owner); validated requester-side after the exchange.
+      ctx.peer_as<std::uint64_t>(j, kSlotSum)[me] =
+          fault::checksum_words(vals, cnt * sizeof(T));
+      ctx.compute(cnt, Cat::Copy);
+    }
+    distinct_lines += first_touches;
+    // Streamed read of the incoming records; compulsory line fills for
+    // first touches; reuse accesses over the effective working set (the
+    // sub-block, or the touched footprint if smaller — duplicated requests
+    // stay cached).
+    ctx.mem_seq(cnt * wire.in, Cat::Copy);
+    ctx.mem_compulsory(first_touches, sizeof(T), Cat::Copy);
+    const std::size_t ws_eff =
+        std::min(vb.sub_blk * sizeof(T), distinct_lines * line_bytes);
+    ctx.mem_random(cnt - first_touches, ws_eff, sizeof(T), Cat::Copy);
+    ctx.compute(cnt * touch_ops, Cat::Copy);
+  }
+  if (opt.hierarchical) {
+    // One combined message per node pair, visited in circular node order.
+    // Targets resolve through the live leader map so a post-shrink run
+    // addresses the buddy that adopted a lost node's threads; a dead node
+    // accumulates no bytes (node_of never maps a thread to it).
+    const int p = ctx.nnodes();
+    for (int step = 0; step < p; ++step) {
+      const int nd = (ctx.node() + step) % p;
+      if (node_bytes[static_cast<std::size_t>(nd)] > 0)
+        ctx.post_exchange_msg(ctx.topo().leader_of_node(nd),
+                              node_bytes[static_cast<std::size_t>(nd)]);
+    }
+  }
 }
 
 }  // namespace pgraph::coll::detail

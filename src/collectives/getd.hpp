@@ -49,7 +49,6 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
   const int tprime =
       detail::resolve_tprime(ctx, opt, D.part().max_local_size(), sizeof(T));
   const sched::VBlocks vb(D.part(), tprime);
-  const std::size_t w = vb.nbuckets();
   const bool offload = opt.offload && known.has_value();
 #ifdef PGRAPH_CHECK_ACCESS
   conformance_note(ctx, analysis::CollOp::GetD, opt.site,
@@ -68,32 +67,13 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
   std::size_t kept = 0;
   {
     pgas::TraceScope ts(ctx, "getd.group");
-    detail::compute_keys(ctx, vb, indices, opt, ws.keys, ws.keys_valid);
-
-    ws.bucket_off.assign(w + 1, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (offload && indices[i] == known->index) continue;
-      ++ws.bucket_off[ws.keys[i] + 1];
-    }
-    for (std::size_t k = 0; k < w; ++k)
-      ws.bucket_off[k + 1] += ws.bucket_off[k];
-    kept = ws.bucket_off[w];
-
-    ws.sorted.resize(kept);
-    ws.rank.resize(kept);
-    ws.cursor.assign(ws.bucket_off.begin(), ws.bucket_off.end() - 1);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (offload && indices[i] == known->index) {
-        out[i] = static_cast<T>(known->value);
-        continue;
-      }
-      const std::size_t pos = ws.cursor[ws.keys[i]]++;
-      ws.sorted[pos] = indices[i];
-      ws.rank[pos] = static_cast<std::uint32_t>(i);
-    }
-    detail::charge_group_sort(ctx, m, w, sizeof(std::uint64_t) + 4);
-
-    detail::derive_thread_offsets(vb, ws.bucket_off, kept, ws.thr_off);
+    // Each record carries its request rank, so replies can be permuted
+    // back; requests for the known element are answered right here.
+    kept = detail::group_by_vblock(
+        ctx, vb, indices, opt, ws, ws.rank,
+        [](std::size_t i) { return static_cast<std::uint32_t>(i); },
+        [&](std::size_t i) { return offload && indices[i] == known->index; },
+        [&](std::size_t i) { out[i] = static_cast<T>(known->value); });
   }
 
   // --- setup -------------------------------------------------------------
@@ -111,113 +91,27 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
   ctx.exchange_barrier();  // step 4 of Algorithm 2
 
   // --- serve (owner side) -------------------------------------------------
-  const std::size_t touch_ops = detail::local_touch_ops(opt);
   {
-  pgas::TraceScope ts(ctx, "getd.serve");
-  const auto srow = cc.smatrix.local_span(me);
-  const auto prow = cc.pmatrix.local_span(me);
-  ctx.mem_seq(2 * static_cast<std::size_t>(s) * sizeof(std::uint64_t),
-              Cat::Setup);
-  const auto myblock = D.local_span(me);
-  // Global -> local mapping of this owner's partition: subtracting the
-  // span base IS the map for identity layouts (block, degree-aware); the
-  // policy computes it otherwise.  `base` is only meaningful when `ident`.
-  const auto& P = D.part();
-  const bool ident = P.is_identity();
-  const std::uint64_t base = D.block_begin(me);
-  // Under an armed mem-flip plan a flipped label bit can escape into a
-  // request index before the scrubber runs; bounds-guard the serve loop so
-  // the epoch survives to be rolled back instead of faulting on a wild
-  // read (docs/ROBUSTNESS.md, "At-rest integrity").
-  const bool guard = ctx.runtime().mem_guard_active();
-  const std::size_t line_bytes = ctx.mem().params().cache_line_bytes;
-  const std::size_t line_elems = std::max<std::size_t>(1, line_bytes / sizeof(T));
-  const std::size_t nlines = myblock.size() / line_elems + 1;
-  ws.touched.assign((nlines + 63) / 64, 0);
-  ctx.mem_seq(ws.touched.size() * 8, Cat::Copy);
-  std::size_t distinct_lines = 0;
-  // Hierarchical per-node combining.
-  std::vector<std::size_t>& node_bytes = ws.node_bytes;
-  if (opt.hierarchical)
-    node_bytes.assign(static_cast<std::size_t>(ctx.nnodes()), 0);
-
-  for (int step = 0; step < s; ++step) {
-    const int j = detail::peer_at(opt, me, s, step);
-    const std::size_t cnt = srow[static_cast<std::size_t>(j)];
-    if (cnt == 0) continue;
-    const std::size_t off = prow[static_cast<std::size_t>(j)];
-    const std::uint64_t* ridx = ctx.peer_as<std::uint64_t>(j, kSlotIdx) + off;
-    T* rbuf = ctx.peer_as<T>(j, kSlotData) + off;
-    const std::size_t sum_bytes = chk ? sizeof(std::uint64_t) : 0;
-    if (j != me) {
-      const std::size_t bytes =
-          cnt * (sizeof(std::uint64_t) + sizeof(T)) + sum_bytes;
-      if (opt.hierarchical) {
-        node_bytes[static_cast<std::size_t>(ctx.topo().node_of(j))] += bytes;
-      } else {
-        ctx.post_exchange_msg(j, cnt * sizeof(std::uint64_t));  // indices in
-        ctx.post_exchange_msg(j, cnt * sizeof(T) + sum_bytes);  // data out
-      }
-    }
-    std::size_t first_touches = 0;
-    for (std::size_t k = 0; k < cnt; ++k) {
-      std::uint64_t ri = ridx[k];
-      // A wild ri underflows li past the size check on the identity path
-      // (unsigned wrap); non-identity layouts also need the owner check —
-      // a foreign index can map to an in-range local slot.
-      std::uint64_t li = ident ? ri - base : P.local_of(ri);
-      if (guard && (li >= myblock.size() ||
-                    (!ident && P.owner_of(ri) != me))) [[unlikely]] {
-        // Serve a dummy element and flag the corruption; the reply is
-        // garbage either way and this epoch is about to be rolled back.
-        ctx.runtime().note_corruption();
-        ri = P.global_of(me, 0);
-        li = 0;
-      }
-      assert(li < myblock.size() && (ident || P.owner_of(ri) == me));
-      const std::size_t l = li / line_elems;
-      if (!(ws.touched[l >> 6] & (1ull << (l & 63)))) {
-        ws.touched[l >> 6] |= 1ull << (l & 63);
-        ++first_touches;
-      }
-      rbuf[k] = myblock[li];
-      // Owner-side read through the raw block pointer: make it visible to
-      // the race detector (a stray same-epoch write would corrupt replies).
-      D.note_read(ctx, ri);
-    }
-    if (chk) {
-      // Deposit the batch checksum into the requester's sum array (slot
-      // indexed by owner); validated requester-side after the exchange.
-      ctx.peer_as<std::uint64_t>(j, kSlotSum)[me] =
-          fault::checksum_words(rbuf, cnt * sizeof(T));
-      ctx.compute(cnt, Cat::Copy);
-    }
-    distinct_lines += first_touches;
-    // Streamed read of the incoming index list; compulsory line fills for
-    // first touches; reuse accesses over the effective working set (the
-    // sub-block, or the touched footprint if smaller — duplicated requests
-    // stay cached).
-    ctx.mem_seq(cnt * sizeof(std::uint64_t), Cat::Copy);
-    ctx.mem_compulsory(first_touches, sizeof(T), Cat::Copy);
-    const std::size_t ws_eff =
-        std::min(vb.sub_blk * sizeof(T), distinct_lines * line_bytes);
-    ctx.mem_random(cnt - first_touches, ws_eff, sizeof(T), Cat::Copy);
-    ctx.compute(cnt * touch_ops, Cat::Copy);
+    pgas::TraceScope ts(ctx, "getd.serve");
+    // Indices in, data out: two messages per remote batch.
+    detail::owner_walk(
+        ctx, D, cc, ws, opt, vb, {sizeof(std::uint64_t), sizeof(T)},
+        kSlotData, chk,
+        [&](std::uint64_t& ri, std::uint64_t& li) {
+          // Serve a dummy element: the reply is garbage either way and
+          // this epoch is about to be rolled back.
+          ri = D.part().global_of(me, 0);
+          li = 0;
+          return true;
+        },
+        [&](std::uint64_t ri, const T& elem, T& reply) {
+          reply = elem;
+          // Owner-side read through the raw block pointer: make it visible
+          // to the race detector (a stray same-epoch write would corrupt
+          // replies).
+          D.note_read(ctx, ri);
+        });
   }
-  if (opt.hierarchical) {
-    // One combined message per node pair, visited in circular node order.
-    // Targets resolve through the live leader map so a post-shrink run
-    // addresses the buddy that adopted a lost node's threads; a dead node
-    // accumulates no bytes (node_of never maps a thread to it).
-    const int p = ctx.nnodes();
-    for (int step = 0; step < p; ++step) {
-      const int nd = (ctx.node() + step) % p;
-      if (node_bytes[static_cast<std::size_t>(nd)] > 0)
-        ctx.post_exchange_msg(ctx.topo().leader_of_node(nd),
-                              node_bytes[static_cast<std::size_t>(nd)]);
-    }
-  }
-  }  // getd.serve
   ctx.exchange_barrier();
 
   // --- verify (requester side; fault protocol only) -----------------------
@@ -234,21 +128,10 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
       const std::size_t cnt =
           ws.thr_off[static_cast<std::size_t>(j) + 1] - off;
       if (cnt == 0) continue;
-      int tries = 0;
-      while (fault::checksum_words(ws.reply.data() + off, cnt * sizeof(T)) !=
-             ws.sums[static_cast<std::size_t>(j)]) {
-        if (tries++ >= finj->config().max_retries)
-          throw fault::FaultError(fault::FaultKind::Corruption,
-                                  "getd: reply batch unrecoverable");
-        finj->count_detected();
-        ctx.charge(Cat::Comm,
-                   ctx.net().msg_wire_ns(cnt * sizeof(T) + 24) +
-                       finj->config().backoff_ns_for(tries - 1));
-        ctx.net().count_message(cnt * sizeof(T) + 24);
-        finj->count_retransmits(1);
-        finj->repair(ws.reply.data() + off, cnt * sizeof(T));
-        ctx.compute(cnt, Cat::Copy);  // re-validate the fresh copy
-      }
+      detail::retransmit_until_clean(
+          ctx, *finj, ws.sums[static_cast<std::size_t>(j)], cnt,
+          {{ws.reply.data() + off, cnt * sizeof(T)}},
+          "getd: reply batch unrecoverable");
     }
   }
 
@@ -292,7 +175,7 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
     ctx.mem_seq(kept * sizeof(T), Cat::Irregular);
     ctx.mem_random_write(kept, out_bytes, sizeof(T), Cat::Irregular);
   }
-  ctx.compute(kept * touch_ops, Cat::Irregular);
+  ctx.compute(kept * detail::local_touch_ops(opt), Cat::Irregular);
 }
 
 }  // namespace pgraph::coll

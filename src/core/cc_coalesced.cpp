@@ -1,17 +1,14 @@
 #include "core/cc_coalesced.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
-#include <stdexcept>
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
 #include "core/pointer_jump.hpp"
+#include "core/recovery.hpp"
 #include "pgas/coll.hpp"
 #include "pgas/global_array.hpp"
-#include "pgas/replica.hpp"
 
 namespace pgraph::core {
 
@@ -23,14 +20,16 @@ namespace {
 struct CcRun {
   pgas::GlobalArray<std::uint64_t> d;
   coll::CollectiveContext cc;
-  std::atomic<int> iterations{0};
-  std::atomic<bool> overran{false};
+  RecoveryLoop loop;
 
   // The label array adopts the runtime's configured distribution policy
   // (--partition): under skewed inputs a degree-aware layout spreads the
   // hot vertex range across owners (docs/PARTITIONING.md).
-  CcRun(pgas::Runtime& rt, std::size_t n)
-      : d(rt, n, rt.make_partitioning(n)), cc(rt) {}
+  CcRun(pgas::Runtime& rt, std::size_t n, const char* kernel, int max_iters,
+        int scrub_interval)
+      : d(rt, n, rt.make_partitioning(n)),
+        cc(rt),
+        loop(rt, d, kernel, max_iters, scrub_interval) {}
 };
 
 }  // namespace
@@ -44,22 +43,9 @@ ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
   const int max_iters = opt.max_iters > 0
                             ? opt.max_iters
                             : 4 * (n < 2 ? 1 : std::bit_width(n)) + 64;
-  CcRun run(rt, n);
+  CcRun run(rt, n, "cc_coalesced", max_iters, opt.scrub_interval);
   const coll::CollectiveOptions& copt = opt.coll;
   const coll::KnownElement known{0, 0};  // D[0] stays 0 (offload target)
-  // Superstep checkpoint/restart (docs/ROBUSTNESS.md): with outages or
-  // permanent loss configured, snapshot D and the surviving edge lists each
-  // iteration outside an outage window, and roll back to the last snapshot
-  // when an outage window closes or the runtime shrinks after a node loss.
-  fault::FaultInjector* const finj = rt.fault_injector();
-  const bool ckpt_on =
-      finj != nullptr &&
-      (finj->config().outage_every > 0 || finj->config().loss_enabled() ||
-       finj->config().mem_flips_enabled());
-  // At-rest integrity: opt the label array into incremental checksum
-  // tracking and periodic scrubbing (host-side, before the SPMD region).
-  const int scrub_every = opt.scrub_interval;
-  if (scrub_every > 0) run.d.set_scrubbed(true);
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int s = ctx.nthreads();
@@ -78,209 +64,89 @@ ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
     coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_set, ws_jump;
     std::vector<std::uint64_t> du, dv, gi, gv, par, grand;
 
-    // Per-thread checkpoint: this thread's D block plus its private edge
-    // lists (they shrink under compaction, so a rollback must restore
-    // them too).  All threads checkpoint/roll back in lockstep: the
-    // recovery-event counter (outages + node-loss shrinks) is written only
-    // in barrier completion steps and every thread reads it at the same
-    // program point.
-    struct Checkpoint {
-      std::vector<std::uint64_t> d, eu, ev;
-      int it = 0;
-      bool valid = false;
-    } ck;
-    // Staging buffer for scrub-verified checkpoint saves (see below).
-    std::vector<std::uint64_t> ck_stage;
-    std::uint64_t seen_recovery = ckpt_on ? finj->recovery_events() : 0;
+    // Checkpointed with the label block: the edge lists shrink under
+    // compaction, so a rollback must restore them too.
+    const RecoveryLoop::Private state{
+        .vectors = {&eu, &ev},
+        .key_caches = {&ws_u, &ws_v, &ws_set, &ws_jump}};
+    run.loop.run(ctx, state, [&] {
+      // --- read endpoint labels (coalesced; keys cacheable via `id`).
+      du.resize(eu.size());
+      dv.resize(ev.size());
+      coll::getd(ctx, run.d, eu, std::span<std::uint64_t>(du), copt,
+                 run.cc, ws_u, known);
+      coll::getd(ctx, run.d, ev, std::span<std::uint64_t>(dv), copt,
+                 run.cc, ws_v, known);
 
-    int it = 0;
-    // `executed` counts real trips (it rolls back with the checkpoint);
-    // the hard cap keeps pathological fault plans from looping forever.
-    for (int executed = 0;; ++it, ++executed) {
-      if (it >= max_iters || executed >= 4 * max_iters + 64) {
-        run.overran.store(true, std::memory_order_relaxed);
-        break;
-      }
-
-      // Scrub BEFORE the recovery poll: a heal regresses the partition to
-      // checkpoint-time bytes and raises a recovery event, so the poll
-      // below immediately rolls the private state back to the matching
-      // snapshot -- the superstep never runs on a half-regressed view.
-      bool scrubbed_now = false;
-      if (scrub_every > 0 && executed % scrub_every == 0) {
-        scrubbed_now = true;
-        try {
-          rt.scrub(ctx);
-        } catch (const fault::FaultError& fe) {
-          // Corruption with no validated mirror: the baseline is
-          // invalidated and a recovery event raised; continue on the
-          // valid checkpoint (the poll below rolls back over clean
-          // bytes).  Without a checkpoint the corruption is fatal.
-          if (fe.kind() != fault::FaultKind::MemoryCorrupt || !ck.valid)
-            throw;
+      // --- graft requests: hook the larger root under the smaller.
+      gi.clear();
+      gv.clear();
+      for (std::size_t k = 0; k < eu.size(); ++k) {
+        if (du[k] == dv[k]) continue;
+        if (du[k] < dv[k]) {
+          gi.push_back(dv[k]);
+          gv.push_back(du[k]);
+        } else {
+          gi.push_back(du[k]);
+          gv.push_back(dv[k]);
         }
       }
+      ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
+      ctx.compute(eu.size() * 3, Cat::Work);
 
-      bool fresh_ckpt = false;
-      if (ckpt_on) {
-        const std::uint64_t ev_now = finj->recovery_events();
-        if (ev_now != seen_recovery && ck.valid) {
-          // An outage window closed (or the runtime shrank after a
-          // permanent node loss) since we last looked: the recent
-          // superstep work is suspect, so every thread rolls back to the
-          // last snapshot and re-runs over the surviving topology.
-          auto blk = run.d.local_span(me);
-          std::copy(ck.d.begin(), ck.d.end(), blk.begin());
-          eu = ck.eu;
-          ev = ck.ev;
-          it = ck.it;
-          ws_u.invalidate_keys();
-          ws_v.invalidate_keys();
-          ws_set.invalidate_keys();
-          ws_jump.invalidate_keys();
-          ctx.mem_seq((ck.d.size() + eu.size() + ev.size()) *
-                          sizeof(std::uint64_t),
-                      Cat::Copy);
-          // The restore bypassed the incremental checksum: recompute the
-          // scrub baseline over the freshly restored block.
-          rt.rebaseline_integrity(ctx);
-          if (me == 0) finj->count_rollback();
-          ctx.barrier();  // restores visible before the next getd serves
-        } else if (ev_now == seen_recovery &&
-                   !finj->outage_active(ctx.epoch()) &&
-                   (scrub_every == 0 || scrubbed_now)) {
-          // With scrubbing on, only scrub-validated trips may seal new
-          // checkpoints/mirrors: a flip is always *detected* before the
-          // corrupt bytes could be re-snapshotted into the repair source.
-          auto blk = run.d.local_span(me);
-          bool seal_ok = true;
-          if (scrub_every > 0) {
-            // Verify-before-seal: a flip can land on the scrub pass's own
-            // barriers, after the compare but before this save.  Stage the
-            // copy and re-check it against the maintained checksum in the
-            // SAME barrier interval (flips only land at barrier completion,
-            // so a verified stage is a clean stage), then agree
-            // collectively before committing it over the old snapshot.
-            ck_stage.assign(blk.begin(), blk.end());
-            if (!run.d.partition_clean(me)) rt.note_corruption();
-            ctx.mem_seq(blk.size() * sizeof(std::uint64_t), Cat::Scrub);
-            ctx.barrier();  // corruption flag -> recovery event, seen by all
-            seal_ok = finj->recovery_events() == ev_now;
-          }
-          if (seal_ok) {
-            if (scrub_every > 0)
-              ck.d.swap(ck_stage);
-            else
-              ck.d.assign(blk.begin(), blk.end());
-            ck.eu = eu;
-            ck.ev = ev;
-            ck.it = it;
-            ck.valid = true;
-            ctx.mem_seq((ck.d.size() + eu.size() + ev.size()) *
-                            sizeof(std::uint64_t),
-                        Cat::Copy);
-            if (me == 0) finj->count_checkpoint();
-            fresh_ckpt = true;
-          }
-        }
-        seen_recovery = ev_now;
-      }
+      if (!pgas::allreduce_or(ctx, !gi.empty())) return false;
 
-      try {
-        // Buddy replication rides on checkpoint boundaries: mirror the
-        // fresh snapshot's GlobalArray partitions onto each node's
-        // predecessor (no-op unless a loss plan is configured).
-        if (fresh_ckpt) pgas::replicate_to_buddy(ctx);
+      ws_set.invalidate_keys();
+      // Arbitrary concurrent write, as in the paper's CC ("SetD
+      // implements arbitrary concurrent writes").  All targets are star
+      // roots and all proposals are smaller labels, so any winner
+      // preserves monotone convergence.
+      coll::setd(ctx, run.d, gi, std::span<const std::uint64_t>(gv), copt,
+                 run.cc, ws_set);
 
-        // --- read endpoint labels (coalesced; keys cacheable via `id`).
-        du.resize(eu.size());
-        dv.resize(ev.size());
-        coll::getd(ctx, run.d, eu, std::span<std::uint64_t>(du), copt,
-                   run.cc, ws_u, known);
-        coll::getd(ctx, run.d, ev, std::span<std::uint64_t>(dv), copt,
-                   run.cc, ws_v, known);
+      // --- lock-step pointer jumping until rooted stars.  CC hooks
+      // larger labels under smaller ones, so D[0] == 0 forever and the
+      // offload optimization applies to the jump requests (the paper's
+      // hotspot).
+      jump_to_stars(ctx, run.d, copt, run.cc, ws_jump, par, grand, known);
 
-        // --- graft requests: hook the larger root under the smaller.
-        gi.clear();
-        gv.clear();
+      // --- compact: drop edges already inside one component, keeping
+      // the cached target keys aligned with the surviving requests.
+      if (opt.compact) {
+        std::size_t kept = 0;
+        const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
+                             ws_u.keys.size() == eu.size() &&
+                             ws_v.keys.size() == ev.size();
         for (std::size_t k = 0; k < eu.size(); ++k) {
           if (du[k] == dv[k]) continue;
-          if (du[k] < dv[k]) {
-            gi.push_back(dv[k]);
-            gv.push_back(du[k]);
-          } else {
-            gi.push_back(du[k]);
-            gv.push_back(dv[k]);
+          eu[kept] = eu[k];
+          ev[kept] = ev[k];
+          if (keys_ok) {
+            ws_u.keys[kept] = ws_u.keys[k];
+            ws_v.keys[kept] = ws_v.keys[k];
           }
+          ++kept;
+        }
+        eu.resize(kept);
+        ev.resize(kept);
+        if (keys_ok) {
+          ws_u.keys.resize(kept);
+          ws_v.keys.resize(kept);
+        } else {
+          ws_u.invalidate_keys();
+          ws_v.invalidate_keys();
         }
         ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
-        ctx.compute(eu.size() * 3, Cat::Work);
-
-        if (!pgas::allreduce_or(ctx, !gi.empty())) break;
-
-        ws_set.invalidate_keys();
-        // Arbitrary concurrent write, as in the paper's CC ("SetD
-        // implements arbitrary concurrent writes").  All targets are star
-        // roots and all proposals are smaller labels, so any winner
-        // preserves monotone convergence.
-        coll::setd(ctx, run.d, gi, std::span<const std::uint64_t>(gv), copt,
-                   run.cc, ws_set);
-
-        // --- lock-step pointer jumping until rooted stars.  CC hooks
-        // larger labels under smaller ones, so D[0] == 0 forever and the
-        // offload optimization applies to the jump requests (the paper's
-        // hotspot).
-        jump_to_stars(ctx, run.d, copt, run.cc, ws_jump, par, grand, known);
-
-        // --- compact: drop edges already inside one component, keeping
-        // the cached target keys aligned with the surviving requests.
-        if (opt.compact) {
-          std::size_t kept = 0;
-          const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                               ws_u.keys.size() == eu.size() &&
-                               ws_v.keys.size() == ev.size();
-          for (std::size_t k = 0; k < eu.size(); ++k) {
-            if (du[k] == dv[k]) continue;
-            eu[kept] = eu[k];
-            ev[kept] = ev[k];
-            if (keys_ok) {
-              ws_u.keys[kept] = ws_u.keys[k];
-              ws_v.keys[kept] = ws_v.keys[k];
-            }
-            ++kept;
-          }
-          eu.resize(kept);
-          ev.resize(kept);
-          if (keys_ok) {
-            ws_u.keys.resize(kept);
-            ws_v.keys.resize(kept);
-          } else {
-            ws_u.invalidate_keys();
-            ws_v.invalidate_keys();
-          }
-          ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
-        }
-      } catch (const fault::FaultError& fe) {
-        // A permanent node loss surfaced collectively: the runtime already
-        // promoted the buddy's mirrors and shrank the topology.  Roll back
-        // to the last checkpoint (loop top) and re-run the superstep over
-        // the survivors; without a checkpoint the loss is unrecoverable.
-        if (fe.kind() != fault::FaultKind::PermanentLoss || !ck.valid)
-          throw;
-        continue;
       }
-    }
-    if (me == 0) run.iterations.store(it + 1, std::memory_order_relaxed);
+      return true;
+    });
   });
-
-  if (run.overran.load())
-    throw std::runtime_error("cc_coalesced: exceeded iteration bound");
 
   ParCCResult r;
   run.d.read_all(r.labels);  // global order under any storage layout
   for (std::size_t i = 0; i < n; ++i)
     if (r.labels[i] == i) ++r.num_components;
-  r.iterations = run.iterations.load();
+  r.iterations = run.loop.iterations();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -297,7 +163,7 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
   const int max_iters = opt.max_iters > 0
                             ? opt.max_iters
                             : 8 * (n < 2 ? 1 : std::bit_width(n)) + 128;
-  CcRun run(rt, n);
+  CcRun run(rt, n, "sv_coalesced", max_iters, opt.scrub_interval);
   // Star flags MUST share D's layout: compute_stars walks stb[k]/blk[k]
   // in parallel assuming slot k of both slices is the same vertex.
   pgas::GlobalArray<std::uint64_t> st(rt, n, rt.make_partitioning(n));
@@ -361,12 +227,12 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
       ctx.mem_seq(par.size() * sizeof(std::uint64_t), Cat::Copy);
     };
 
-    int it = 0;
-    for (;; ++it) {
-      if (it >= max_iters) {
-        run.overran.store(true, std::memory_order_relaxed);
-        break;
-      }
+    // Checkpointed with the label block; the star flags are recomputed
+    // from D every step, so they need no snapshot.
+    const RecoveryLoop::Private state{
+        .vectors = {&eu, &ev},
+        .key_caches = {&ws_u, &ws_v, &ws_lab, &ws_set}};
+    run.loop.run(ctx, state, [&] {
       bool changed = false;
 
       // --- step 1: conditional graft onto roots.
@@ -473,19 +339,15 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
         ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
       }
 
-      if (!pgas::allreduce_or(ctx, changed)) break;
-    }
-    if (me == 0) run.iterations.store(it + 1, std::memory_order_relaxed);
+      return pgas::allreduce_or(ctx, changed);
+    });
   });
-
-  if (run.overran.load())
-    throw std::runtime_error("sv_coalesced: exceeded iteration bound");
 
   ParCCResult r;
   run.d.read_all(r.labels);  // global order under any storage layout
   for (std::size_t i = 0; i < n; ++i)
     if (r.labels[i] == i) ++r.num_components;
-  r.iterations = run.iterations.load();
+  r.iterations = run.loop.iterations();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -15,11 +15,10 @@ struct CcOptions {
   bool compact = true;
   int max_iters = 0;  ///< 0 = auto bound
   /// At-rest integrity (docs/ROBUSTNESS.md): scrub the label array's
-  /// resident partitions every k real loop trips (0 = off).  Honored by
-  /// cc_coalesced (the checkpoint/restart variant); sv_coalesced ignores
-  /// it.  With scrubbing on, fresh checkpoints and buddy mirrors are only
-  /// taken on scrub-validated trips, so corruption can never be sealed
-  /// into the very state a repair would restore from.
+  /// resident partitions every k real loop trips (0 = off).  With
+  /// scrubbing on, fresh checkpoints and buddy mirrors are only taken on
+  /// scrub-validated trips, so corruption can never be sealed into the
+  /// very state a repair would restore from.
   int scrub_interval = 0;
 
   static CcOptions base() {

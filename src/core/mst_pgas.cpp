@@ -1,7 +1,5 @@
 #include "core/mst_pgas.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <limits>
@@ -10,9 +8,9 @@
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
 #include "core/pointer_jump.hpp"
+#include "core/recovery.hpp"
 #include "pgas/coll.hpp"
 #include "pgas/global_array.hpp"
-#include "pgas/replica.hpp"
 
 namespace pgraph::core {
 
@@ -66,21 +64,9 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
 
   std::vector<std::vector<std::uint64_t>> mst_edges(
       static_cast<std::size_t>(s));
-  std::vector<std::uint64_t> mst_weight(static_cast<std::size_t>(s), 0);
-  std::atomic<int> iterations{0};
-  std::atomic<bool> overran{false};
-  // Superstep checkpoint/restart, as in cc_coalesced — MST additionally
-  // snapshots the marked-edge list and accumulated weight, since a rolled
-  // back iteration re-marks its edges.
-  fault::FaultInjector* const finj = rt.fault_injector();
-  const bool ckpt_on =
-      finj != nullptr &&
-      (finj->config().outage_every > 0 || finj->config().loss_enabled() ||
-       finj->config().mem_flips_enabled());
-  // At-rest integrity: scrub the label array (see cc_coalesced).  `cand`
-  // is rebuilt from scratch every trip, so it is not worth defending.
-  const int scrub_every = opt.scrub_interval;
-  if (scrub_every > 0) d.set_scrubbed(true);
+  // At-rest integrity scrubs the label array only: `cand` is rebuilt from
+  // scratch every trip, so it is not worth defending.
+  RecoveryLoop loop(rt, d, "mst_pgas", max_iters, opt.scrub_interval);
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int me = ctx.id();
@@ -109,253 +95,138 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
 
     auto& my_mst = mst_edges[static_cast<std::size_t>(me)];
 
-    // Per-thread checkpoint (lockstep across threads; see cc_coalesced).
-    struct Checkpoint {
-      std::vector<std::uint64_t> d, eu, ev, ew, eid;
-      std::size_t mst_size = 0;
-      std::uint64_t weight = 0;
-      int it = 0;
-      bool valid = false;
-    } ck;
-    // Staging buffer for scrub-verified checkpoint saves (see below).
-    std::vector<std::uint64_t> ck_stage;
-    std::uint64_t seen_recovery = ckpt_on ? finj->recovery_events() : 0;
+    // Checkpointed with the label block: a rolled-back iteration re-marks
+    // its edges, so the marked-edge list rolls back too.
+    const RecoveryLoop::Private state{
+        .vectors = {&eu, &ev, &ew, &eid, &my_mst},
+        .key_caches = {&ws_u, &ws_v, &ws_jump, &ws_misc, &ws_cand}};
+    loop.run(ctx, state, [&] {
+      // --- step 1: labels of both endpoints of every active edge.
+      du.resize(eu.size());
+      dv.resize(ev.size());
+      coll::getd(ctx, d, eu, std::span<std::uint64_t>(du), copt, cc, ws_u);
+      coll::getd(ctx, d, ev, std::span<std::uint64_t>(dv), copt, cc, ws_v);
 
-    int it = 0;
-    for (int executed = 0;; ++it, ++executed) {
-      if (it >= max_iters || executed >= 4 * max_iters + 64) {
-        overran.store(true, std::memory_order_relaxed);
-        break;
+      bool active = false;
+      for (std::size_t k = 0; k < eu.size(); ++k)
+        if (du[k] != dv[k]) {
+          active = true;
+          break;
+        }
+      if (!pgas::allreduce_or(ctx, active)) return false;
+
+      // --- step 2: reset candidates, then priority-write the minimum
+      // incident edge of every supervertex (SetDMin replaces MST-SMP's
+      // fine-grained locks).
+      {
+        auto cb = cand.local_span(me);
+        for (auto& rec : cb) rec = CandRec{};
+        ctx.mem_seq(cb.size() * sizeof(CandRec), Cat::Work);
+      }
+      gi.clear();
+      gval.clear();
+      for (std::size_t k = 0; k < eu.size(); ++k) {
+        if (du[k] == dv[k]) continue;
+        const std::uint64_t key = (ew[k] << 32) | eid[k];
+        gi.push_back(du[k]);
+        gval.push_back({key, dv[k]});
+        gi.push_back(dv[k]);
+        gval.push_back({key, du[k]});
+      }
+      ctx.compute(eu.size() * 6, Cat::Work);
+      ws_cand.invalidate_keys();
+      coll::setd_min(ctx, cand, gi, std::span<const CandRec>(gval), copt,
+                     cc, ws_cand);
+
+      // --- step 3: graft every winning supervertex along its edge.
+      {
+        auto cb = cand.local_span(me);
+        auto db = d.local_span(me);
+        // Direct local writes to D are checksum commit points.
+        const bool track = d.integrity_tracking_thread(me);
+        roots.clear();
+        rloc.clear();
+        rpar.clear();
+        rkey.clear();
+        for (std::size_t k = 0; k < cb.size(); ++k) {
+          if (cb[k].key == kInfKey) continue;
+          // Targets of SetDMin are star roots, so the k-th local vertex
+          // (global index via the distribution policy) is a root.
+          const std::uint64_t g = d.global_index(me, k);
+          if (track) d.integrity_note(me, g, db[k], cb[k].parent);
+          db[k] = cb[k].parent;
+          roots.push_back(g);
+          rloc.push_back(k);
+          rpar.push_back(cb[k].parent);
+          rkey.push_back(cb[k].key);
+        }
+        ctx.mem_seq(cb.size() * sizeof(CandRec), Cat::Copy);
+        ctx.barrier();  // all grafts visible before the 2-cycle check
+
+        // --- step 4: break 2-cycles (two components choosing edges that
+        // hook them onto each other); the smaller root reverts and does
+        // not mark its edge, so each connecting edge is counted once.
+        grand.resize(rpar.size());
+        ws_misc.invalidate_keys();
+        coll::getd(ctx, d, rpar, std::span<std::uint64_t>(grand), copt, cc,
+                   ws_misc);
+        for (std::size_t k = 0; k < roots.size(); ++k) {
+          const bool two_cycle = grand[k] == roots[k];
+          if (two_cycle && roots[k] < rpar[k]) {
+            if (track)
+              d.integrity_note(me, roots[k], db[rloc[k]], roots[k]);
+            db[rloc[k]] = roots[k];  // stay root, unmark
+            continue;
+          }
+          my_mst.push_back(rkey[k] & 0xffffffffULL);
+        }
+        ctx.compute(roots.size() * 3, Cat::Work);
+        ctx.barrier();
       }
 
-      // Scrub before the recovery poll so a heal's regression to
-      // checkpoint-time bytes is immediately followed by the matching
-      // rollback (see cc_coalesced for the full rationale).
-      bool scrubbed_now = false;
-      if (scrub_every > 0 && executed % scrub_every == 0) {
-        scrubbed_now = true;
-        try {
-          rt.scrub(ctx);
-        } catch (const fault::FaultError& fe) {
-          if (fe.kind() != fault::FaultKind::MemoryCorrupt || !ck.valid)
-            throw;
-        }
-      }
+      // --- step 5: collapse the new trees to rooted stars.
+      jump_to_stars(ctx, d, copt, cc, ws_jump, par, grand);
 
-      bool fresh_ckpt = false;
-      if (ckpt_on) {
-        const std::uint64_t ev_now = finj->recovery_events();
-        if (ev_now != seen_recovery && ck.valid) {
-          auto blk = d.local_span(me);
-          std::copy(ck.d.begin(), ck.d.end(), blk.begin());
-          eu = ck.eu;
-          ev = ck.ev;
-          ew = ck.ew;
-          eid = ck.eid;
-          my_mst.resize(ck.mst_size);
-          mst_weight[static_cast<std::size_t>(me)] = ck.weight;
-          it = ck.it;
-          ws_u.invalidate_keys();
-          ws_v.invalidate_keys();
-          ws_jump.invalidate_keys();
-          ws_misc.invalidate_keys();
-          ws_cand.invalidate_keys();
-          ctx.mem_seq(
-              (ck.d.size() + eu.size() * 4 + my_mst.size()) *
-                  sizeof(std::uint64_t),
-              Cat::Copy);
-          // Restores bypass the incremental checksum: re-baseline.
-          rt.rebaseline_integrity(ctx);
-          if (me == 0) finj->count_rollback();
-          ctx.barrier();  // restores visible before the next getd serves
-        } else if (ev_now == seen_recovery &&
-                   !finj->outage_active(ctx.epoch()) &&
-                   (scrub_every == 0 || scrubbed_now)) {
-          // Only scrub-validated trips may seal new checkpoints/mirrors.
-          auto blk = d.local_span(me);
-          bool seal_ok = true;
-          if (scrub_every > 0) {
-            // Verify-before-seal in the same barrier interval as the
-            // staging copy, so a flip landing on the scrub pass's own
-            // barriers cannot reach the rollback source (see cc_coalesced
-            // for the full rationale).
-            ck_stage.assign(blk.begin(), blk.end());
-            if (!d.partition_clean(me)) rt.note_corruption();
-            ctx.mem_seq(blk.size() * sizeof(std::uint64_t), Cat::Scrub);
-            ctx.barrier();  // corruption flag -> recovery event
-            seal_ok = finj->recovery_events() == ev_now;
-          }
-          if (seal_ok) {
-            if (scrub_every > 0)
-              ck.d.swap(ck_stage);
-            else
-              ck.d.assign(blk.begin(), blk.end());
-            ck.eu = eu;
-            ck.ev = ev;
-            ck.ew = ew;
-            ck.eid = eid;
-            ck.mst_size = my_mst.size();
-            ck.weight = mst_weight[static_cast<std::size_t>(me)];
-            ck.it = it;
-            ck.valid = true;
-            ctx.mem_seq(
-                (ck.d.size() + eu.size() * 4 + my_mst.size()) *
-                    sizeof(std::uint64_t),
-                Cat::Copy);
-            if (me == 0) finj->count_checkpoint();
-            fresh_ckpt = true;
-          }
-        }
-        seen_recovery = ev_now;
-      }
-
-      try {
-        // Buddy replication at checkpoint boundaries (no-op without a
-        // loss plan); see cc_coalesced.
-        if (fresh_ckpt) pgas::replicate_to_buddy(ctx);
-
-        // --- step 1: labels of both endpoints of every active edge.
-        du.resize(eu.size());
-        dv.resize(ev.size());
-        coll::getd(ctx, d, eu, std::span<std::uint64_t>(du), copt, cc, ws_u);
-        coll::getd(ctx, d, ev, std::span<std::uint64_t>(dv), copt, cc, ws_v);
-
-        bool active = false;
-        for (std::size_t k = 0; k < eu.size(); ++k)
-          if (du[k] != dv[k]) {
-            active = true;
-            break;
-          }
-        if (!pgas::allreduce_or(ctx, active)) break;
-
-        // --- step 2: reset candidates, then priority-write the minimum
-        // incident edge of every supervertex (SetDMin replaces MST-SMP's
-        // fine-grained locks).
-        {
-          auto cb = cand.local_span(me);
-          for (auto& rec : cb) rec = CandRec{};
-          ctx.mem_seq(cb.size() * sizeof(CandRec), Cat::Work);
-        }
-        gi.clear();
-        gval.clear();
+      // --- step 6: compact.
+      if (opt.compact) {
+        const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
+                             ws_u.keys.size() == eu.size() &&
+                             ws_v.keys.size() == ev.size();
+        std::size_t kept = 0;
         for (std::size_t k = 0; k < eu.size(); ++k) {
           if (du[k] == dv[k]) continue;
-          const std::uint64_t key = (ew[k] << 32) | eid[k];
-          gi.push_back(du[k]);
-          gval.push_back({key, dv[k]});
-          gi.push_back(dv[k]);
-          gval.push_back({key, du[k]});
-        }
-        ctx.compute(eu.size() * 6, Cat::Work);
-        ws_cand.invalidate_keys();
-        coll::setd_min(ctx, cand, gi, std::span<const CandRec>(gval), copt,
-                       cc, ws_cand);
-
-        // --- step 3: graft every winning supervertex along its edge.
-        {
-          auto cb = cand.local_span(me);
-          auto db = d.local_span(me);
-          // Direct local writes to D are checksum commit points.
-          const bool track = d.integrity_tracking_thread(me);
-          roots.clear();
-          rloc.clear();
-          rpar.clear();
-          rkey.clear();
-          for (std::size_t k = 0; k < cb.size(); ++k) {
-            if (cb[k].key == kInfKey) continue;
-            // Targets of SetDMin are star roots, so the k-th local vertex
-            // (global index via the distribution policy) is a root.
-            const std::uint64_t g = d.global_index(me, k);
-            if (track) d.integrity_note(me, g, db[k], cb[k].parent);
-            db[k] = cb[k].parent;
-            roots.push_back(g);
-            rloc.push_back(k);
-            rpar.push_back(cb[k].parent);
-            rkey.push_back(cb[k].key);
-          }
-          ctx.mem_seq(cb.size() * sizeof(CandRec), Cat::Copy);
-          ctx.barrier();  // all grafts visible before the 2-cycle check
-
-          // --- step 4: break 2-cycles (two components choosing edges that
-          // hook them onto each other); the smaller root reverts and does
-          // not mark its edge, so each connecting edge is counted once.
-          grand.resize(rpar.size());
-          ws_misc.invalidate_keys();
-          coll::getd(ctx, d, rpar, std::span<std::uint64_t>(grand), copt, cc,
-                     ws_misc);
-          for (std::size_t k = 0; k < roots.size(); ++k) {
-            const bool two_cycle = grand[k] == roots[k];
-            if (two_cycle && roots[k] < rpar[k]) {
-              if (track)
-                d.integrity_note(me, roots[k], db[rloc[k]], roots[k]);
-              db[rloc[k]] = roots[k];  // stay root, unmark
-              continue;
-            }
-            my_mst.push_back(rkey[k] & 0xffffffffULL);
-            mst_weight[static_cast<std::size_t>(me)] += rkey[k] >> 32;
-          }
-          ctx.compute(roots.size() * 3, Cat::Work);
-          ctx.barrier();
-        }
-
-        // --- step 5: collapse the new trees to rooted stars.
-        jump_to_stars(ctx, d, copt, cc, ws_jump, par, grand);
-
-        // --- step 6: compact.
-        if (opt.compact) {
-          const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                               ws_u.keys.size() == eu.size() &&
-                               ws_v.keys.size() == ev.size();
-          std::size_t kept = 0;
-          for (std::size_t k = 0; k < eu.size(); ++k) {
-            if (du[k] == dv[k]) continue;
-            eu[kept] = eu[k];
-            ev[kept] = ev[k];
-            ew[kept] = ew[k];
-            eid[kept] = eid[k];
-            if (keys_ok) {
-              ws_u.keys[kept] = ws_u.keys[k];
-              ws_v.keys[kept] = ws_v.keys[k];
-            }
-            ++kept;
-          }
-          eu.resize(kept);
-          ev.resize(kept);
-          ew.resize(kept);
-          eid.resize(kept);
+          eu[kept] = eu[k];
+          ev[kept] = ev[k];
+          ew[kept] = ew[k];
+          eid[kept] = eid[k];
           if (keys_ok) {
-            ws_u.keys.resize(kept);
-            ws_v.keys.resize(kept);
-          } else {
-            ws_u.invalidate_keys();
-            ws_v.invalidate_keys();
+            ws_u.keys[kept] = ws_u.keys[k];
+            ws_v.keys[kept] = ws_v.keys[k];
           }
-          ctx.mem_seq(eu.size() * 4 * sizeof(std::uint64_t), Cat::Work);
+          ++kept;
         }
-      } catch (const fault::FaultError& fe) {
-        // Permanent node loss: the runtime shrank onto the buddy; roll
-        // back to the last checkpoint at the loop top and re-run over the
-        // survivors.  A mid-superstep D (e.g. partway through pointer
-        // jumping) must not be continued, only rolled back — without a
-        // checkpoint the loss is unrecoverable.
-        if (fe.kind() != fault::FaultKind::PermanentLoss || !ck.valid)
-          throw;
-        continue;
+        eu.resize(kept);
+        ev.resize(kept);
+        ew.resize(kept);
+        eid.resize(kept);
+        if (keys_ok) {
+          ws_u.keys.resize(kept);
+          ws_v.keys.resize(kept);
+        } else {
+          ws_u.invalidate_keys();
+          ws_v.invalidate_keys();
+        }
+        ctx.mem_seq(eu.size() * 4 * sizeof(std::uint64_t), Cat::Work);
       }
-    }
-    if (me == 0) iterations.store(it + 1, std::memory_order_relaxed);
+      return true;
+    });
   });
 
-  if (overran.load())
-    throw std::runtime_error("mst_pgas: exceeded iteration bound");
-
   ParMstResult r;
-  for (int t = 0; t < s; ++t) {
-    r.edges.insert(r.edges.end(), mst_edges[static_cast<std::size_t>(t)].begin(),
-                   mst_edges[static_cast<std::size_t>(t)].end());
-    r.total_weight += mst_weight[static_cast<std::size_t>(t)];
-  }
-  r.iterations = iterations.load();
+  for (const auto& edges : mst_edges)
+    r.edges.insert(r.edges.end(), edges.begin(), edges.end());
+  for (const std::uint64_t id : r.edges) r.total_weight += el.edges[id].w;
+  r.iterations = loop.iterations();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

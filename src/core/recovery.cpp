@@ -1,0 +1,240 @@
+#include "core/recovery.hpp"
+
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "fault/fault.hpp"
+#include "pgas/replica.hpp"
+
+namespace pgraph::core {
+
+using machine::Cat;
+
+RecoveryLoop::RecoveryLoop(pgas::Runtime& rt,
+                           pgas::GlobalArray<std::uint64_t>& d,
+                           const char* kernel, int max_iters,
+                           int scrub_interval)
+    : rt_(rt),
+      d_(d),
+      kernel_(kernel),
+      max_iters_(max_iters),
+      scrub_every_(scrub_interval),
+      ckpt_on_(rt.fault_injector() != nullptr &&
+               (rt.fault_injector()->config().outage_every > 0 ||
+                rt.fault_injector()->config().loss_enabled() ||
+                rt.fault_injector()->config().mem_flips_enabled())) {
+  if (scrub_every_ > 0) d_.set_scrubbed(true);
+}
+
+void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
+                       const std::function<bool()>& step) {
+  const int me = ctx.id();
+  fault::FaultInjector* const finj = rt_.fault_injector();
+
+  // Per-thread checkpoint: this thread's D block plus its private state
+  // (edge lists shrink under compaction, so a rollback must restore them
+  // too).
+  std::vector<std::uint64_t> ck_d;
+  std::vector<std::vector<std::uint64_t>> ck_vecs(state.vectors.size());
+  int ck_it = 0;
+  bool ck_valid = false;
+  // A save lands here first and replaces the snapshot only once sealed.
+  std::vector<std::uint64_t> ck_stage;
+  std::uint64_t seen_recovery = ckpt_on_ ? finj->recovery_events() : 0;
+  // Bytes a checkpoint or a rollback moves.
+  const auto state_bytes = [&] {
+    std::size_t w = ck_d.size();
+    for (const auto* v : state.vectors) w += v->size();
+    return w * sizeof(std::uint64_t);
+  };
+
+  int it = 0;
+  // `executed` counts real trips (`it` rolls back with the checkpoint);
+  // the hard cap keeps pathological fault plans from looping forever.
+  for (int executed = 0;; ++it, ++executed) {
+    // Every thread reaches the cap on the same trip: a collective throw.
+    if (it >= max_iters_ || executed >= 4 * max_iters_ + 64)
+      throw std::runtime_error(std::string(kernel_) +
+                               ": exceeded iteration bound");
+
+    // Scrub BEFORE the recovery poll: a heal regresses the partition to
+    // checkpoint-time bytes and raises a recovery event, so the poll
+    // below immediately rolls the private state back to the matching
+    // snapshot -- the superstep never runs on a half-regressed view.
+    bool scrubbed_now = false;
+    if (scrub_every_ > 0 && executed % scrub_every_ == 0) {
+      scrubbed_now = true;
+      try {
+        scrub(ctx);
+      } catch (const fault::FaultError& fe) {
+        // Corruption with no validated mirror: the baseline is
+        // invalidated and a recovery event raised; continue on the
+        // valid checkpoint (the poll below rolls back over clean
+        // bytes).  Without a checkpoint the corruption is fatal.
+        if (fe.kind() != fault::FaultKind::MemoryCorrupt || !ck_valid) throw;
+      }
+    }
+
+    bool fresh_ckpt = false;
+    if (ckpt_on_) {
+      const std::uint64_t ev_now = finj->recovery_events();
+      if (ev_now != seen_recovery && ck_valid) {
+        // An outage window closed (or the runtime shrank after a
+        // permanent node loss) since we last looked: the recent
+        // superstep work is suspect, so every thread rolls back to the
+        // last snapshot and re-runs over the surviving topology.
+        auto blk = d_.local_span(me);
+        std::copy(ck_d.begin(), ck_d.end(), blk.begin());
+        for (std::size_t k = 0; k < ck_vecs.size(); ++k)
+          *state.vectors[k] = ck_vecs[k];
+        it = ck_it;
+        for (coll::KeyCache* kc : state.key_caches) kc->invalidate_keys();
+        ctx.mem_seq(state_bytes(), Cat::Copy);
+        // The restore bypassed the incremental checksum: recompute the
+        // scrub baseline over the freshly restored block.
+        rebaseline(ctx);
+        if (me == 0) finj->count_rollback();
+        ctx.barrier();  // restores visible before the next getd serves
+      } else if (ev_now == seen_recovery &&
+                 !finj->outage_active(ctx.epoch()) &&
+                 (scrub_every_ == 0 || scrubbed_now)) {
+        // With scrubbing on, only scrub-validated trips may seal new
+        // checkpoints/mirrors: a flip is always *detected* before the
+        // corrupt bytes could be re-snapshotted into the repair source.
+        auto blk = d_.local_span(me);
+        ck_stage.assign(blk.begin(), blk.end());
+        bool seal_ok = true;
+        if (scrub_every_ > 0) {
+          // Verify-before-seal: a flip can land on the scrub pass's own
+          // barriers, after the compare but before this save.  Re-check
+          // the staged copy against the maintained checksum in the SAME
+          // barrier interval (flips only land at barrier completion, so a
+          // verified stage is a clean stage), then agree collectively
+          // before committing it over the old snapshot.
+          if (!d_.partition_clean(me)) rt_.note_corruption();
+          ctx.mem_seq(blk.size() * sizeof(std::uint64_t), Cat::Scrub);
+          ctx.barrier();  // corruption flag -> recovery event, seen by all
+          seal_ok = finj->recovery_events() == ev_now;
+        }
+        if (seal_ok) {
+          ck_d.swap(ck_stage);
+          for (std::size_t k = 0; k < ck_vecs.size(); ++k)
+            ck_vecs[k] = *state.vectors[k];
+          ck_it = it;
+          ck_valid = true;
+          ctx.mem_seq(state_bytes(), Cat::Copy);
+          if (me == 0) finj->count_checkpoint();
+          fresh_ckpt = true;
+        }
+      }
+      seen_recovery = ev_now;
+    }
+
+    try {
+      // Buddy replication rides on checkpoint boundaries: mirror the
+      // fresh snapshot's GlobalArray partitions onto each node's
+      // predecessor (no-op unless a loss or flip plan is configured).
+      if (fresh_ckpt) pgas::replicate_to_buddy(ctx);
+      if (!step()) break;
+    } catch (const fault::FaultError& fe) {
+      // A permanent node loss surfaced collectively: the runtime already
+      // promoted the buddy's mirrors and shrank the topology.  Roll back
+      // to the last checkpoint (loop top) and re-run the superstep over
+      // the survivors.  A mid-superstep D (e.g. partway through pointer
+      // jumping) must not be continued, only rolled back -- without a
+      // checkpoint the loss is unrecoverable.
+      if (fe.kind() != fault::FaultKind::PermanentLoss || !ck_valid) throw;
+      continue;
+    }
+  }
+  if (me == 0) iterations_.store(it + 1, std::memory_order_relaxed);
+}
+
+void RecoveryLoop::scrub(pgas::ThreadCtx& ctx) {
+  const int me = ctx.id();
+  fault::FaultInjector* const finj = rt_.fault_injector();
+  const std::vector<pgas::ReplicaSite*> sites = rt_.replica_sites();
+  // Snapshot the unhealable counter BEFORE the entry barrier: between the
+  // previous pass's visibility barrier and this one nobody mutates it, so
+  // every thread reads the same value.  Reading it after the entry barrier
+  // would race with fast threads already in their walk phase -- a slow
+  // thread could observe their fetch_adds, conclude bad_total == bad0, and
+  // skip the collective throw the rest of the pass takes (deadlock at the
+  // next barrier).
+  const std::uint64_t bad0 =
+      scrub_unhealable_.load(std::memory_order_acquire);
+  ctx.barrier();  // entry: prior-pass contributions quiescent
+  std::size_t walked = 0;
+  std::uint64_t det = 0;
+  std::uint64_t heal = 0;
+  std::uint64_t bad = 0;
+  for (pgas::ReplicaSite* site : sites) {
+    const std::size_t bytes = site->replica_thread_bytes(me);
+    if (bytes == 0 || !(site->integrity_tracking_thread(me) ||
+                        !site->partition_bytes(me).empty()))
+      continue;
+    walked += bytes;
+    if (site->scrub_thread(me) == pgas::ReplicaSite::ScrubState::Corrupt) {
+      ++det;
+      if (site->heal_thread(me)) {
+        // Heal: one streamed read of the mirror plus a write of the block.
+        ctx.mem_seq(2 * bytes, Cat::Scrub);
+        ++heal;
+      } else {
+        // No validated mirror: drop the baseline so the next pass records
+        // a fresh one, and leave the repair to the checkpoint-rollback
+        // path (the scrub event below triggers it).
+        site->integrity_invalidate_thread(me);
+        ++bad;
+      }
+    }
+  }
+  // The re-walk itself: a sequential stream over every scrubbed byte.
+  if (walked > 0) ctx.mem_seq(walked, Cat::Scrub);
+  if (det > 0) scrub_detected_.fetch_add(det, std::memory_order_acq_rel);
+  if (heal > 0) scrub_healed_.fetch_add(heal, std::memory_order_acq_rel);
+  if (bad > 0) scrub_unhealable_.fetch_add(bad, std::memory_order_acq_rel);
+  ctx.barrier();  // every thread's contribution is visible
+  const std::uint64_t bad_total =
+      scrub_unhealable_.load(std::memory_order_acquire);
+  if (me == 0) {
+    const std::uint64_t d = scrub_detected_.load(std::memory_order_acquire);
+    const std::uint64_t h = scrub_healed_.load(std::memory_order_acquire);
+    if (finj != nullptr) {
+      finj->count_scrub_pass();
+      if (d > scrub_seen_detected_)
+        finj->count_scrub_detected(d - scrub_seen_detected_);
+      if (h > scrub_seen_healed_)
+        finj->count_scrub_heals(h - scrub_seen_healed_);
+      // One recovery event per pass that found anything: healed bytes are
+      // checkpoint-time bytes and unhealable ones need the checkpoint
+      // restore, so either way the loop must roll back.
+      if (d > scrub_seen_detected_) finj->raise_scrub_event();
+    }
+    scrub_seen_detected_ = d;
+    scrub_seen_healed_ = h;
+  }
+  // The scrub event is visible to every loop-top recovery poll after this.
+  ctx.barrier();
+  if (bad_total > bad0) {
+    throw fault::FaultError(
+        fault::FaultKind::MemoryCorrupt,
+        "scrub detected partition corruption with no validated mirror "
+        "(epoch " +
+            std::to_string(ctx.epoch()) + ")");
+  }
+}
+
+void RecoveryLoop::rebaseline(pgas::ThreadCtx& ctx) {
+  const int me = ctx.id();
+  std::size_t walked = 0;
+  for (pgas::ReplicaSite* site : rt_.replica_sites()) {
+    if (!site->integrity_tracking_thread(me)) continue;
+    site->rebaseline_thread(me);
+    walked += site->replica_thread_bytes(me);
+  }
+  if (walked > 0) ctx.mem_seq(walked, Cat::Scrub);
+}
+
+}  // namespace pgraph::core

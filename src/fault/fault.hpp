@@ -173,7 +173,7 @@ struct FaultCounters {
   std::uint64_t replica_bytes = 0; ///< bytes mirrored to buddies
   std::uint64_t promoted_bytes = 0;///< mirror bytes promoted at a shrink
   std::uint64_t mem_flips = 0;     ///< at-rest bits flipped by the injector
-  std::uint64_t scrub_passes = 0;  ///< Runtime::scrub collectives completed
+  std::uint64_t scrub_passes = 0;  ///< collective scrub passes completed
   std::uint64_t scrub_detected = 0;///< partitions caught with bad checksums
   std::uint64_t scrub_heals = 0;   ///< partitions healed from buddy mirrors
   std::uint64_t scrub_events = 0;  ///< scrub recovery events (rollback

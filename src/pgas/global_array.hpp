@@ -350,7 +350,7 @@ class GlobalArray final : public ReplicaSite {
   /// Opt this array into the scrub protocol.  The contract: between scrub
   /// passes, every write to a scrubbed partition either goes through a
   /// tracked commit point (integrity_note, the SetD/SetDMin apply loops)
-  /// or is followed by Runtime::rebaseline_integrity (checkpoint
+  /// or is followed by a re-baseline (core::RecoveryLoop's checkpoint
   /// rollback).  Untracked writes read as corruption — by design.
   /// Host-side only (races with SPMD scrub passes otherwise).
   void set_scrubbed(bool on) { scrubbed_ = on; }

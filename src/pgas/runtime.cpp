@@ -551,92 +551,6 @@ void Runtime::apply_mem_flips() {
   if (flipped > 0) fault_->count_mem_flips(flipped);
 }
 
-void Runtime::scrub(ThreadCtx& ctx) {
-  const int me = ctx.id();
-  const std::vector<ReplicaSite*> sites = replica_sites();
-  // Snapshot the unhealable counter BEFORE the entry barrier: between the
-  // previous pass's visibility barrier and this one nobody mutates it, so
-  // every thread reads the same value.  Reading it after the entry barrier
-  // would race with fast threads already in their walk phase -- a slow
-  // thread could observe their fetch_adds, conclude bad_total == bad0, and
-  // skip the collective throw the rest of the pass takes (deadlock at the
-  // next barrier).
-  const std::uint64_t bad0 =
-      scrub_unhealable_.load(std::memory_order_acquire);
-  ctx.barrier();  // entry: prior-pass contributions quiescent
-  std::size_t walked = 0;
-  std::uint64_t det = 0;
-  std::uint64_t heal = 0;
-  std::uint64_t bad = 0;
-  for (ReplicaSite* site : sites) {
-    const std::size_t bytes = site->replica_thread_bytes(me);
-    if (bytes == 0 || !(site->integrity_tracking_thread(me) ||
-                        !site->partition_bytes(me).empty()))
-      continue;
-    walked += bytes;
-    if (site->scrub_thread(me) == ReplicaSite::ScrubState::Corrupt) {
-      ++det;
-      if (site->heal_thread(me)) {
-        // Heal: one streamed read of the mirror plus a write of the block.
-        ctx.mem_seq(2 * bytes, machine::Cat::Scrub);
-        ++heal;
-      } else {
-        // No validated mirror: drop the baseline so the next pass records
-        // a fresh one, and leave the repair to the checkpoint-rollback
-        // path (the scrub event below triggers it).
-        site->integrity_invalidate_thread(me);
-        ++bad;
-      }
-    }
-  }
-  // The re-walk itself: a sequential stream over every scrubbed byte.
-  if (walked > 0) ctx.mem_seq(walked, machine::Cat::Scrub);
-  if (det > 0) scrub_detected_.fetch_add(det, std::memory_order_acq_rel);
-  if (heal > 0) scrub_healed_.fetch_add(heal, std::memory_order_acq_rel);
-  if (bad > 0) scrub_unhealable_.fetch_add(bad, std::memory_order_acq_rel);
-  ctx.barrier();  // every thread's contribution is visible
-  const std::uint64_t bad_total =
-      scrub_unhealable_.load(std::memory_order_acquire);
-  if (me == 0) {
-    const std::uint64_t d = scrub_detected_.load(std::memory_order_acquire);
-    const std::uint64_t h = scrub_healed_.load(std::memory_order_acquire);
-    if (fault_ != nullptr) {
-      fault_->count_scrub_pass();
-      if (d > scrub_seen_detected_)
-        fault_->count_scrub_detected(d - scrub_seen_detected_);
-      if (h > scrub_seen_healed_)
-        fault_->count_scrub_heals(h - scrub_seen_healed_);
-      // One recovery event per pass that found anything: healed bytes are
-      // checkpoint-time bytes and unhealable ones need the checkpoint
-      // restore, so either way the loop must roll back.
-      if (d > scrub_seen_detected_) fault_->raise_scrub_event();
-    }
-    scrub_seen_detected_ = d;
-    scrub_seen_healed_ = h;
-    scrub_seen_unhealable_ = bad_total;
-  }
-  // The scrub event is visible to every loop-top recovery poll after this.
-  ctx.barrier();
-  if (bad_total > bad0) {
-    throw fault::FaultError(
-        fault::FaultKind::MemoryCorrupt,
-        "scrub detected partition corruption with no validated mirror "
-        "(epoch " +
-            std::to_string(epoch_) + ")");
-  }
-}
-
-void Runtime::rebaseline_integrity(ThreadCtx& ctx) {
-  const int me = ctx.id();
-  std::size_t walked = 0;
-  for (ReplicaSite* site : replica_sites()) {
-    if (!site->integrity_tracking_thread(me)) continue;
-    site->rebaseline_thread(me);
-    walked += site->replica_thread_bytes(me);
-  }
-  if (walked > 0) ctx.mem_seq(walked, machine::Cat::Scrub);
-}
-
 void Runtime::on_barrier() {
   const int s = topo_.total_threads();
   const bool traced = sink_ != nullptr;

@@ -332,23 +332,7 @@ class Runtime {
   }
 
   /// --- at-rest integrity (scrub protocol, docs/ROBUSTNESS.md) ----------
-  /// Collective chunked scrubber: every thread re-walks its partitions of
-  /// the scrub-tracked ReplicaSites at streamed-memory cost (Cat::Scrub)
-  /// and compares against the incrementally maintained checksums.  The
-  /// first pass baselines; later passes detect.  A corrupt partition heals
-  /// from its buddy mirror when the mirror checksum validates (charged as
-  /// a read of the mirror plus a write of the block) — otherwise its
-  /// baseline is dropped so the checkpoint-rollback path can restore it.
-  /// Either outcome raises one scrub recovery event (feeding
-  /// recovery_events(), so checkpointing loops roll back), and an
-  /// unhealable detection additionally throws FaultError{MemoryCorrupt}
-  /// collectively.  Costs three barriers per pass.
-  void scrub(ThreadCtx& ctx);
-  /// Re-baseline partition checksums from current bytes after an untracked
-  /// bulk restore (checkpoint rollback), charging the re-walk to
-  /// Cat::Scrub.  Free when no partition of the calling thread has a live
-  /// baseline — runs without scrubbing are byte-identical.
-  void rebaseline_integrity(ThreadCtx& ctx);
+  /// The collective scrub pass itself lives in core::RecoveryLoop.
   /// True while an armed mem-flip plan is attached: collectives then
   /// bounds-check corruption-derived request indices instead of asserting
   /// (a flipped high bit in a label becomes a wild gather index before the
@@ -498,15 +482,6 @@ class Runtime {
   std::atomic<bool> mirror_poisoned_{false};
 
   // --- at-rest integrity (scrub protocol) -------------------------------
-  /// Monotone pass-outcome counters (never reset; threads snapshot them
-  /// across the scrub barriers to compute per-pass deltas collectively).
-  std::atomic<std::uint64_t> scrub_detected_{0};
-  std::atomic<std::uint64_t> scrub_healed_{0};
-  std::atomic<std::uint64_t> scrub_unhealable_{0};
-  /// Thread 0's running totals (only touched between scrub barriers).
-  std::uint64_t scrub_seen_detected_ = 0;
-  std::uint64_t scrub_seen_healed_ = 0;
-  std::uint64_t scrub_seen_unhealable_ = 0;
   /// Set by serve loops that clamp an out-of-range (corruption-derived)
   /// request index under an armed mem-flip plan; drained by the barrier
   /// completion step into a scrub recovery event.

@@ -2,6 +2,9 @@
 // ground truth, across topologies and optimization configurations.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/cc_coalesced.hpp"
 #include "core/cc_fine.hpp"
 #include "core/cc_seq.hpp"
@@ -188,4 +191,28 @@ TEST(CcParallel, SingleVertexAndTwoVertexGraphs) {
   two.edges = {{0, 1}};
   EXPECT_EQ(core::cc_coalesced(rt, two).num_components, 1u);
   EXPECT_EQ(core::cc_fine_grained(rt, two).num_components, 1u);
+}
+
+TEST(CcParallel, IterationCapThrowsAndRuntimeStaysUsable) {
+  // A path needs many rounds; a cap of one iteration must surface the
+  // kernel's bound error (raised on every SPMD thread at once, so no
+  // hang), and the same runtime must then solve the graph normally.
+  pg::Runtime rt(pg::Topology::cluster(2, 2),
+                 m::CostParams::hps_cluster());
+  const auto el = g::path_graph(64);
+  core::CcOptions capped;
+  capped.max_iters = 1;
+  const auto expect_cap = [&](auto kernel, const char* what) {
+    try {
+      kernel(rt, el, capped);
+      ADD_FAILURE() << what << " did not hit its iteration cap";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string(what) + ": exceeded iteration bound");
+    }
+  };
+  expect_cap(core::cc_coalesced, "cc_coalesced");
+  expect_cap(core::sv_coalesced, "sv_coalesced");
+  EXPECT_EQ(core::cc_coalesced(rt, el).num_components, 1u);
+  EXPECT_EQ(core::sv_coalesced(rt, el).num_components, 1u);
 }

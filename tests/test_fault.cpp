@@ -1,17 +1,21 @@
 // Deterministic fault injection and the recovery machinery it exercises:
 // retry/backoff in the exchange phase, checksum-validate-retransmit in the
-// collectives, and checkpoint/restart in cc_coalesced / mst_pgas.  The
-// FaultChaos tests are the acceptance gate of docs/ROBUSTNESS.md: under a
-// seeded fault plan the algorithms must produce bit-identical results to a
-// fault-free run, at a (bounded) higher modeled cost.
+// collectives, and checkpoint/restart in the kernels on core::RecoveryLoop
+// (cc_coalesced, sv_coalesced, mst_pgas).  The FaultChaos tests are the
+// acceptance gate of docs/ROBUSTNESS.md: under a seeded fault plan the
+// algorithms must produce bit-identical results to a fault-free run, at a
+// (bounded) higher modeled cost.
 //
 // PGRAPH_CHAOS_SEED selects the fault seed (default 1); the chaos stage of
 // scripts/run_checks.sh sweeps seeds 1..3.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "collectives/getd.hpp"
@@ -325,6 +329,26 @@ TEST(FaultChaos, CcOutageRollsBackAndMatches) {
   EXPECT_GE(chaotic.iterations, clean.iterations);
 }
 
+TEST(FaultChaos, SvOutageRollsBackAndMatches) {
+  const auto el = g::random_graph(256, 1024, 9);
+  core::ParCCResult clean;
+  {
+    pg::Runtime rt = make_rt();
+    clean = core::sv_coalesced(rt, el, {});
+  }
+  flt::FaultInjector inj(
+      flt::FaultConfig::parse("outage_every=40,outage_k=2", chaos_seed()));
+  pg::Runtime rt = make_rt();
+  rt.set_fault_injector(&inj);
+  const auto chaotic = core::sv_coalesced(rt, el, {});
+  EXPECT_EQ(chaotic.labels, clean.labels);
+  const auto c = inj.counters();
+  EXPECT_GT(c.checkpoints, 0u);
+  EXPECT_GT(c.outage_events, 0u);
+  EXPECT_GT(c.rollbacks, 0u);
+  EXPECT_GE(chaotic.iterations, clean.iterations);
+}
+
 TEST(FaultChaos, MstWeightAndEdgesIdenticalUnderFaults) {
   const auto el =
       g::with_random_weights(g::random_graph(256, 1024, 10), 11);
@@ -515,6 +539,27 @@ TEST(FaultChaos, CcLossBitIdenticalAfterShrink) {
   // Degraded mode is not free: timeouts, the replication traffic and the
   // re-run supersteps all land on the modeled clock.
   EXPECT_GT(chaotic.costs.modeled_ns, clean.costs.modeled_ns);
+}
+
+TEST(FaultChaos, SvLossBitIdenticalAfterShrink) {
+  const auto el = g::random_graph(256, 1024, 15);
+  core::ParCCResult clean;
+  {
+    pg::Runtime rt = make_rt();
+    clean = core::sv_coalesced(rt, el, {});
+  }
+  flt::FaultInjector inj(
+      flt::FaultConfig::parse("loss_at=24", chaos_seed()));
+  pg::Runtime rt = make_rt();
+  rt.set_fault_injector(&inj);
+  const auto chaotic = core::sv_coalesced(rt, el, {});
+  EXPECT_EQ(chaotic.labels, clean.labels);
+  EXPECT_EQ(chaotic.num_components, clean.num_components);
+  const auto c = inj.counters();
+  EXPECT_EQ(c.loss_events, 1u);
+  EXPECT_GE(c.replications, 1u);
+  EXPECT_GE(c.rollbacks, 1u);
+  EXPECT_EQ(rt.topo().live_node_count(), 3);
 }
 
 TEST(FaultChaos, MstLossBitIdenticalAfterShrink) {
@@ -791,4 +836,149 @@ TEST(FaultChaos, DisarmedPlanIsANoOpUntilArmed) {
   const auto rearmed_off = core::cc_coalesced(rt, el, {});
   EXPECT_EQ(rearmed_off.labels, clean.labels);
   EXPECT_EQ(inj.counters().drops, drops);  // disarmed again: no new draws
+}
+
+// --- golden recovery trajectories -----------------------------------------
+//
+// The chaos tests above check answers and inequalities; these pin the
+// exact trajectory of cc_coalesced and mst_pgas under one plan per
+// recovery path: every modeled nanosecond, barrier, message and byte,
+// every fault counter, and the final state digest.  The fault seed is
+// fixed at 1 (PGRAPH_CHAOS_SEED is ignored), so a refactor of the
+// recovery loop or the exchange collectives that moves a single charge
+// fails here.  After an intended model change, replace the rows with the
+// ones the failure messages print.
+
+namespace {
+
+struct GoldenRow {
+  double modeled_ns;
+  std::uint64_t barriers, messages, bytes, digest;
+  std::vector<std::uint64_t> counters;  // FaultCounters, declaration order
+};
+
+std::vector<std::uint64_t> counter_values(const flt::FaultCounters& c) {
+  static_assert(sizeof(flt::FaultCounters) == 23 * sizeof(std::uint64_t),
+                "list a new FaultCounters field here");
+  return {c.drops,          c.duplicates,    c.delays,
+          c.outage_drops,   c.retransmits,   c.corruptions,
+          c.detected,       c.repairs,       c.straggles,
+          c.outage_events,  c.rollbacks,     c.checkpoints,
+          c.retry_wait_ns,  c.loss_drops,    c.loss_events,
+          c.replications,   c.replica_bytes, c.promoted_bytes,
+          c.mem_flips,      c.scrub_passes,  c.scrub_detected,
+          c.scrub_heals,    c.scrub_events};
+}
+
+std::string golden_text(const GoldenRow& r) {
+  char head[160];
+  std::snprintf(head, sizeof head, "{%.17g, %llu, %llu, %llu, 0x%016llxull, {",
+                r.modeled_ns, static_cast<unsigned long long>(r.barriers),
+                static_cast<unsigned long long>(r.messages),
+                static_cast<unsigned long long>(r.bytes),
+                static_cast<unsigned long long>(r.digest));
+  std::string s = head;
+  for (std::size_t i = 0; i < r.counters.size(); ++i)
+    s += (i ? ", " : "") + std::to_string(r.counters[i]);
+  return s + "}}";
+}
+
+/// The recovery paths: outage rollback, permanent loss with shrink,
+/// payload corruption, network chaos, and an at-rest flip under scrubbing.
+struct GoldenPlan {
+  const char* spec;
+  int scrub_interval;
+};
+constexpr GoldenPlan kGoldenPlans[] = {
+    {"outage_every=40,outage_k=2", 0},
+    {"loss_at=24", 0},
+    {"corrupt=0.5", 0},
+    {"drop=0.05,dup=0.03,delay=0.1,straggle=0.05", 0},
+    {"mem_flip_at=12,mem_flips=1", 1},
+};
+
+template <class Kernel>
+GoldenRow run_golden(const GoldenPlan& plan, Kernel kernel) {
+  flt::FaultInjector inj(flt::FaultConfig::parse(plan.spec, /*seed=*/1));
+  pg::Runtime rt = make_rt();
+  rt.set_fault_injector(&inj);
+  rt.set_digest_enabled(true);
+  const core::RunCosts c = kernel(rt, plan.scrub_interval);
+  return {c.modeled_ns, c.barriers, c.messages, c.bytes,
+          rt.last_state_digest(), counter_values(inj.counters())};
+}
+
+void expect_golden(const GoldenPlan& plan, const GoldenRow& got,
+                   const GoldenRow& want) {
+  SCOPED_TRACE(std::string(plan.spec) + " -> " + golden_text(got));
+  EXPECT_EQ(got.modeled_ns, want.modeled_ns);
+  EXPECT_EQ(got.barriers, want.barriers);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.counters, want.counters);
+}
+
+}  // namespace
+
+TEST(FaultGolden, CcTrajectoriesExact) {
+  const auto el = g::random_graph(256, 1024, 21);
+  const GoldenRow want[] = {
+      {1395205.125, 115, 3134, 227632, 0xe6f689f4edd45f68ull,
+       {0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {1672304.78125, 104, 2735, 210824, 0xe6f689f4edd45f68ull,
+       {0, 0, 0, 0, 84, 0, 0, 0, 0, 0, 1, 4, 308000, 98, 1, 4, 12288, 768, 0,
+        0, 0, 0, 0}},
+      {1075135.0625, 73, 2108, 164456, 0xe6f689f4edd45f68ull,
+       {0, 0, 0, 0, 66, 68, 66, 68, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0}},
+      {2791114.7275077337, 73, 2087, 152680, 0xe6f689f4edd45f68ull,
+       {45, 23, 86, 0, 45, 0, 0, 0, 28, 0, 0, 0, 224000, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0}},
+      {1376040.0625, 125, 2949, 225144, 0xe6f689f4edd45f68ull,
+       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4, 0, 0, 0, 4, 12288, 0, 1, 5, 1, 1,
+        1}},
+  };
+  ASSERT_EQ(std::size(want), std::size(kGoldenPlans));
+  for (std::size_t i = 0; i < std::size(kGoldenPlans); ++i) {
+    const GoldenRow got =
+        run_golden(kGoldenPlans[i], [&](pg::Runtime& rt, int scrub) {
+          core::CcOptions o;
+          o.scrub_interval = scrub;
+          return core::cc_coalesced(rt, el, o).costs;
+        });
+    expect_golden(kGoldenPlans[i], got, want[i]);
+  }
+}
+
+TEST(FaultGolden, MstTrajectoriesExact) {
+  const auto el =
+      g::with_random_weights(g::random_graph(256, 1024, 22), 23);
+  const GoldenRow want[] = {
+      {2360874.625, 168, 6501, 524344, 0xff734407b14024d3ull,
+       {0, 0, 0, 28, 0, 0, 0, 0, 0, 4, 3, 3, 8000, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0}},
+      {2030405.875, 116, 4435, 374768, 0xff734407b14024d3ull,
+       {0, 0, 0, 0, 204, 0, 0, 0, 0, 0, 1, 4, 308000, 238, 1, 4, 28672, 1792,
+        0, 0, 0, 0, 0}},
+      {1439846.125, 85, 3565, 321968, 0xff734407b14024d3ull,
+       {0, 0, 0, 0, 84, 86, 84, 86, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0}},
+      {3594572.4955255059, 85, 3559, 285248, 0xff734407b14024d3ull,
+       {78, 46, 164, 0, 78, 0, 0, 0, 30, 0, 0, 0, 360000, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0}},
+      {1681686.875, 137, 4758, 402592, 0xff734407b14024d3ull,
+       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4, 0, 0, 0, 4, 28672, 0, 1, 5, 1, 1,
+        1}},
+  };
+  ASSERT_EQ(std::size(want), std::size(kGoldenPlans));
+  for (std::size_t i = 0; i < std::size(kGoldenPlans); ++i) {
+    const GoldenRow got =
+        run_golden(kGoldenPlans[i], [&](pg::Runtime& rt, int scrub) {
+          core::MstOptions o;
+          o.scrub_interval = scrub;
+          return core::mst_pgas(rt, el, o).costs;
+        });
+    expect_golden(kGoldenPlans[i], got, want[i]);
+  }
 }

@@ -1,7 +1,8 @@
 // Silent-data-corruption defense (docs/ROBUSTNESS.md, "At-rest
 // integrity"): the additive chunk digests, the mem-flip fault plan, the
-// scrub/heal/rollback recovery chain in cc_coalesced and mst_pgas, and the
-// promotion-time mirror validation.  The acceptance rule mirrors the chaos
+// scrub/heal/rollback recovery chain of the checkpointing kernels
+// (core::RecoveryLoop under cc_coalesced, sv_coalesced and mst_pgas), and
+// the promotion-time mirror validation.  The acceptance rule mirrors the chaos
 // tests: under a seeded bit-flip plan the algorithms must detect the
 // corruption and produce bit-identical results to a fault-free run; with a
 // zero-flip plan (or scrubbing off) the modeled clock must not move at all.
@@ -57,7 +58,8 @@ void cross_node_round(pg::ThreadCtx& ctx, std::size_t bytes) {
 // three chaos seeds): at these epochs the flip lands after the first scrub
 // pass has baselined the label/weight partitions and before the run
 // drains, so the scrubber must detect it, heal or roll back, and converge
-// to the fault-free answer.
+// to the fault-free answer.  The SV test reuses the CC epoch on the CC
+// graph, where it lands the same way for all three seeds.
 constexpr std::uint64_t kCcFlipEpoch = 12;
 constexpr std::uint64_t kMstFlipEpoch = 12;
 
@@ -259,6 +261,29 @@ TEST(ScrubChaos, CcFlipDetectedRepairedBitIdentical) {
                                   chaotic.num_components, chaos_seed(),
                                   /*edge_samples=*/64);
   EXPECT_TRUE(cert.ok) << cert.detail;
+}
+
+TEST(ScrubChaos, SvFlipDetectedRepairedBitIdentical) {
+  const auto el = g::random_graph(256, 1024, 21);
+  core::CcOptions sopt;
+  sopt.scrub_interval = 1;
+  core::ParCCResult clean;
+  {
+    pg::Runtime rt = make_rt();
+    clean = core::sv_coalesced(rt, el, sopt);
+  }
+  flt::FaultInjector inj(flt::FaultConfig::parse(
+      "mem_flip_at=" + std::to_string(kCcFlipEpoch) + ",mem_flips=1",
+      chaos_seed()));
+  pg::Runtime rt = make_rt();
+  rt.set_fault_injector(&inj);
+  const auto chaotic = core::sv_coalesced(rt, el, sopt);
+  EXPECT_EQ(chaotic.labels, clean.labels);
+  const auto c = inj.counters();
+  EXPECT_GE(c.mem_flips, 1u);
+  EXPECT_GE(c.scrub_detected, 1u);
+  EXPECT_GE(c.rollbacks, 1u);
+  EXPECT_GT(c.scrub_passes, 0u);
 }
 
 TEST(ScrubChaos, MstFlipDetectedRepairedBitIdentical) {
