@@ -41,7 +41,11 @@ Four checks over src/, bench/ and tests/:
               shared between the fibers of a worker, and a blocking wait
               stalls every sibling until it returns.  Only the runtime may
               keep per-OS-thread state (it restores it on every fiber
-              resume).
+              resume).  Also a ucontext call (`getcontext`, `makecontext`,
+              `swapcontext`, `setcontext`) anywhere in src/, the runtime
+              included: it would switch stacks behind the executor's
+              sanitizer annotations, and glibc's versions make a
+              signal-mask syscall on every switch.
 
 Allowlist: scripts/lint_spmd_allow.txt.  Each non-comment line is
   <glob>[:<check>]   [# reason]
@@ -74,6 +78,7 @@ FIBER_RE = re.compile(
     r"\bthread_local\b|\bstd\s*::\s*this_thread\b"
     r"|\bstd\s*::\s*condition_variable(?:_any)?\b"
     r"|\bsleep_(?:for|until)\s*\(")
+UCONTEXT_RE = re.compile(r"\b(?:get|make|swap|set)context\s*\(")
 COLLECTIVE_RE = re.compile(
     r"(?:\b(?:getd|setd|setd_min|setd_add|setd_combine|replicate_to_buddy)"
     r"\s*\(|(?:\.|->)\s*(?:barrier|exchange_barrier)\s*\()"
@@ -176,12 +181,20 @@ def check_ownerarith(path, clean):
 
 def check_fiber(path, clean):
     out = []
-    for m in FIBER_RE.finditer(clean):
+    if not path.startswith(FIBER_EXEMPT_PREFIX):
+        for m in FIBER_RE.finditer(clean):
+            out.append(
+                (path, line_of(clean, m.start()), "fiber",
+                 "`%s` outside src/pgas/runtime.* — SPMD threads share OS "
+                 "threads as fibers, so thread-local state is shared and a "
+                 "blocking wait stalls sibling threads" % m.group(0).strip()))
+    for m in UCONTEXT_RE.finditer(clean):
         out.append(
             (path, line_of(clean, m.start()), "fiber",
-             "`%s` outside src/pgas/runtime.* — SPMD threads share OS "
-             "threads as fibers, so thread-local state is shared and a "
-             "blocking wait stalls sibling threads" % m.group(0).strip()))
+             "`%s` — a ucontext switch bypasses the fiber executor's "
+             "sanitizer annotations and makes a signal-mask syscall; "
+             "switch with the executor's own pgraph_fiber_switch" %
+             m.group(0).rstrip("( \t\n")))
     return out
 
 
@@ -245,8 +258,7 @@ def allowed(rules, path, check):
 def scan_file(relpath, text):
     clean = strip_comments_and_strings(text)
     out = []
-    if (relpath.startswith(FIBER_SCOPE)
-            and not relpath.startswith(FIBER_EXEMPT_PREFIX)):
+    if relpath.startswith(FIBER_SCOPE):
         out += check_fiber(relpath, clean)
     if not any(relpath.startswith(p) for p in EXEMPT_PREFIXES):
         out += (check_affinity(relpath, clean)
@@ -335,6 +347,18 @@ SELF_TESTS = [
      "thread_local int calls = 0;", []),
     ("thread_local in a comment or string is ignored", "src/core/tc.cpp",
      "// no thread_local here\nconst char* s = \"sleep_for(\";", []),
+    ("swapcontext in the executor", "src/pgas/executor.cpp",
+     "swapcontext(&wk.sched, &fb.uc);", ["fiber"]),
+    ("getcontext and makecontext in the runtime", "src/pgas/runtime.cpp",
+     "getcontext(&uc);\nmakecontext(&uc, fn, 0);", ["fiber"]),
+    ("setcontext in a kernel", "src/core/sc.cpp",
+     "::setcontext (&saved);", ["fiber"]),
+    ("ucontext call outside src/ is out of scope", "tests/uc.cpp",
+     "swapcontext(&a, &b);", []),
+    ("ucontext names in comments, strings and longer names are ignored",
+     "src/pgas/uc.cpp",
+     "// no swapcontext() here\nconst char* s = \"setcontext(\";\n"
+     "int my_getcontext(int);", []),
 ]
 
 

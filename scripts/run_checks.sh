@@ -7,10 +7,12 @@
 # Stages (each maps to a CMakePresets.json preset):
 #   default  plain RelWithDebInfo build + ctest
 #   check    PGRAPH_CHECK_ACCESS=ON build + ctest (access-discipline checker)
-#   tsan     -fsanitize=thread build + ctest
-#   asan     -fsanitize=address,undefined build + ctest; fails if any test
-#            log shows ASan ignoring __asan_handle_no_return (the mark of a
-#            fiber switch the executor did not annotate)
+#   tsan     -fsanitize=thread build + ctest, then test_runtime's Runtime.*
+#            tests repeated 100 times (the executor's caller/helper handoff)
+#   asan     -fsanitize=address,undefined build + ctest and the same
+#            repeated Runtime.* run; fails if either log shows ASan
+#            ignoring __asan_handle_no_return (the mark of a fiber switch
+#            the executor did not annotate)
 #   lint     scripts/lint_spmd.py (SPMD-discipline static lint; self-test
 #            first, then the tree against scripts/lint_spmd_allow.txt),
 #            plus clang-tidy over src/tests/examples (skipped if not
@@ -81,20 +83,43 @@ run_preset() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$preset" -j "$JOBS"
-  if [ "$preset" = asan ]; then asan_log_gate; fi
+  case "$preset" in
+    tsan) repeat_runtime_tests tsan ;;
+    asan)
+      repeat_runtime_tests asan
+      asan_log_gate build-asan/runtime_repeat.log
+      ;;
+  esac
+}
+
+# Sanitizer builds repeat the executor's tests: a rare race in the
+# caller/helper handoff, or an unannotated fiber migration, then has a
+# chance to show.
+repeat_runtime_tests() {
+  local preset="$1"
+  local log="build-$preset/runtime_repeat.log"
+  echo "---- [$preset] Runtime.* tests x100 (log: $log) ----"
+  if ! "build-$preset/tests/test_runtime" --gtest_filter='Runtime.*' \
+      --gtest_repeat=100 > "$log" 2>&1; then
+    tail -n 40 "$log" >&2
+    echo "$preset: repeated Runtime.* tests failed (log: $log)" >&2
+    exit 1
+  fi
 }
 
 # ASan prints "ignoring requested __asan_handle_no_return" when a throw or
 # longjmp runs on a stack it does not know -- what an unannotated fiber
 # switch leaves behind, followed by false or missed reports.  Fail on it
-# in the log of the last asan ctest run.
+# in the log of the last asan ctest run and in any extra log given.
 asan_log_gate() {
-  local log=build-asan/Testing/Temporary/LastTest.log
-  if grep -q "__asan_handle_no_return" "$log"; then
-    echo "asan: $log shows an unannotated stack switch:" >&2
-    grep -m 5 "__asan_handle_no_return" "$log" >&2
-    exit 1
-  fi
+  local log
+  for log in build-asan/Testing/Temporary/LastTest.log "$@"; do
+    if grep -q "__asan_handle_no_return" "$log"; then
+      echo "asan: $log shows an unannotated stack switch:" >&2
+      grep -m 5 "__asan_handle_no_return" "$log" >&2
+      exit 1
+    fi
+  done
 }
 
 for stage in "${STAGES[@]}"; do

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -247,6 +248,11 @@ Runtime::~Runtime() {
 }
 
 void Runtime::run(const std::function<void(ThreadCtx&)>& f) {
+  ThreadCtx* const outer = t_current_ctx;
+  if (outer != nullptr && &outer->runtime() == this)
+    throw std::logic_error("Runtime::run called from its own SPMD thread " +
+                           std::to_string(outer->id()) +
+                           "; run() is not reentrant");
   fault_failed_.store(false, std::memory_order_relaxed);
   mirror_poisoned_.store(false, std::memory_order_relaxed);
   corrupt_index_.store(false, std::memory_order_relaxed);
@@ -262,6 +268,9 @@ void Runtime::run(const std::function<void(ThreadCtx&)>& f) {
     exec_ = std::make_unique<FiberExecutor>(topo_.total_threads(),
                                             [this] { on_barrier(); });
   exec_->run([this, &f](int i) { spmd_main(i, f); });
+  // A fiber that parked on this thread may have finished on a helper, so
+  // this thread's current_ctx() can still name a finished ThreadCtx.
+  t_current_ctx = outer;
   finish_ns_ = last_barrier_ns_;
   if (first_error_) std::rethrow_exception(std::exchange(first_error_, {}));
 }
@@ -284,7 +293,7 @@ void Runtime::spmd_main(int i,
       std::lock_guard<std::mutex> lock(error_mu_);
       if (!first_error_) first_error_ = std::current_exception();
     }
-    exec_->drop();
+    exec_->drop(i);
   }
   saved_clocks_[static_cast<std::size_t>(i)] = ctx.clock_;
   saved_stats_[static_cast<std::size_t>(i)] = ctx.stats_;
@@ -426,7 +435,9 @@ void Runtime::barrier_sync(ThreadCtx& ctx, bool exchange) {
   (void)exchange;
 #endif
   const bool completed = exec_->arrive_and_wait(ctx.id());
-  t_current_ctx = &ctx;  // sibling fibers ran on this OS thread meanwhile
+  // Sibling fibers ran on this OS thread meanwhile, or this fiber moved to
+  // another one.
+  t_current_ctx = &ctx;
   if (!completed) throw SpmdAbort{};
 }
 

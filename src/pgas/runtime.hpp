@@ -211,8 +211,9 @@ class ThreadCtx {
   std::vector<machine::ExchangeMsg> pending_;
 };
 
-/// SPMD PGAS runtime: runs the UPC threads as cooperative fibers on one
-/// persistent worker per available core (FiberExecutor), provides
+/// SPMD PGAS runtime: runs the UPC threads as cooperative fibers on the
+/// calling thread plus, once a superstep runs long, one persistent helper
+/// per further available core (FiberExecutor), provides
 /// cost-aligned barriers (BSP superstep boundaries), and owns the machine
 /// models.
 ///
@@ -242,10 +243,15 @@ class Runtime {
   machine::NetworkModel& net() { return *net_; }
 
   /// Run `f` SPMD on all threads; blocks until all complete.  May be called
-  /// repeatedly; cost clocks and stats persist across calls until
-  /// reset_costs().  The SPMD threads are fibers sharing a few OS threads:
-  /// `f` must follow the rules in executor.hpp (no thread_local state, no
-  /// blocking waits, no barrier inside a catch handler).
+  /// repeatedly, from any host thread, one call at a time; cost clocks and
+  /// stats persist across calls until reset_costs().  The SPMD threads are
+  /// fibers: the calling thread runs them itself while supersteps are
+  /// short and wakes one helper thread per further core once one runs
+  /// long, so a thread may change OS thread at a barrier.  `f` must follow
+  /// the rules in executor.hpp (no thread_local state or pointer to it
+  /// held across a barrier, no blocking waits, no barrier inside a catch
+  /// handler or an unwinding destructor).  Calling run() from one of this
+  /// Runtime's own SPMD threads throws std::logic_error.
   ///
   /// Exception safety: a thread whose `f` throws drops out of the barrier.
   /// If every thread throws after the same barrier (how FaultError is
@@ -517,8 +523,9 @@ class Runtime {
 };
 
 /// The ThreadCtx of the calling SPMD thread while inside Runtime::run, or
-/// null outside any SPMD region (kept per OS thread and restored on every
-/// fiber resume).  The access checker uses this to identify
+/// null outside any SPMD region (kept per OS thread, restored on every
+/// fiber resume, and restored on the calling thread when run() returns).
+/// The access checker uses this to identify
 /// the accessor on paths that do not take a ThreadCtx parameter
 /// (local_span, raw, the relaxed element accessors); null means
 /// single-threaded verification code, which is exempt from the discipline.

@@ -5,11 +5,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
+#include <cfenv>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "pgas/coll.hpp"
@@ -35,14 +41,14 @@ int expected_workers(int s) {
   return std::min(s, std::max(1, cpus));
 }
 
-/// OS threads of this process, from the "Threads:" line of
-/// /proc/self/status (-1 if unreadable).
-int os_threads() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line))
-    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
-  return -1;
+/// Kernel thread ids of this process's OS threads, from /proc/self/task.
+/// A thread that was just joined can linger there briefly, so tests compare
+/// sets of ids, not counts.
+std::set<int> os_thread_ids() {
+  std::set<int> ids;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task"))
+    ids.insert(std::stoi(e.path().filename().string()));
+  return ids;
 }
 }  // namespace
 
@@ -165,34 +171,210 @@ TEST(Runtime, RegistryPublishAndPeer) {
 
 // --- executor ----------------------------------------------------------
 
+namespace {
+
+/// Longer than the executor's engage time (about 50 us): a superstep that
+/// spins this long on the calling thread wakes the helper workers.
+constexpr std::chrono::microseconds kEngage{1000};
+
+/// Busy-compute (no blocking wait) for `d` on the calling OS thread.
+void spin_for(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+/// OS thread of every SPMD thread at each of `steps` barriers of one run.
+struct OsThreadLog {
+  OsThreadLog(int s, int steps)
+      : at(static_cast<std::size_t>(s),
+           std::vector<std::thread::id>(static_cast<std::size_t>(steps))) {}
+  void note(const pg::ThreadCtx& ctx, int step) {
+    at[static_cast<std::size_t>(ctx.id())][static_cast<std::size_t>(step)] =
+        std::this_thread::get_id();
+  }
+  std::set<std::thread::id> distinct() const {
+    std::set<std::thread::id> ids;
+    for (const auto& row : at) ids.insert(row.begin(), row.end());
+    return ids;
+  }
+  std::vector<std::vector<std::thread::id>> at;
+};
+
+/// Runs short supersteps on `rt` until one run keeps every SPMD thread on
+/// the calling thread, at most 20 times; returns whether one did.  Such a
+/// run never wakes a helper, but the engage time is wall time, so a host
+/// that deschedules the caller mid-superstep can make a short superstep
+/// look long.
+bool stays_on_caller(pg::Runtime& rt, int steps) {
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    OsThreadLog log(rt.topo().total_threads(), steps);
+    rt.run([&](pg::ThreadCtx& ctx) {
+      for (int b = 0; b < steps; ++b) {
+        log.note(ctx, b);
+        ctx.barrier();
+      }
+    });
+    if (log.distinct() == std::set{std::this_thread::get_id()}) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 TEST(Runtime, SixtyFourThreadsRunOnOneWorkerPerCore) {
   // This thread, plus any helper thread a sanitizer runtime starts (TSan
   // starts one with the process's first extra thread).
   std::thread([] {}).join();
-  const int before = os_threads();
-  ASSERT_GE(before, 1);
+  const std::set<int> before = os_thread_ids();
+  ASSERT_FALSE(before.empty());
   auto rt = make_rt(16, 4);
-  int threads = -1;
+  std::set<int> during;
   rt.run([&](pg::ThreadCtx& ctx) {
     ctx.barrier();  // every SPMD thread has started
-    if (ctx.id() == 0) threads = os_threads();
+    if (ctx.id() == 0) during = os_thread_ids();
     ctx.barrier();
   });
-  EXPECT_GT(threads, before);
-  EXPECT_LE(threads, before + expected_workers(64));
+  // The calling thread is worker 0; the first run starts W - 1 helpers.
+  std::vector<int> started;
+  std::set_difference(during.begin(), during.end(), before.begin(),
+                      before.end(), std::back_inserter(started));
+  EXPECT_EQ(started.size(), static_cast<std::size_t>(expected_workers(64) - 1));
 }
 
-TEST(Runtime, CurrentCtxFollowsTheSpmdThreadAcrossBarriers) {
-  auto rt = make_rt(16, 4);
-  std::atomic<int> wrong{0};
-  rt.run([&](pg::ThreadCtx& ctx) {
-    for (int b = 0; b < 6; ++b) {
-      if (pg::current_ctx() != &ctx) wrong.fetch_add(1);
-      ctx.barrier();
-    }
-    if (pg::current_ctx() != &ctx) wrong.fetch_add(1);
+TEST(Runtime, ShortSuperstepsRunOnTheCallingThread) {
+  auto rt = make_rt(4, 2);
+  EXPECT_TRUE(stays_on_caller(rt, 6));
+  // The mode is chosen per run: after a run that engaged the helpers, a
+  // run of short supersteps is back on the calling thread.
+  rt.run([](pg::ThreadCtx& ctx) {
+    spin_for(kEngage);
+    ctx.barrier();
   });
-  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_TRUE(stays_on_caller(rt, 6));
+}
+
+TEST(Runtime, LongSuperstepEngagesHelpersAndPinsThreads) {
+  constexpr int kSteps = 6;
+  const int w = expected_workers(8);
+  auto rt = make_rt(4, 2);
+  OsThreadLog log(8, kSteps);
+  rt.run([&](pg::ThreadCtx& ctx) {
+    spin_for(kEngage);
+    for (int b = 0; b < kSteps; ++b) {
+      ctx.barrier();
+      log.note(ctx, b);
+    }
+  });
+  if (w > 1) {
+    EXPECT_GE(log.distinct().size(), 2u);
+  }
+  // From the barrier after the engaging superstep on, thread i stays on
+  // worker i mod W, and worker 0 is the calling thread.
+  for (int i = 0; i < 8; ++i) {
+    const auto& row = log.at[static_cast<std::size_t>(i)];
+    for (int b = 1; b < kSteps; ++b) EXPECT_EQ(row[b], row[0]) << i;
+    EXPECT_EQ(row[0], log.at[static_cast<std::size_t>(i % w)][0]) << i;
+    if (i % w == 0) {
+      EXPECT_EQ(row[0], std::this_thread::get_id()) << i;
+    } else {
+      EXPECT_NE(row[0], std::this_thread::get_id()) << i;
+    }
+  }
+}
+
+namespace {
+
+// current_ctx() names each SPMD thread's ThreadCtx across six barriers, on
+// whatever OS thread it runs, and is null on the calling thread after
+// run().  With `spin`, thread 4 spins in the first superstep after threads
+// 0-3 have parked on the calling thread, so the helpers engage
+// mid-superstep: with 4 workers, threads 1-3 resume on helpers after
+// parking on the caller, and threads 5-7 start that superstep on a helper.
+void expect_current_ctx_follows(int nodes, int threads, bool spin) {
+  auto rt = make_rt(nodes, threads);
+  const int s = nodes * threads;
+  for (int rep = 0; rep < (spin ? 50 : 1); ++rep) {
+    std::atomic<int> wrong{0};
+    OsThreadLog log(s, 7);
+    rt.run([&](pg::ThreadCtx& ctx) {
+      for (int b = 0; b < 6; ++b) {
+        if (pg::current_ctx() != &ctx) wrong.fetch_add(1);
+        log.note(ctx, b);
+        if (spin && b == 0 && ctx.id() == 4)
+          spin_for(std::chrono::microseconds(200));
+        ctx.barrier();
+      }
+      if (pg::current_ctx() != &ctx) wrong.fetch_add(1);
+      log.note(ctx, 6);
+    });
+    EXPECT_EQ(wrong.load(), 0) << "repetition " << rep;
+    EXPECT_EQ(pg::current_ctx(), nullptr) << "repetition " << rep;
+    if (spin && expected_workers(s) > 1) {
+      EXPECT_GE(log.distinct().size(), 2u) << "repetition " << rep;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Runtime, CurrentCtxFollowsTheSpmdThreadAcrossBarriers) {
+  expect_current_ctx_follows(16, 4, false);
+}
+
+TEST(Runtime, CurrentCtxFollowsThreadsThatChangeOsThread) {
+  expect_current_ctx_follows(4, 2, true);
+}
+
+TEST(Runtime, FloatingPointModeIsPerSpmdThread) {
+  for (const bool engage : {false, true}) {
+    auto rt = make_rt(4, 2);
+    std::atomic<int> wrong{0};
+    rt.run([&](pg::ThreadCtx& ctx) {
+      if (engage && ctx.id() == 0) spin_for(kEngage);
+      if (ctx.id() == 3) std::fesetround(FE_UPWARD);
+      ctx.barrier();
+      ctx.barrier();
+      volatile double one = 1.0;
+      volatile double three = 3.0;
+      const double third = one / three;  // SSE: rounds per MXCSR
+      const bool up = ctx.id() == 3;
+      if (std::fegetround() != (up ? FE_UPWARD : FE_TONEAREST))
+        wrong.fetch_add(1);
+      if ((third > 1.0 / 3.0) != up) wrong.fetch_add(1);
+    });
+    EXPECT_EQ(wrong.load(), 0) << (engage ? "engaged" : "serial");
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  }
+}
+
+TEST(Runtime, RunsFromAnotherHostThreadInBothModes) {
+  auto rt = make_rt(4, 2);
+  // OS threads seen by a run whose threads first spin past the engage time.
+  const auto engaged_run = [&rt] {
+    OsThreadLog log(8, 4);
+    rt.run([&](pg::ThreadCtx& ctx) {
+      spin_for(std::chrono::microseconds(200));
+      for (int b = 0; b < 4; ++b) {
+        ctx.barrier();
+        log.note(ctx, b);
+      }
+    });
+    return log.distinct();
+  };
+  const bool helpers = expected_workers(8) > 1;
+  const auto main_ids = engaged_run();
+  EXPECT_TRUE(main_ids.count(std::this_thread::get_id()));
+  std::thread([&] {
+    EXPECT_TRUE(stays_on_caller(rt, 4));
+    const auto ids = engaged_run();
+    EXPECT_TRUE(ids.count(std::this_thread::get_id()));
+    if (helpers) {
+      EXPECT_GE(ids.size(), 2u);
+    }
+    EXPECT_EQ(pg::current_ctx(), nullptr);
+  }).join();
+  EXPECT_TRUE(stays_on_caller(rt, 4));
   EXPECT_EQ(pg::current_ctx(), nullptr);
 }
 
@@ -222,11 +404,21 @@ TEST(Runtime, DestructsRightAfterCollectiveFault) {
 
 // --- exceptions leaving f ------------------------------------------------
 
-TEST(Runtime, CollectiveThrowAddsNoBarrier) {
-  auto rt = make_rt(2, 2);
-  EXPECT_THROW(rt.run([](pg::ThreadCtx& ctx) {
+namespace {
+
+// Every thread throws after the same barrier: no barrier runs after the
+// throw.  With `engage`, thread 0's first superstep is long enough to wake
+// the helpers.
+void expect_collective_throw_adds_no_barrier(int nodes, int threads,
+                                             bool engage) {
+  auto rt = make_rt(nodes, threads);
+  const int s = nodes * threads;
+  OsThreadLog log(s, 1);
+  EXPECT_THROW(rt.run([&](pg::ThreadCtx& ctx) {
+    if (engage && ctx.id() == 0) spin_for(kEngage);
     ctx.charge(m::Cat::Work, 1000.0 * (ctx.id() + 1));
     ctx.barrier();
+    log.note(ctx, 0);
     ctx.charge(m::Cat::Work, 5.0);
     throw std::runtime_error("every thread");
   }),
@@ -234,21 +426,43 @@ TEST(Runtime, CollectiveThrowAddsNoBarrier) {
   // The initial barrier and the one in f; no final alignment.
   EXPECT_EQ(rt.barriers_executed(), 2u);
   EXPECT_DOUBLE_EQ(rt.modeled_time_ns(), rt.last_barrier_verdict().t_final);
-  EXPECT_DOUBLE_EQ(rt.critical_stats().get(m::Cat::Work), 4005.0);
+  EXPECT_DOUBLE_EQ(rt.critical_stats().get(m::Cat::Work), 1000.0 * s + 5.0);
+  if (engage && expected_workers(s) > 1) {
+    EXPECT_GE(log.distinct().size(), 2u);
+  }
 }
 
-namespace {
+/// After reset_costs(), `rt` must behave like a fresh Runtime.
+void expect_like_fresh_after_reset(pg::Runtime& rt, int nodes, int threads) {
+  const auto body = [threads](pg::ThreadCtx& ctx) {
+    ctx.charge(m::Cat::Work, 10.0 * (ctx.id() + 1));
+    ctx.remote_put_cost((ctx.id() + threads) % ctx.nthreads(), 8);
+    ctx.barrier();
+    EXPECT_EQ(pg::allreduce_sum(ctx, 1), ctx.nthreads());
+  };
+  rt.reset_costs();
+  rt.run(body);
+  auto fresh = make_rt(nodes, threads);
+  fresh.run(body);
+  EXPECT_DOUBLE_EQ(rt.modeled_time_ns(), fresh.modeled_time_ns());
+  EXPECT_EQ(rt.barriers_executed(), fresh.barriers_executed());
+  EXPECT_EQ(rt.net().total_messages(), fresh.net().total_messages());
+}
 
 // Thread 1 throws while every other thread waits in a barrier: run() must
 // rethrow thread 1's exception instead of hanging, no catch clause in f may
 // see the unwinding, and after reset_costs() the Runtime must behave like a
-// fresh one.
-void expect_divergent_throw_fails_loud(int nodes, int threads) {
+// fresh one.  With `engage`, the helpers are woken before thread 1 throws.
+void expect_divergent_throw_fails_loud(int nodes, int threads, bool engage) {
   auto rt = make_rt(nodes, threads);
+  const int s = nodes * threads;
+  OsThreadLog log(s, 1);
   std::atomic<int> past_barrier{0};
   std::atomic<int> caught_in_f{0};
   try {
     rt.run([&](pg::ThreadCtx& ctx) {
+      if (engage && ctx.id() == 0) spin_for(kEngage);
+      log.note(ctx, 0);
       ctx.charge(m::Cat::Work, 100.0);
       if (ctx.id() == 1) throw std::runtime_error("thread 1 diverged");
       try {
@@ -265,30 +479,58 @@ void expect_divergent_throw_fails_loud(int nodes, int threads) {
   EXPECT_EQ(past_barrier.load(), 0);
   EXPECT_EQ(caught_in_f.load(), 0);
   EXPECT_EQ(rt.barriers_executed(), 1u);  // only the initial sync completed
-
-  const auto body = [threads](pg::ThreadCtx& ctx) {
-    ctx.charge(m::Cat::Work, 10.0 * (ctx.id() + 1));
-    ctx.remote_put_cost((ctx.id() + threads) % ctx.nthreads(), 8);
-    ctx.barrier();
-    EXPECT_EQ(pg::allreduce_sum(ctx, 1), ctx.nthreads());
-  };
-  rt.reset_costs();
-  rt.run(body);
-  auto fresh = make_rt(nodes, threads);
-  fresh.run(body);
-  EXPECT_DOUBLE_EQ(rt.modeled_time_ns(), fresh.modeled_time_ns());
-  EXPECT_EQ(rt.barriers_executed(), fresh.barriers_executed());
-  EXPECT_EQ(rt.net().total_messages(), fresh.net().total_messages());
+  if (engage && expected_workers(s) > 1) {
+    EXPECT_GE(log.distinct().size(), 2u);
+  }
+  expect_like_fresh_after_reset(rt, nodes, threads);
 }
 
 }  // namespace
 
+TEST(Runtime, CollectiveThrowAddsNoBarrier) {
+  expect_collective_throw_adds_no_barrier(2, 2, false);
+}
+
+TEST(Runtime, CollectiveThrowAddsNoBarrierWithHelpersAtEightThreads) {
+  expect_collective_throw_adds_no_barrier(4, 2, true);
+}
+
+TEST(Runtime, CollectiveThrowAddsNoBarrierWithHelpersAtSixtyFourThreads) {
+  expect_collective_throw_adds_no_barrier(16, 4, true);
+}
+
 TEST(Runtime, DivergentThrowFailsLoudAtEightThreads) {
-  expect_divergent_throw_fails_loud(4, 2);
+  expect_divergent_throw_fails_loud(4, 2, false);
 }
 
 TEST(Runtime, DivergentThrowFailsLoudAtSixtyFourThreads) {
-  expect_divergent_throw_fails_loud(16, 4);
+  expect_divergent_throw_fails_loud(16, 4, false);
+}
+
+TEST(Runtime, DivergentThrowFailsLoudWithHelpersAtEightThreads) {
+  expect_divergent_throw_fails_loud(4, 2, true);
+}
+
+TEST(Runtime, DivergentThrowFailsLoudWithHelpersAtSixtyFourThreads) {
+  expect_divergent_throw_fails_loud(16, 4, true);
+}
+
+TEST(Runtime, ReentrantRunFailsLoud) {
+  auto rt = make_rt(4, 2);
+  std::atomic<int> inner_ran{0};
+  try {
+    rt.run([&](pg::ThreadCtx& ctx) {
+      if (ctx.id() == 0) rt.run([&](pg::ThreadCtx&) { inner_ran.fetch_add(1); });
+      ctx.barrier();
+    });
+    ADD_FAILURE() << "run() returned normally";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("SPMD thread 0"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(inner_ran.load(), 0);
+  EXPECT_EQ(pg::current_ctx(), nullptr);
+  expect_like_fresh_after_reset(rt, 4, 2);
 }
 
 TEST(Coll, AllreduceSumAndMax) {
