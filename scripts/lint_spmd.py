@@ -2,7 +2,7 @@
 """Static SPMD-discipline lint — the compile-time companion of the runtime
 conformance verifier (src/analysis/conformance).
 
-Four checks over src/, bench/ and tests/:
+Five checks over src/, bench/ and tests/:
 
   affinity    A raw `.local_span(` on a GlobalArray outside src/pgas/ and
               src/collectives/.  Private-pointer block access is the
@@ -47,11 +47,20 @@ Four checks over src/, bench/ and tests/:
               sanitizer annotations, and glibc's versions make a
               signal-mask syscall on every switch.
 
+  atomic      `std::atomic`, `atomic_ref` or `fetch_add` in src/machine/.
+              The cost models are written only by an SPMD thread's own
+              tally (machine::NetTally) and by the barrier completion
+              step, which folds the tallies while every thread is parked
+              (docs/MODEL.md §2).  An atomic in a model means some charge
+              path writes it from SPMD code again: a shared cache line
+              per charge, and a data race once the other counters are
+              plain integers.
+
 Allowlist: scripts/lint_spmd_allow.txt.  Each non-comment line is
   <glob>[:<check>]   [# reason]
 matching repo-relative paths (fnmatch); a bare glob suppresses all
 checks for matching files, `:affinity` / `:uniformity` / `:ownerarith` /
-`:fiber` suppresses one.
+`:fiber` / `:atomic` suppresses one.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 `--self-test` runs the built-in fixture snippets instead of the tree.
@@ -67,7 +76,8 @@ SCAN_DIRS = ("src", "bench", "tests")
 EXEMPT_PREFIXES = ("src/pgas/", "src/collectives/")
 FIBER_SCOPE = "src/"
 FIBER_EXEMPT_PREFIX = "src/pgas/runtime."
-CHECKS = ("affinity", "uniformity", "ownerarith", "fiber")
+ATOMIC_SCOPE = "src/machine/"
+CHECKS = ("affinity", "uniformity", "ownerarith", "fiber", "atomic")
 ALLOWLIST = os.path.join("scripts", "lint_spmd_allow.txt")
 
 AFFINITY_RE = re.compile(r"[.\->]\s*local_span\s*\(")
@@ -79,6 +89,8 @@ FIBER_RE = re.compile(
     r"|\bstd\s*::\s*condition_variable(?:_any)?\b"
     r"|\bsleep_(?:for|until)\s*\(")
 UCONTEXT_RE = re.compile(r"\b(?:get|make|swap|set)context\s*\(")
+ATOMIC_RE = re.compile(
+    r"\bstd\s*::\s*atomic\b|\batomic_ref\b|\bfetch_add\b")
 COLLECTIVE_RE = re.compile(
     r"(?:\b(?:getd|setd|setd_min|setd_add|setd_combine|replicate_to_buddy)"
     r"\s*\(|(?:\.|->)\s*(?:barrier|exchange_barrier)\s*\()"
@@ -198,6 +210,17 @@ def check_fiber(path, clean):
     return out
 
 
+def check_atomic(path, clean):
+    out = []
+    for m in ATOMIC_RE.finditer(clean):
+        out.append(
+            (path, line_of(clean, m.start()), "atomic",
+             "`%s` in a machine model — charges go to the calling thread's "
+             "NetTally, and only the barrier completion step folds them "
+             "into the models" % " ".join(m.group(0).split())))
+    return out
+
+
 IF_RE = re.compile(r"\bif\s*\(")
 
 
@@ -260,6 +283,8 @@ def scan_file(relpath, text):
     out = []
     if relpath.startswith(FIBER_SCOPE):
         out += check_fiber(relpath, clean)
+    if relpath.startswith(ATOMIC_SCOPE):
+        out += check_atomic(relpath, clean)
     if not any(relpath.startswith(p) for p in EXEMPT_PREFIXES):
         out += (check_affinity(relpath, clean)
                 + check_uniformity(relpath, clean)
@@ -359,6 +384,22 @@ SELF_TESTS = [
      "src/pgas/uc.cpp",
      "// no swapcontext() here\nconst char* s = \"setcontext(\";\n"
      "int my_getcontext(int);", []),
+    ("atomic counter in a machine model", "src/machine/network_model.hpp",
+     "std::atomic<std::uint64_t> msgs_{0};", ["atomic"]),
+    ("fetch_add accrual in a machine model", "src/machine/network_model.cpp",
+     "nic_[node].msgs.fetch_add(nmsgs, std::memory_order_relaxed);",
+     ["atomic"]),
+    ("atomic_ref over a plain counter", "src/machine/m.cpp",
+     "std::atomic_ref<std::uint64_t>(busy_ns_[n]).fetch_add(ns);",
+     ["atomic"]),
+    ("spaced std :: atomic", "src/machine/m.hpp",
+     "std :: atomic<bool> dirty;", ["atomic"]),
+    ("atomics outside the machine models are out of scope",
+     "src/pgas/executor.hpp", "std::atomic<int> remaining_{0};", []),
+    ("atomic in a comment, a string or a longer name is ignored",
+     "src/machine/n.cpp",
+     "// no std::atomic here\nconst char* s = \"fetch_add\";\n"
+     "int my_fetch_adder = 0;", []),
 ]
 
 
@@ -383,6 +424,10 @@ def self_test():
         failures += 1
     if allowed([("src/core/*", "fiber")], "src/core/x.cpp", "affinity"):
         print("SELF-TEST FAIL: fiber allowlist rule leaked across checks")
+        failures += 1
+    if not allowed([("src/machine/*", "atomic")], "src/machine/x.hpp",
+                   "atomic"):
+        print("SELF-TEST FAIL: atomic allowlist rule did not match")
         failures += 1
     if failures:
         return 1

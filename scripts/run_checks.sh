@@ -8,7 +8,8 @@
 #   default  plain RelWithDebInfo build + ctest
 #   check    PGRAPH_CHECK_ACCESS=ON build + ctest (access-discipline checker)
 #   tsan     -fsanitize=thread build + ctest, then test_runtime's Runtime.*
-#            tests repeated 100 times (the executor's caller/helper handoff)
+#            tests repeated 100 times (the executor's caller/helper handoff,
+#            and the per-thread cost tallies charged from the helpers)
 #   asan     -fsanitize=address,undefined build + ctest and the same
 #            repeated Runtime.* run; fails if either log shows ASan
 #            ignoring __asan_handle_no_return (the mark of a fiber switch
@@ -18,8 +19,9 @@
 #            plus clang-tidy over src/tests/examples (skipped if not
 #            installed)
 #   ubsan    -fsanitize=undefined (non-recoverable) build; collectives,
-#            fault, stream and runtime (fiber executor, value collectives)
-#            test binaries under it
+#            fault, stream, runtime (fiber executor, value collectives),
+#            sched (FastDiv's 128-bit multiply and its wild-index fallback)
+#            and machine (tally fold) test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
 #            (scripts/baselines/BENCH_smoke.json; skipped without python3),
 #            after a self-test that perturbed copies fail the gate
@@ -93,8 +95,9 @@ run_preset() {
 }
 
 # Sanitizer builds repeat the executor's tests: a rare race in the
-# caller/helper handoff, or an unannotated fiber migration, then has a
-# chance to show.
+# caller/helper handoff, an unannotated fiber migration, or a charge path
+# that writes a shared cost model instead of its thread's tally (the
+# Runtime.Tallies* tests engage the helpers) then has a chance to show.
 repeat_runtime_tests() {
   local preset="$1"
   local log="build-$preset/runtime_repeat.log"
@@ -144,12 +147,14 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
         --target test_collectives --target test_fault --target test_stream \
-        --target test_runtime
-      ctest --preset ubsan -R '^(Collectives|Fault|Stream|Runtime|Coll)' \
+        --target test_runtime --target test_sched --target test_machine
+      # The last two groups are test_sched's and test_machine's suites.
+      ctest --preset ubsan \
+        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel))' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)

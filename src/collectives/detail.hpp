@@ -13,6 +13,7 @@
 #include "machine/phase_stats.hpp"
 #include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
+#include "sched/fast_div.hpp"
 #include "sched/virtual_threads.hpp"
 
 namespace pgraph::coll::detail {
@@ -270,7 +271,7 @@ inline void retransmit_until_clean(pgas::ThreadCtx& ctx,
     finj.count_detected();
     ctx.charge(Cat::Comm, ctx.net().msg_wire_ns(payload + 24) +
                               finj.config().backoff_ns_for(tries - 1));
-    ctx.net().count_message(payload + 24);
+    ctx.count_message(payload + 24);
     finj.count_retransmits(1);
     for (const BatchPart& p : parts) finj.repair(p.data, p.bytes);
     ctx.compute(parts.size() * cnt, Cat::Copy);
@@ -326,9 +327,9 @@ void owner_walk(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
   fault::FaultInjector* const finj = ctx.runtime().fault_injector();
   const std::size_t touch_ops = local_touch_ops(opt);
   const std::size_t line_bytes = ctx.mem().params().cache_line_bytes;
-  const std::size_t line_elems =
-      std::max<std::size_t>(1, line_bytes / sizeof(T));
-  const std::size_t nlines = myblock.size() / line_elems + 1;
+  const sched::FastDiv line_elems(
+      std::max<std::size_t>(1, line_bytes / sizeof(T)));
+  const std::size_t nlines = line_elems.div(myblock.size()) + 1;
   ws.touched.assign((nlines + 63) / 64, 0);
   ctx.mem_seq(ws.touched.size() * 8, Cat::Copy);
   std::size_t distinct_lines = 0;
@@ -380,7 +381,7 @@ void owner_walk(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
         if (!wild(ri, li)) continue;
       }
       assert(li < myblock.size() && (ident || P.owner_of(ri) == me));
-      const std::size_t l = li / line_elems;
+      const std::size_t l = line_elems.div(li);
       if (!(ws.touched[l >> 6] & (1ull << (l & 63)))) {
         ws.touched[l >> 6] |= 1ull << (l & 63);
         ++first_touches;

@@ -148,16 +148,17 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
   if (tprime > 1 && out_bytes > cache && kept > 512) {
     const std::size_t blk_elems =
         std::max<std::size_t>(1, cache / (2 * sizeof(T)));
+    const sched::FastDiv blk_div(blk_elems);
     const std::size_t nb = (m + blk_elems - 1) / blk_elems;
     ws.perm_off.assign(nb + 1, 0);
     for (std::size_t k = 0; k < kept; ++k)
-      ++ws.perm_off[ws.rank[k] / blk_elems + 1];
+      ++ws.perm_off[blk_div.div(ws.rank[k]) + 1];
     for (std::size_t b = 0; b < nb; ++b) ws.perm_off[b + 1] += ws.perm_off[b];
     ws.perm_rank.resize(kept);
     ws.perm_val.resize(kept);
     ws.cursor.assign(ws.perm_off.begin(), ws.perm_off.end() - 1);
     for (std::size_t k = 0; k < kept; ++k) {
-      const std::size_t pos = ws.cursor[ws.rank[k] / blk_elems]++;
+      const std::size_t pos = ws.cursor[blk_div.div(ws.rank[k])]++;
       ws.perm_rank[pos] = ws.rank[k];
       ws.perm_val[pos] = ws.reply[k];
     }

@@ -8,12 +8,6 @@ namespace pgraph::machine {
 
 namespace {
 
-struct InFlight {
-  double arrival;
-  std::int32_t dst_node;
-  double service;
-};
-
 /// Bounds-check a node index from the plan: assert in debug builds, clamp
 /// with a diagnostic in release builds (a malformed plan must not turn
 /// into an out-of-range indexing).
@@ -33,6 +27,16 @@ double exchange_duration_ns(const ExchangePlan& plan,
                             const std::vector<std::int32_t>& thread_node,
                             int nodes, double latency_ns,
                             ExchangeNodeStats* node_stats) {
+  ExchangeScratch scratch;
+  return exchange_duration_ns(plan, thread_node, nodes, latency_ns,
+                              node_stats, scratch);
+}
+
+double exchange_duration_ns(const ExchangePlan& plan,
+                            const std::vector<std::int32_t>& thread_node,
+                            int nodes, double latency_ns,
+                            ExchangeNodeStats* node_stats,
+                            ExchangeScratch& scratch) {
   assert(plan.size() == thread_node.size());
   const std::size_t nthreads = std::min(plan.size(), thread_node.size());
 
@@ -56,8 +60,10 @@ double exchange_duration_ns(const ExchangePlan& plan,
 
   // Sender side: serialize each node's messages on its send NIC, visiting
   // threads step-by-step (step k of every thread before step k+1).
-  std::vector<double> send_free(static_cast<std::size_t>(nodes), 0.0);
-  std::vector<InFlight> inflight;
+  std::vector<double>& send_free = scratch.send_free;
+  send_free.assign(static_cast<std::size_t>(nodes), 0.0);
+  std::vector<ExchangeInFlight>& inflight = scratch.inflight;
+  inflight.clear();
   inflight.reserve(total_msgs);
   double sender_finish = 0.0;
   for (std::size_t step = 0; step < max_steps; ++step) {
@@ -85,12 +91,13 @@ double exchange_duration_ns(const ExchangePlan& plan,
 
   // Receiver side: each node's receive NIC serves messages in arrival order.
   std::sort(inflight.begin(), inflight.end(),
-            [](const InFlight& a, const InFlight& b) {
+            [](const ExchangeInFlight& a, const ExchangeInFlight& b) {
               return a.arrival < b.arrival;
             });
-  std::vector<double> recv_free(static_cast<std::size_t>(nodes), 0.0);
+  std::vector<double>& recv_free = scratch.recv_free;
+  recv_free.assign(static_cast<std::size_t>(nodes), 0.0);
   double recv_finish = 0.0;
-  for (const InFlight& m : inflight) {
+  for (const ExchangeInFlight& m : inflight) {
     double start = std::max(recv_free[m.dst_node], m.arrival);
     recv_free[m.dst_node] = start + m.service;
     recv_finish = std::max(recv_finish, recv_free[m.dst_node]);

@@ -52,6 +52,23 @@ struct ExchangeNodeStats {
   std::uint64_t msgs_in = 0;
 };
 
+/// A message between its departure and its delivery (the sweep's
+/// receive-side event).
+struct ExchangeInFlight {
+  double arrival;
+  std::int32_t dst_node;
+  double service;
+};
+
+/// Working storage of one sweep.  A caller that prices many exchange
+/// phases (the runtime, at every exchange barrier) keeps one and passes it
+/// in, so the sweep reuses its capacity instead of allocating.
+struct ExchangeScratch {
+  std::vector<double> send_free;
+  std::vector<double> recv_free;
+  std::vector<ExchangeInFlight> inflight;
+};
+
 /// `thread_node[i]` maps thread i to its node.  Returns the phase duration.
 /// When `node_stats` is non-null it must point at `nodes` entries, which
 /// are overwritten with the per-node occupancy breakdown.
@@ -60,6 +77,13 @@ struct ExchangeNodeStats {
 /// validated against [0, nodes): a malformed plan asserts in debug builds
 /// and is clamped with a stderr diagnostic in release builds instead of
 /// silently indexing out of range.
+double exchange_duration_ns(const ExchangePlan& plan,
+                            const std::vector<std::int32_t>& thread_node,
+                            int nodes, double latency_ns,
+                            ExchangeNodeStats* node_stats,
+                            ExchangeScratch& scratch);
+
+/// As above, with scratch storage of its own.
 double exchange_duration_ns(const ExchangePlan& plan,
                             const std::vector<std::int32_t>& thread_node,
                             int nodes, double latency_ns,

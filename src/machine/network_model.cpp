@@ -1,24 +1,28 @@
 #include "machine/network_model.hpp"
 
-#include <cassert>
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace pgraph::machine {
 
 NetworkModel::NetworkModel(const CostParams& p, int nodes)
-    : p_(&p), nodes_(nodes), nic_(std::make_unique<NodeNic[]>(nodes)) {
+    : p_(&p), nodes_(nodes), nic_(static_cast<std::size_t>(nodes)) {
   assert(nodes >= 1);
 }
 
-void NetworkModel::accrue(int node, double ns, std::uint64_t nmsgs) {
-  nic_[node].service_ns.fetch_add(static_cast<std::uint64_t>(ns),
-                                  std::memory_order_relaxed);
-  nic_[node].msgs.fetch_add(nmsgs, std::memory_order_relaxed);
+void NetworkModel::accrue(NetTally& t, int node, double ns,
+                          std::uint64_t nmsgs) {
+  assert(static_cast<std::size_t>(node) < t.nic.size());
+  NicCount& n = t.nic[static_cast<std::size_t>(node)];
+  n.service_ns += static_cast<std::uint64_t>(ns);
+  n.msgs += nmsgs;
+  t.nic_dirty = true;
 }
 
-double NetworkModel::fine_get_ns(int src_node, int dst_node,
-                                 std::size_t bytes) {
+double NetworkModel::fine_get_ns(NetTally& t, int src_node, int dst_node,
+                                 std::size_t bytes) const {
   assert(src_node != dst_node);
   // Request: ~16B header; reply: header + payload.  The requester blocks
   // for the full round trip plus software handling at both ends.
@@ -31,59 +35,68 @@ double NetworkModel::fine_get_ns(int src_node, int dst_node,
   const double nic = 2 * (p_->nic_small_msg_svc_ns +
                           static_cast<double>(req + rep) / 2.0 *
                               p_->net_inv_bw_ns_per_byte);
-  accrue(src_node, nic, 2);
-  accrue(dst_node, nic, 2);
-  msgs_.fetch_add(2, std::memory_order_relaxed);
-  fine_msgs_.fetch_add(2, std::memory_order_relaxed);
-  bytes_.fetch_add(req + rep, std::memory_order_relaxed);
+  accrue(t, src_node, nic, 2);
+  accrue(t, dst_node, nic, 2);
+  t.msgs += 2;
+  t.fine_msgs += 2;
+  t.bytes += req + rep;
   return rt;
 }
 
-double NetworkModel::fine_put_ns(int src_node, int dst_node,
-                                 std::size_t bytes) {
+double NetworkModel::fine_put_ns(NetTally& t, int src_node, int dst_node,
+                                 std::size_t bytes) const {
   assert(src_node != dst_node);
   const std::size_t msg = 16 + bytes;
   const double sw = p_->net_small_msg_sw_ns;
   const double nic = p_->nic_small_msg_svc_ns +
                      static_cast<double>(msg) * p_->net_inv_bw_ns_per_byte;
-  accrue(src_node, nic);
-  accrue(dst_node, nic);
-  msgs_.fetch_add(1, std::memory_order_relaxed);
-  fine_msgs_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(msg, std::memory_order_relaxed);
+  accrue(t, src_node, nic);
+  accrue(t, dst_node, nic);
+  t.msgs += 1;
+  t.fine_msgs += 1;
+  t.bytes += msg;
   // Blocking until injected: the sender pays its own occupancy plus the
   // handler overhead; delivery completes asynchronously.
   return msg_service_ns(msg) + sw;
 }
 
-double NetworkModel::bulk_put_ns(int src_node, int dst_node,
-                                 std::size_t bytes) {
+double NetworkModel::bulk_put_ns(NetTally& t, int src_node, int dst_node,
+                                 std::size_t bytes) const {
   if (src_node == dst_node) return 0.0;  // local copies are charged as memory
   const double svc = msg_service_ns(bytes);
-  accrue(src_node, svc);
-  accrue(dst_node, svc);
-  msgs_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  accrue(t, src_node, svc);
+  accrue(t, dst_node, svc);
+  t.count_message(bytes);
   return svc;
 }
 
-double NetworkModel::bulk_get_ns(int src_node, int dst_node,
-                                 std::size_t bytes) {
+double NetworkModel::bulk_get_ns(NetTally& t, int src_node, int dst_node,
+                                 std::size_t bytes) const {
   if (src_node == dst_node) return 0.0;
   const std::size_t req = 16;
-  accrue(src_node, msg_service_ns(req) + msg_service_ns(bytes));
-  accrue(dst_node, msg_service_ns(req) + msg_service_ns(bytes));
-  msgs_.fetch_add(2, std::memory_order_relaxed);
-  bytes_.fetch_add(req + bytes, std::memory_order_relaxed);
+  accrue(t, src_node, msg_service_ns(req) + msg_service_ns(bytes));
+  accrue(t, dst_node, msg_service_ns(req) + msg_service_ns(bytes));
+  t.msgs += 2;
+  t.bytes += req + bytes;
   return msg_wire_ns(req) + msg_wire_ns(bytes);
+}
+
+void NetworkModel::fold_nic(NetTally& t) {
+  assert(t.nic.size() == nic_.size());
+  for (std::size_t i = 0; i < nic_.size(); ++i) {
+    nic_[i].service_ns += t.nic[i].service_ns;
+    nic_[i].msgs += t.nic[i].msgs;
+    t.nic[i] = NicCount{};
+  }
+  t.nic_dirty = false;
 }
 
 double NetworkModel::drain_nic_ns(NicDrain* out) {
   double mx = 0.0;
   for (int i = 0; i < nodes_; ++i) {
-    const std::uint64_t v =
-        nic_[i].service_ns.exchange(0, std::memory_order_relaxed);
-    const std::uint64_t c = nic_[i].msgs.exchange(0, std::memory_order_relaxed);
+    NicCount& n = nic_[static_cast<std::size_t>(i)];
+    const std::uint64_t v = std::exchange(n.service_ns, 0);
+    const std::uint64_t c = std::exchange(n.msgs, 0);
     const double factor =
         std::min(p_->nic_congestion_cap,
                  1.0 + static_cast<double>(c) / p_->nic_burst_capacity);

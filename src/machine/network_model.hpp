@@ -1,14 +1,53 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "machine/cost_params.hpp"
 
 namespace pgraph::machine {
+
+/// NIC occupancy and message count accrued on one node.
+struct NicCount {
+  std::uint64_t service_ns = 0;
+  std::uint64_t msgs = 0;
+};
+
+/// One SPMD thread's shared-resource charges since the last barrier.
+///
+/// Only the owning thread writes it, so a charge touches no cache line
+/// another thread writes.  The barrier completion step folds every tally
+/// into the shared models while all threads are parked
+/// (NetworkModel::fold for the network part; the runtime adds `bus_ns`
+/// to its per-node bus accumulator).  Each accrual truncates its ns to an
+/// integer before adding, and integer sums do not depend on order, so the
+/// folded totals are the same however the threads' charges interleaved.
+struct NetTally {
+  NetTally() = default;
+  explicit NetTally(int nodes) : nic(static_cast<std::size_t>(nodes)) {}
+
+  /// Count one message priced elsewhere (an exchange message or a
+  /// modeled retransmission) so the model's counters stay complete.
+  void count_message(std::size_t b) {
+    ++msgs;
+    bytes += b;
+  }
+
+  /// Messages, bytes and the fine-grained subset.  Every NIC accrual also
+  /// counts a message, so `msgs == 0` means the tally holds nothing but
+  /// possibly `bus_ns`.
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t fine_msgs = 0;
+  /// DRAM-bus ns on the thread's own node (which cannot change within a
+  /// superstep: a shrink happens only in the completion step).
+  std::uint64_t bus_ns = 0;
+  /// Some entry of `nic` is nonzero (a fine or bulk operation wrote it).
+  bool nic_dirty = false;
+  /// Per-node NIC occupancy and message counts.
+  std::vector<NicCount> nic;
+};
 
 /// LogGP-flavoured network cost model with per-node NIC serialization.
 ///
@@ -32,8 +71,11 @@ namespace pgraph::machine {
 /// optimization) is handled one level up by ExchangeSchedule, which uses the
 /// `msg_service_ns` / `msg_wire_ns` primitives from this class.
 ///
-/// Thread safety: all accounting uses relaxed atomics; the model never
-/// blocks the simulated threads against each other.
+/// Thread safety: the accrual functions are const and write only the
+/// caller's NetTally, which belongs to one SPMD thread; the model's own
+/// accumulators and counters are plain integers written only by fold()
+/// and the drain, from the barrier completion step, while every SPMD
+/// thread is parked.  The simulated threads never contend on the model.
 class NetworkModel {
  public:
   NetworkModel(const CostParams& p, int nodes);
@@ -55,24 +97,46 @@ class NetworkModel {
 
   /// --- fine-grained (per-element) operations -------------------------
 
+  /// Every operation below accrues its NIC service on both nodes and its
+  /// message counts into the calling thread's tally `t`, which must have
+  /// been made for this model's node count.
+
   /// Blocking remote read round trip: small request out, `bytes` reply back,
   /// plus software handling on both ends.  Returns the latency to add to the
-  /// *calling thread's* clock; also accrues NIC service on both nodes.
-  double fine_get_ns(int src_node, int dst_node, std::size_t bytes);
+  /// *calling thread's* clock.
+  double fine_get_ns(NetTally& t, int src_node, int dst_node,
+                     std::size_t bytes) const;
 
   /// One-sided remote write of `bytes` (blocking until injected).
-  double fine_put_ns(int src_node, int dst_node, std::size_t bytes);
+  double fine_put_ns(NetTally& t, int src_node, int dst_node,
+                     std::size_t bytes) const;
 
   /// --- coalesced bulk operations --------------------------------------
 
   /// One-sided bulk put (upc_memput after coalescing / RDMA-capable).
-  /// Returns sender-side occupancy; accrues NIC service on both nodes.
-  double bulk_put_ns(int src_node, int dst_node, std::size_t bytes);
+  /// Returns sender-side occupancy.
+  double bulk_put_ns(NetTally& t, int src_node, int dst_node,
+                     std::size_t bytes) const;
 
   /// Blocking bulk get (upc_memget): full round trip for the caller.
-  double bulk_get_ns(int src_node, int dst_node, std::size_t bytes);
+  double bulk_get_ns(NetTally& t, int src_node, int dst_node,
+                     std::size_t bytes) const;
 
-  /// --- superstep drain -------------------------------------------------
+  /// --- superstep fold and drain ----------------------------------------
+
+  /// Add `t`'s network charges to the model and zero them (`bus_ns` is
+  /// left alone: the bus belongs to the runtime).  Called by the runtime
+  /// from the barrier completion step, before the drain.  A tally that
+  /// accrued nothing costs one compare, and its per-node array is only
+  /// scanned when a fine or bulk operation wrote it.
+  void fold(NetTally& t) {
+    if (t.msgs == 0) return;
+    msgs_ += t.msgs;
+    bytes_ += t.bytes;
+    fine_msgs_ += t.fine_msgs;
+    t.msgs = t.bytes = t.fine_msgs = 0;
+    if (t.nic_dirty) fold_nic(t);
+  }
 
   /// Per-node NIC drain breakdown of one superstep (see drain_nic_ns).
   struct NicDrain {
@@ -93,41 +157,26 @@ class NetworkModel {
   /// utilization counters come from here.
   double drain_nic_ns(NicDrain* out);
 
-  /// Record a coalesced message priced elsewhere (by the exchange
-  /// simulation) so that the global message/byte counters stay complete.
-  void count_message(std::size_t bytes) {
-    msgs_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
-  /// --- counters (monotonic, never reset) -------------------------------
-  std::uint64_t total_messages() const {
-    return msgs_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t total_bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t fine_messages() const {
-    return fine_msgs_.load(std::memory_order_relaxed);
-  }
+  /// --- counters (monotonic, never reset; as of the last fold) ----------
+  std::uint64_t total_messages() const { return msgs_; }
+  std::uint64_t total_bytes() const { return bytes_; }
+  std::uint64_t fine_messages() const { return fine_msgs_; }
 
   const CostParams& params() const { return *p_; }
 
  private:
-  // Nanoseconds are accumulated as integers to allow lock-free atomic adds.
-  struct alignas(64) NodeNic {
-    std::atomic<std::uint64_t> service_ns{0};
-    std::atomic<std::uint64_t> msgs{0};
-  };
-
-  void accrue(int node, double ns, std::uint64_t nmsgs = 1);
+  /// Nanoseconds are accumulated as integers, truncated per accrual.
+  static void accrue(NetTally& t, int node, double ns,
+                     std::uint64_t nmsgs = 1);
+  /// The per-node half of fold().
+  void fold_nic(NetTally& t);
 
   const CostParams* p_;
   int nodes_;
-  std::unique_ptr<NodeNic[]> nic_;
-  std::atomic<std::uint64_t> msgs_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> fine_msgs_{0};
+  std::vector<NicCount> nic_;
+  std::uint64_t msgs_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t fine_msgs_ = 0;
 };
 
 }  // namespace pgraph::machine

@@ -56,7 +56,10 @@ TraceScope::~TraceScope() {
 // ThreadCtx
 // ---------------------------------------------------------------------------
 
-ThreadCtx::ThreadCtx(Runtime& rt, int id) : rt_(&rt), id_(id) {
+ThreadCtx::ThreadCtx(Runtime& rt, int id)
+    : rt_(&rt),
+      id_(id),
+      tally_(&rt.slots_[static_cast<std::size_t>(id)].tally) {
   clock_ = rt.saved_clocks_[static_cast<std::size_t>(id)];
   stats_ = rt.saved_stats_[static_cast<std::size_t>(id)];
 }
@@ -69,7 +72,7 @@ int ThreadCtx::nthreads() const { return rt_->topo().total_threads(); }
 int ThreadCtx::nnodes() const { return rt_->topo().nodes; }
 const Topology& ThreadCtx::topo() const { return rt_->topo(); }
 const machine::MemoryModel& ThreadCtx::mem() const { return rt_->mem(); }
-machine::NetworkModel& ThreadCtx::net() { return rt_->net(); }
+const machine::NetworkModel& ThreadCtx::net() const { return rt_->net(); }
 
 void ThreadCtx::compute(std::size_t ops, machine::Cat c) {
   charge(c, rt_->mem().compute_ns(ops));
@@ -77,18 +80,17 @@ void ThreadCtx::compute(std::size_t ops, machine::Cat c) {
 
 void ThreadCtx::mem_seq(std::size_t bytes, machine::Cat c) {
   charge(c, rt_->mem().seq_ns(bytes));
-  rt_->accrue_bus(node(), static_cast<double>(bytes) *
-                              rt_->params().mem_bus_inv_bw_ns_per_byte);
+  accrue_bus(static_cast<double>(bytes) *
+             rt_->params().mem_bus_inv_bw_ns_per_byte);
   checker_charged(id_, bytes);
 }
 
 void ThreadCtx::mem_random(std::size_t count, std::size_t working_set_bytes,
                            std::size_t elem_bytes, machine::Cat c) {
   charge(c, rt_->mem().random_ns(count, working_set_bytes, elem_bytes));
-  rt_->accrue_bus(
-      node(), rt_->mem().random_traffic_bytes(count, working_set_bytes,
-                                              elem_bytes) *
-                  rt_->params().mem_bus_inv_bw_ns_per_byte);
+  accrue_bus(
+      rt_->mem().random_traffic_bytes(count, working_set_bytes, elem_bytes) *
+      rt_->params().mem_bus_inv_bw_ns_per_byte);
   checker_charged(id_, count * elem_bytes);
 }
 
@@ -96,10 +98,9 @@ void ThreadCtx::mem_random_write(std::size_t count,
                                  std::size_t working_set_bytes,
                                  std::size_t elem_bytes, machine::Cat c) {
   charge(c, rt_->mem().random_write_ns(count, working_set_bytes, elem_bytes));
-  rt_->accrue_bus(
-      node(), rt_->mem().random_traffic_bytes(count, working_set_bytes,
-                                              elem_bytes) *
-                  rt_->params().mem_bus_inv_bw_ns_per_byte);
+  accrue_bus(
+      rt_->mem().random_traffic_bytes(count, working_set_bytes, elem_bytes) *
+      rt_->params().mem_bus_inv_bw_ns_per_byte);
   checker_charged(id_, count * elem_bytes);
 }
 
@@ -109,10 +110,9 @@ void ThreadCtx::mem_compulsory(std::size_t count, std::size_t elem_bytes,
   charge(c, static_cast<double>(count) *
                 (p.mem_latency_ns +
                  static_cast<double>(elem_bytes) * p.mem_inv_bw_ns_per_byte));
-  rt_->accrue_bus(node(), static_cast<double>(count) *
-                              static_cast<double>(p.cache_line_bytes) *
-                              p.dram_random_penalty *
-                              p.mem_bus_inv_bw_ns_per_byte);
+  accrue_bus(static_cast<double>(count) *
+             static_cast<double>(p.cache_line_bytes) * p.dram_random_penalty *
+             p.mem_bus_inv_bw_ns_per_byte);
   checker_charged(id_, count * elem_bytes);
 }
 
@@ -129,7 +129,7 @@ void ThreadCtx::remote_get_cost(int owner_thread, std::size_t bytes,
     mem_random(1, rt_->params().cache_bytes * 4, bytes, c);
     return;
   }
-  charge(c, rt_->net().fine_get_ns(me, dst, bytes));
+  charge(c, rt_->net().fine_get_ns(*tally_, me, dst, bytes));
   checker_charged(id_, bytes);
 }
 
@@ -141,7 +141,7 @@ void ThreadCtx::remote_put_cost(int owner_thread, std::size_t bytes,
     mem_random(1, rt_->params().cache_bytes * 4, bytes, c);
     return;
   }
-  charge(c, rt_->net().fine_put_ns(me, dst, bytes));
+  charge(c, rt_->net().fine_put_ns(*tally_, me, dst, bytes));
   checker_charged(id_, bytes);
 }
 
@@ -154,7 +154,7 @@ void ThreadCtx::bulk_get_cost(int owner_thread, std::size_t bytes,
     charge(c, rt_->mem().seq_ns(bytes));
     return;
   }
-  charge(c, rt_->net().bulk_get_ns(me, dst, bytes));
+  charge(c, rt_->net().bulk_get_ns(*tally_, me, dst, bytes));
 }
 
 void ThreadCtx::bulk_put_cost(int owner_thread, std::size_t bytes,
@@ -166,7 +166,7 @@ void ThreadCtx::bulk_put_cost(int owner_thread, std::size_t bytes,
     charge(c, rt_->mem().seq_ns(bytes));
     return;
   }
-  charge(c, rt_->net().bulk_put_ns(me, dst, bytes));
+  charge(c, rt_->net().bulk_put_ns(*tally_, me, dst, bytes));
 }
 
 void ThreadCtx::post_exchange_msg(int dst_thread, std::size_t bytes) {
@@ -182,8 +182,12 @@ void ThreadCtx::post_exchange_msg(int dst_thread, std::size_t bytes) {
   msg.service_ns = rt_->net().msg_service_ns(wire);
   msg.wire_bytes = static_cast<std::uint32_t>(wire);
   pending_.push_back(msg);
-  rt_->net().count_message(wire);
+  tally_->count_message(wire);
   checker_charged(id_, bytes);
+}
+
+void ThreadCtx::count_message(std::size_t bytes) {
+  tally_->count_message(bytes);
 }
 
 void ThreadCtx::exchange_barrier() {
@@ -237,11 +241,13 @@ Runtime::Runtime(Topology topo, machine::CostParams params)
       mem_model_(params_),
       net_(std::make_unique<machine::NetworkModel>(params_, topo.nodes)),
       slots_(static_cast<std::size_t>(topo.total_threads())),
-      bus_(std::make_unique<NodeBus[]>(static_cast<std::size_t>(topo.nodes))),
+      bus_ns_(static_cast<std::size_t>(topo.nodes), 0),
       thread_node_(topo.thread_node_map()),
       saved_stats_(static_cast<std::size_t>(topo.total_threads())),
       saved_clocks_(static_cast<std::size_t>(topo.total_threads()), 0.0),
-      exch_plan_(static_cast<std::size_t>(topo.total_threads())) {}
+      exch_plan_(static_cast<std::size_t>(topo.total_threads())) {
+  for (Slot& sl : slots_) sl.tally = machine::NetTally(topo.nodes);
+}
 
 Runtime::~Runtime() {
   if (sink_ != nullptr) sink_->on_runtime_gone();
@@ -268,6 +274,9 @@ void Runtime::run(const std::function<void(ThreadCtx&)>& f) {
     exec_ = std::make_unique<FiberExecutor>(topo_.total_threads(),
                                             [this] { on_barrier(); });
   exec_->run([this, &f](int i) { spmd_main(i, f); });
+  // A thread that left `f` by exception may have charged after the last
+  // completed barrier; otherwise the final barrier folded every tally.
+  if (first_error_) fold_tallies();
   // A fiber that parked on this thread may have finished on a helper, so
   // this thread's current_ctx() can still name a finished ThreadCtx.
   t_current_ctx = outer;
@@ -301,16 +310,24 @@ void Runtime::spmd_main(int i,
   t_current_ctx = nullptr;
 }
 
-void Runtime::accrue_bus(int node, double ns) {
-  bus_[static_cast<std::size_t>(node)].busy_ns.fetch_add(
-      static_cast<std::uint64_t>(ns), std::memory_order_relaxed);
+void Runtime::fold_tallies() {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    machine::NetTally& t = slots_[i].tally;
+    if (t.bus_ns != 0) {
+      // Every bus charge targets the thread's own node, which only a
+      // completion step can change, after this fold.
+      bus_ns_[static_cast<std::size_t>(thread_node_[i])] += t.bus_ns;
+      t.bus_ns = 0;
+    }
+    net_->fold(t);
+  }
 }
 
 double Runtime::drain_bus_ns(double* out) {
   std::uint64_t mx = 0;
   for (int i = 0; i < topo_.nodes; ++i) {
-    const std::uint64_t v = bus_[static_cast<std::size_t>(i)].busy_ns.exchange(
-        0, std::memory_order_relaxed);
+    const std::uint64_t v =
+        std::exchange(bus_ns_[static_cast<std::size_t>(i)], 0);
     if (out != nullptr) out[i] = static_cast<double>(v);
     if (v > mx) mx = v;
   }
@@ -396,6 +413,8 @@ void Runtime::reset_costs() {
   last_barrier_ns_ = 0.0;
   finish_ns_ = 0.0;
   barriers_ = 0;
+  // Empty the tallies into the models being discarded.
+  fold_tallies();
   net_ = std::make_unique<machine::NetworkModel>(params_, topo_.nodes);
   drain_bus_max_ns();
   last_verdict_ = BarrierVerdict{};
@@ -499,8 +518,8 @@ bool Runtime::try_shrink_after_exhaustion(
   // occupies the buddy's memory bus.
   if (promoted > 0) {
     exch_dur += mem_model_.seq_ns(2 * promoted);
-    accrue_bus(buddy, static_cast<double>(2 * promoted) *
-                          params_.mem_bus_inv_bw_ns_per_byte);
+    bus_ns_[static_cast<std::size_t>(buddy)] += static_cast<std::uint64_t>(
+        static_cast<double>(2 * promoted) * params_.mem_bus_inv_bw_ns_per_byte);
   }
   // The buddy adopts the dead node's threads: every affinity query,
   // exchange route and collective target id now resolves through the
@@ -566,6 +585,8 @@ void Runtime::on_barrier() {
   const int s = topo_.total_threads();
   const bool traced = sink_ != nullptr;
   const double t_start = last_barrier_ns_;
+  // The superstep's charges, before the drains and the tracer read them.
+  fold_tallies();
 
   // Straggler injection: perturb per-thread clocks before they compete in
   // the barrier max (a slow thread is indistinguishable from one that did
@@ -634,7 +655,7 @@ void Runtime::on_barrier() {
       const double before = exch_dur;
       exch_dur += machine::exchange_duration_ns(
           plan, thread_node_, topo_.nodes, params_.net_latency_ns,
-          traced ? trace_attempt_.data() : nullptr);
+          traced ? trace_attempt_.data() : nullptr, exch_scratch_);
       if (traced) {
         for (int n = 0; n < topo_.nodes; ++n) {
           machine::ExchangeNodeStats& acc =
@@ -673,10 +694,12 @@ void Runtime::on_barrier() {
       // Rebuild the plan from the lost messages only and go again; the
       // retransmissions are real traffic for the message counters.
       for (auto& lst : plan) lst.clear();
+      machine::NetTally resent;
       for (const auto& [thr, msg] : ef.retry) {
         plan[thr].push_back(msg);
-        net_->count_message(msg.wire_bytes);
+        resent.count_message(msg.wire_bytes);
       }
+      net_->fold(resent);
       fault_->count_retransmits(ef.retry.size());
       ++attempt;
     }

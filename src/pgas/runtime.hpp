@@ -126,7 +126,9 @@ class ThreadCtx {
   const Topology& topo() const;
   Runtime& runtime() { return *rt_; }
   const machine::MemoryModel& mem() const;
-  machine::NetworkModel& net();
+  /// The network model's pricing and counters.  Charges go through the
+  /// cost functions below, which write this thread's own tally.
+  const machine::NetworkModel& net() const;
 
   /// Barrier epoch this thread is executing in: the number of barrier
   /// completions this Runtime has performed, never reset (reset_costs
@@ -185,6 +187,9 @@ class ThreadCtx {
   /// Barrier that additionally prices the posted exchange messages with the
   /// event-sweep NIC simulation and advances every clock past the phase.
   void exchange_barrier();
+  /// Count one message of `bytes` priced by the caller (a modeled
+  /// retransmission) in the message and byte counters.
+  void count_message(std::size_t bytes);
 
   /// --- synchronization --------------------------------------------------
   void barrier();
@@ -203,8 +208,15 @@ class ThreadCtx {
 
  private:
   friend class Runtime;
+  /// DRAM traffic of `ns` bus time on this thread's node.
+  void accrue_bus(double ns) {
+    tally_->bus_ns += static_cast<std::uint64_t>(ns);
+  }
+
   Runtime* rt_;
   int id_;
+  /// This thread's shared-resource charges (its Runtime slot's tally).
+  machine::NetTally* tally_;
   double clock_ = 0.0;
   machine::PhaseStats stats_;
   // Pending exchange messages for the next exchange_barrier().
@@ -240,7 +252,10 @@ class Runtime {
   const Topology& topo() const { return topo_; }
   const machine::CostParams& params() const { return params_; }
   const machine::MemoryModel& mem() const { return mem_model_; }
-  machine::NetworkModel& net() { return *net_; }
+  /// Network pricing and counters.  The counters include every SPMD
+  /// thread's charges up to the last barrier, and all of them once run()
+  /// has returned.
+  const machine::NetworkModel& net() const { return *net_; }
 
   /// Run `f` SPMD on all threads; blocks until all complete.  May be called
   /// repeatedly, from any host thread, one call at a time; cost clocks and
@@ -410,11 +425,10 @@ class Runtime {
 
   struct alignas(64) Slot {
     ThreadCtx* ctx = nullptr;
-    void* registry[ThreadCtx::kRegistrySlots] = {};
-  };
-
-  struct alignas(64) NodeBus {
-    std::atomic<std::uint64_t> busy_ns{0};
+    /// The thread's NIC, bus and counter charges since the last fold.
+    machine::NetTally tally;
+    /// Read by peers; kept off the cache lines the charges write.
+    alignas(64) void* registry[ThreadCtx::kRegistrySlots] = {};
   };
 
   /// Body of SPMD thread `i` for one run() (runs on its fiber).
@@ -438,7 +452,10 @@ class Runtime {
   /// Silent by construction: no cost, no checksum update — detection is
   /// the scrubber's job.
   void apply_mem_flips();
-  void accrue_bus(int node, double ns);
+  /// Add every thread's tally to the network and bus models and zero it.
+  /// Runs where no SPMD thread is running: at the start of the completion
+  /// step, at the end of run(), and in reset_costs().
+  void fold_tallies();
   /// Drain per-node DRAM-bus accumulators; when `out` is non-null, writes
   /// each node's busy time into out[0..nodes).
   double drain_bus_ns(double* out);
@@ -449,7 +466,8 @@ class Runtime {
   machine::MemoryModel mem_model_;
   std::unique_ptr<machine::NetworkModel> net_;
   std::vector<Slot> slots_;
-  std::unique_ptr<NodeBus[]> bus_;
+  /// Per-node DRAM-bus ns since the last drain.
+  std::vector<std::uint64_t> bus_ns_;
   std::vector<std::int32_t> thread_node_;
   double last_barrier_ns_ = 0.0;
   double finish_ns_ = 0.0;
@@ -461,6 +479,7 @@ class Runtime {
   /// Exchange messages being priced by the completion step: row i swaps
   /// with thread i's pending list, so both keep their capacity.
   machine::ExchangePlan exch_plan_;
+  machine::ExchangeScratch exch_scratch_;
   /// First exception that left `f` during the current run().
   std::mutex error_mu_;
   std::exception_ptr first_error_;

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "partition/partitioning.hpp"
+#include "sched/fast_div.hpp"
 
 namespace pgraph::sched {
 
@@ -21,7 +22,8 @@ namespace pgraph::sched {
 /// The legacy (n, s, t') constructor assumes the block layout; the
 /// Partitioning constructor routes the owner map through the array's
 /// policy instead (docs/PARTITIONING.md), keeping the raw block arithmetic
-/// below as the zero-overhead fast path (`part == nullptr`).
+/// below as the zero-overhead fast path (`part == nullptr`).  The
+/// constructors set every field; owner() and vkey() divide with FastDiv.
 struct VBlocks {
   std::size_t n = 0;        ///< total elements in the shared array
   std::size_t blk = 1;      ///< largest per-thread partition (ceil(n/s)
@@ -32,29 +34,23 @@ struct VBlocks {
   /// Non-null for non-block policies; must outlive this VBlocks (the
   /// GlobalArray owning the Partitioning outlives every collective call).
   const partition::Partitioning* part = nullptr;
+  FastDiv blk_div{1};      ///< divides by blk
+  FastDiv sub_blk_div{1};  ///< divides by sub_blk
 
   VBlocks() = default;
 
   VBlocks(std::size_t n_, int nthreads_, int tprime_)
       : n(n_), nthreads(nthreads_), tprime(tprime_ < 1 ? 1 : tprime_) {
     assert(nthreads_ >= 1);
-    blk = (n + static_cast<std::size_t>(nthreads) - 1) /
-          static_cast<std::size_t>(nthreads);
-    if (blk == 0) blk = 1;
-    sub_blk = (blk + static_cast<std::size_t>(tprime) - 1) /
-              static_cast<std::size_t>(tprime);
-    if (sub_blk == 0) sub_blk = 1;
+    set_block((n + static_cast<std::size_t>(nthreads) - 1) /
+              static_cast<std::size_t>(nthreads));
   }
 
   VBlocks(const partition::Partitioning& p, int tprime_)
       : n(p.size()), nthreads(p.num_threads()),
         tprime(tprime_ < 1 ? 1 : tprime_),
         part(p.is_block() ? nullptr : &p) {
-    blk = p.max_local_size();
-    if (blk == 0) blk = 1;
-    sub_blk = (blk + static_cast<std::size_t>(tprime) - 1) /
-              static_cast<std::size_t>(tprime);
-    if (sub_blk == 0) sub_blk = 1;
+    set_block(p.max_local_size());
   }
 
   std::size_t nbuckets() const {
@@ -68,7 +64,7 @@ struct VBlocks {
     // BLOCK fast path.  Clamp before narrowing: a corruption-derived index
     // can make the quotient overflow int (negative owner, wild vkey) if
     // cast first.
-    const std::uint64_t t = i / blk;
+    const std::uint64_t t = blk_div.div(i);
     return t >= static_cast<std::uint64_t>(nthreads)
                ? nthreads - 1
                : static_cast<int>(t);
@@ -80,7 +76,7 @@ struct VBlocks {
     const std::uint64_t within =
         part != nullptr ? part->local_of(i)
                         : i - static_cast<std::uint64_t>(t) * blk;
-    std::size_t sub = static_cast<std::size_t>(within / sub_blk);
+    std::size_t sub = static_cast<std::size_t>(sub_blk_div.div(within));
     if (sub >= static_cast<std::size_t>(tprime))
       sub = static_cast<std::size_t>(tprime) - 1;
     return static_cast<std::size_t>(t) * static_cast<std::size_t>(tprime) +
@@ -90,6 +86,17 @@ struct VBlocks {
   /// First bucket belonging to physical thread t.
   std::size_t first_bucket(int t) const {
     return static_cast<std::size_t>(t) * static_cast<std::size_t>(tprime);
+  }
+
+ private:
+  /// Set blk to the largest partition `b` (at least 1), and the sub-block
+  /// size and both dividers from it.
+  void set_block(std::size_t b) {
+    blk = b == 0 ? 1 : b;
+    sub_blk = (blk + static_cast<std::size_t>(tprime) - 1) /
+              static_cast<std::size_t>(tprime);
+    blk_div = FastDiv(blk);
+    sub_blk_div = FastDiv(sub_blk);
   }
 };
 

@@ -1,5 +1,6 @@
 // SPMD runtime: the fiber executor, cost-aligned barriers, failure on a
-// divergent throw, registry, exchange pricing, value collectives.
+// divergent throw, registry, exchange pricing, per-thread cost tallies,
+// value collectives.
 #include <gtest/gtest.h>
 #include <sched.h>
 
@@ -13,16 +14,22 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "collectives/getd.hpp"
+#include "collectives/setd.hpp"
 #include "fault/fault.hpp"
 #include "pgas/coll.hpp"
+#include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
 
 namespace pg = pgraph::pgas;
 namespace m = pgraph::machine;
+namespace c = pgraph::coll;
 namespace flt = pgraph::fault;
 
 namespace {
@@ -531,6 +538,195 @@ TEST(Runtime, ReentrantRunFailsLoud) {
   EXPECT_EQ(inner_ran.load(), 0);
   EXPECT_EQ(pg::current_ctx(), nullptr);
   expect_like_fresh_after_reset(rt, 4, 2);
+}
+
+// --- per-thread cost tallies ---------------------------------------------
+
+namespace {
+
+/// The shared-resource side of one superstep's trace record.
+struct StepCosts {
+  pg::BarrierVerdict verdict;
+  std::vector<pg::NodeSuperstep> nodes;
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t fine_msgs = 0;
+};
+
+class StepRecorder : public pg::TraceSink {
+ public:
+  void on_superstep(const pg::SuperstepRecord& rec) override {
+    steps.push_back({rec.verdict, *rec.nodes, rec.msgs_delta, rec.bytes_delta,
+                     rec.fine_msgs_delta});
+  }
+  void on_scope(int, const char*, double, double) override {}
+  void on_crcw(int, const char*, double, bool) override {}
+
+  std::vector<StepCosts> steps;
+};
+
+auto fields(const pg::BarrierVerdict& v) {
+  return std::tuple(v.t_start, v.t_threads, v.t_nic, v.t_bus, v.t_exchange,
+                    v.exchange_ns, v.barrier_cost_ns, v.t_final,
+                    static_cast<int>(v.winner), v.had_exchange);
+}
+
+auto fields(const pg::NodeSuperstep& n) {
+  return std::tuple(n.nic.service_ns, n.nic.congested_ns, n.nic.factor,
+                    n.nic.msgs, n.bus_busy_ns, n.exch.send_busy_ns,
+                    n.exch.recv_busy_ns, n.exch.send_finish_ns,
+                    n.exch.recv_finish_ns, n.exch.msgs_out, n.exch.msgs_in);
+}
+
+/// Bit-for-bit equality of two runs' superstep records.
+void expect_same_steps(const std::vector<StepCosts>& a,
+                       const std::vector<StepCosts>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(fields(a[k].verdict), fields(b[k].verdict)) << "superstep " << k;
+    EXPECT_EQ(a[k].msgs, b[k].msgs) << "superstep " << k;
+    EXPECT_EQ(a[k].bytes, b[k].bytes) << "superstep " << k;
+    EXPECT_EQ(a[k].fine_msgs, b[k].fine_msgs) << "superstep " << k;
+    ASSERT_EQ(a[k].nodes.size(), b[k].nodes.size());
+    for (std::size_t n = 0; n < a[k].nodes.size(); ++n)
+      EXPECT_EQ(fields(a[k].nodes[n]), fields(b[k].nodes[n]))
+          << "superstep " << k << " node " << n;
+  }
+}
+
+/// One GetD + SetD + fine-put round on every thread, traced.  With
+/// `engage`, thread 0's first superstep spins long enough to wake the
+/// helpers, so the threads charge their tallies from several OS threads.
+struct TallyRound {
+  std::vector<StepCosts> steps;
+  double modeled_ns = 0.0;
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t fine_msgs = 0;
+  std::size_t os_threads = 0;
+};
+
+TallyRound run_tally_round(int nodes, int threads, bool engage) {
+  constexpr int kSteps = 4;
+  StepRecorder rec;
+  auto rt = make_rt(nodes, threads);
+  const int s = nodes * threads;
+  const std::size_t n = 64 * static_cast<std::size_t>(s);
+  pg::GlobalArray<std::uint64_t> d(rt, n);
+  for (std::size_t i = 0; i < n; ++i) d.raw(i) = 3 * i + 1;
+  c::CollectiveContext cc(rt);
+  OsThreadLog log(s, kSteps);
+  rt.set_trace_sink(&rec);
+  rt.run([&](pg::ThreadCtx& ctx) {
+    if (engage && ctx.id() == 0) spin_for(kEngage);
+    log.note(ctx, 0);
+    std::vector<std::uint64_t> idx(200 + 7 * static_cast<std::size_t>(ctx.id()));
+    for (std::size_t k = 0; k < idx.size(); ++k)
+      idx[k] = (k * 131 + static_cast<std::size_t>(ctx.id()) * 17) % n;
+    std::vector<std::uint64_t> out(idx.size());
+    c::CollWorkspace<std::uint64_t> ws;
+    const auto opt = c::CollectiveOptions::optimized(4);
+    c::getd(ctx, d, idx, std::span<std::uint64_t>(out), opt, cc, ws);
+    log.note(ctx, 1);
+    for (auto& v : out) v += ctx.id();
+    c::setd(ctx, d, idx, std::span<const std::uint64_t>(out), opt, cc, ws);
+    log.note(ctx, 2);
+    for (int k = 0; k < 40; ++k)
+      ctx.remote_put_cost((ctx.id() + 1 + 3 * k) % ctx.nthreads(), 8);
+    ctx.mem_random(500, std::size_t{1} << 24, 8, m::Cat::Work);
+    ctx.barrier();
+    log.note(ctx, 3);
+  });
+  rt.set_trace_sink(nullptr);
+  return {rec.steps,
+          rt.modeled_time_ns(),
+          rt.net().total_messages(),
+          rt.net().total_bytes(),
+          rt.net().fine_messages(),
+          log.distinct().size()};
+}
+
+// Every superstep's NIC, bus and exchange accounting, the counter deltas,
+// the verdicts and the modeled time are the same whether the threads
+// charged their tallies serially on the caller or concurrently on the
+// helpers.
+void expect_tallies_independent_of_helpers(int nodes, int threads) {
+  const TallyRound serial = run_tally_round(nodes, threads, false);
+  const TallyRound engaged = run_tally_round(nodes, threads, true);
+  if (expected_workers(nodes * threads) > 1) {
+    EXPECT_GE(engaged.os_threads, 2u);
+  }
+  EXPECT_GT(serial.fine_msgs, 0u);
+  EXPECT_GT(serial.msgs, serial.fine_msgs);  // exchange messages too
+  expect_same_steps(serial.steps, engaged.steps);
+  EXPECT_EQ(serial.modeled_ns, engaged.modeled_ns);
+  EXPECT_EQ(serial.msgs, engaged.msgs);
+  EXPECT_EQ(serial.bytes, engaged.bytes);
+  EXPECT_EQ(serial.fine_msgs, engaged.fine_msgs);
+}
+
+}  // namespace
+
+TEST(Runtime, TalliesMatchWithHelpersEngagedAtEightThreads) {
+  expect_tallies_independent_of_helpers(4, 2);
+}
+
+TEST(Runtime, TalliesMatchWithHelpersEngagedAtSixtyFourThreads) {
+  expect_tallies_independent_of_helpers(16, 4);
+}
+
+TEST(Runtime, ChargesAfterTheLastBarrierReachTheCounters) {
+  auto rt = make_rt(4, 2);
+  EXPECT_THROW(rt.run([](pg::ThreadCtx& ctx) {
+    ctx.barrier();
+    if (ctx.id() == 3) {
+      // Node 1 to node 3, after the last barrier that completes.
+      for (int k = 0; k < 10; ++k) ctx.remote_put_cost(7, 8);
+      throw std::runtime_error("after the last barrier");
+    }
+  }),
+               std::runtime_error);
+  EXPECT_EQ(rt.net().total_messages(), 10u);
+  EXPECT_EQ(rt.net().fine_messages(), 10u);
+  EXPECT_EQ(rt.net().total_bytes(), 10u * (16 + 8));  // header + payload
+}
+
+TEST(Runtime, ResetAfterAThrowingRunLeavesNoPendingTally) {
+  const auto body = [](pg::ThreadCtx& ctx) {
+    ctx.remote_put_cost((ctx.id() + 2) % ctx.nthreads(), 8);
+    ctx.mem_seq(4096, m::Cat::Work);
+    ctx.barrier();
+  };
+  StepRecorder after_reset;
+  StepRecorder fresh_steps;
+  auto rt = make_rt(4, 2);
+  EXPECT_THROW(rt.run([](pg::ThreadCtx& ctx) {
+    ctx.barrier();
+    // NIC, bus and counter charges no barrier completes.
+    ctx.remote_put_cost((ctx.id() + 2) % ctx.nthreads(), 8);
+    ctx.mem_seq(1 << 20, m::Cat::Work);
+    if (ctx.id() == 5) throw std::runtime_error("thread 5");
+    ctx.barrier();
+  }),
+               std::runtime_error);
+  rt.reset_costs();
+  rt.set_trace_sink(&after_reset);
+  rt.run(body);
+  rt.set_trace_sink(nullptr);
+  auto fresh = make_rt(4, 2);
+  fresh.set_trace_sink(&fresh_steps);
+  fresh.run(body);
+  fresh.set_trace_sink(nullptr);
+  // The first record is the first drain: nothing from the throwing run.
+  ASSERT_FALSE(after_reset.steps.empty());
+  for (const pg::NodeSuperstep& n : after_reset.steps[0].nodes) {
+    EXPECT_EQ(n.nic.msgs, 0u);
+    EXPECT_EQ(n.bus_busy_ns, 0.0);
+  }
+  expect_same_steps(after_reset.steps, fresh_steps.steps);
+  EXPECT_EQ(rt.modeled_time_ns(), fresh.modeled_time_ns());
+  EXPECT_EQ(rt.net().total_messages(), fresh.net().total_messages());
+  EXPECT_EQ(rt.net().total_bytes(), fresh.net().total_bytes());
 }
 
 TEST(Coll, AllreduceSumAndMax) {

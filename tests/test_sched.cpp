@@ -1,14 +1,18 @@
 // Algorithm 1 (recursive access scheduling), counting sort, virtual-thread
-// decomposition — plus the cache-simulator proof that scheduling reduces
-// misses (the core claim of Section IV).
+// decomposition and its reciprocal division — plus the cache-simulator
+// proof that scheduling reduces misses (the core claim of Section IV).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "graph/rng.hpp"
 #include "machine/cache_sim.hpp"
 #include "sched/access_sched.hpp"
 #include "sched/count_sort.hpp"
+#include "sched/fast_div.hpp"
 #include "sched/virtual_threads.hpp"
 
 namespace s = pgraph::sched;
@@ -180,4 +184,101 @@ TEST(VBlocks, TprimeOneMatchesOwner) {
   const s::VBlocks vb(997, 8, 1);
   for (std::uint64_t i = 0; i < 997; ++i)
     EXPECT_EQ(vb.vkey(i), static_cast<std::size_t>(vb.owner(i)));
+}
+
+namespace {
+
+/// The block-layout owner and virtual key of element i, by plain division
+/// (the formulas VBlocks evaluates with FastDiv).
+struct PlainVBlocks {
+  PlainVBlocks(std::uint64_t n, int s, int tprime) : s(s), tprime(tprime) {
+    const auto su = static_cast<std::uint64_t>(s);
+    const auto tu = static_cast<std::uint64_t>(tprime);
+    blk = std::max<std::uint64_t>(1, (n + su - 1) / su);
+    sub = std::max<std::uint64_t>(1, (blk + tu - 1) / tu);
+  }
+  int owner(std::uint64_t i) const {
+    return static_cast<int>(
+        std::min<std::uint64_t>(i / blk, static_cast<std::uint64_t>(s - 1)));
+  }
+  std::uint64_t vkey(std::uint64_t i) const {
+    const auto t = static_cast<std::uint64_t>(owner(i));
+    const std::uint64_t within = i - t * blk;
+    return t * static_cast<std::uint64_t>(tprime) +
+           std::min<std::uint64_t>(within / sub,
+                                   static_cast<std::uint64_t>(tprime - 1));
+  }
+  int s;
+  int tprime;
+  std::uint64_t blk;
+  std::uint64_t sub;
+};
+
+}  // namespace
+
+TEST(FastDiv, MatchesDivisionOnEdgeCases) {
+  constexpr std::uint64_t k32 = 1ull << 32;
+  const std::uint64_t divisors[] = {1, 2, 3, 7, 1ull << 31, k32 - 1, k32,
+                                    1ull << 40};
+  for (const std::uint64_t d : divisors) {
+    const s::FastDiv fd(d);
+    const std::uint64_t xs[] = {0, d - 1, d, d + 1, k32 - 1, k32, ~0ull};
+    for (const std::uint64_t x : xs)
+      EXPECT_EQ(fd.div(x), x / d) << x << " / " << d;
+  }
+}
+
+TEST(FastDiv, MatchesDivisionOnRandomPairs) {
+  // Divisors and dividends of every bit length; seven in eight of each
+  // are below 2^32, so most pairs take the multiply path.
+  Xoshiro256 rng(20101);
+  const auto draw = [&rng] {
+    const std::uint64_t shift =
+        rng.next_below(8) == 0 ? rng.next_below(64) : 32 + rng.next_below(32);
+    return rng.next() >> shift;
+  };
+  std::uint64_t mismatches = 0;
+  for (int k = 0; k < 1'000'000; ++k) {
+    const std::uint64_t d = std::max<std::uint64_t>(1, draw());
+    const std::uint64_t x = draw();
+    if (s::FastDiv(d).div(x) != x / d) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(VBlocks, OwnerAndKeyMatchPlainDivision) {
+  constexpr std::uint64_t k32 = 1ull << 32;
+  Xoshiro256 rng(7);
+  const std::uint64_t sizes[] = {0,    1,         7,          100,
+                                 997,  1ull << 20, 3 * k32 + 5};
+  for (const std::uint64_t n : sizes)
+    for (const int threads : {1, 2, 7, 64})
+      for (const int tprime : {1, 3, 8, 1000}) {
+        const s::VBlocks vb(n, threads, tprime);
+        const PlainVBlocks plain(n, threads, tprime);
+        ASSERT_EQ(vb.blk, plain.blk);
+        ASSERT_EQ(vb.sub_blk, plain.sub);
+        // Around every block and sub-block edge, past the end, and wild
+        // (corruption-sized) indices that the clamps must absorb.
+        std::vector<std::uint64_t> idx = {n,       n + 1,      k32 - 1, k32,
+                                          k32 + 1, 1ull << 40, ~0ull};
+        for (int t = 0; t <= threads; ++t) {
+          const std::uint64_t b = static_cast<std::uint64_t>(t) * plain.blk;
+          for (std::uint64_t u = 0; u <= static_cast<std::uint64_t>(tprime);
+               u += std::max<std::uint64_t>(1, tprime / 4)) {
+            const std::uint64_t e = b + u * plain.sub;
+            idx.insert(idx.end(), {e, e + 1, e == 0 ? 0 : e - 1});
+          }
+        }
+        for (int r = 0; r < 200; ++r)
+          idx.push_back(n == 0 ? rng.next() : rng.next_below(n));
+        for (const std::uint64_t i : idx) {
+          ASSERT_EQ(vb.owner(i), plain.owner(i))
+              << "n=" << n << " s=" << threads << " t'=" << tprime
+              << " i=" << i;
+          ASSERT_EQ(vb.vkey(i), plain.vkey(i))
+              << "n=" << n << " s=" << threads << " t'=" << tprime
+              << " i=" << i;
+        }
+      }
 }
