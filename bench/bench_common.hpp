@@ -212,33 +212,9 @@ class Report {
   void append_fault_extras(Extra& extra) {
     if (!injector_) return;
     const fault::FaultCounters c = injector_->counters();
-    const auto d = [&](const char* key, std::uint64_t now,
-                       std::uint64_t before) {
-      extra.emplace_back(key, static_cast<double>(now - before));
-    };
-    d("fault_drops", c.drops, prev_faults_.drops);
-    d("fault_dups", c.duplicates, prev_faults_.duplicates);
-    d("fault_delays", c.delays, prev_faults_.delays);
-    d("fault_outage_drops", c.outage_drops, prev_faults_.outage_drops);
-    d("fault_retransmits", c.retransmits, prev_faults_.retransmits);
-    d("fault_corruptions", c.corruptions, prev_faults_.corruptions);
-    d("fault_detected", c.detected, prev_faults_.detected);
-    d("fault_repairs", c.repairs, prev_faults_.repairs);
-    d("fault_straggles", c.straggles, prev_faults_.straggles);
-    d("fault_outages", c.outage_events, prev_faults_.outage_events);
-    d("fault_rollbacks", c.rollbacks, prev_faults_.rollbacks);
-    d("fault_checkpoints", c.checkpoints, prev_faults_.checkpoints);
-    d("fault_retry_wait_ns", c.retry_wait_ns, prev_faults_.retry_wait_ns);
-    d("fault_loss_drops", c.loss_drops, prev_faults_.loss_drops);
-    d("fault_shrinks", c.loss_events, prev_faults_.loss_events);
-    d("fault_replications", c.replications, prev_faults_.replications);
-    d("fault_replica_bytes", c.replica_bytes, prev_faults_.replica_bytes);
-    d("fault_promoted_bytes", c.promoted_bytes, prev_faults_.promoted_bytes);
-    d("fault_mem_flips", c.mem_flips, prev_faults_.mem_flips);
-    d("scrub_passes", c.scrub_passes, prev_faults_.scrub_passes);
-    d("scrub_detected", c.scrub_detected, prev_faults_.scrub_detected);
-    d("scrub_heals", c.scrub_heals, prev_faults_.scrub_heals);
-    d("scrub_events", c.scrub_events, prev_faults_.scrub_events);
+    const fault::FaultCounters d = c - prev_faults_;
+    for (const fault::FaultCounterField& f : fault::kFaultCounterFields)
+      extra.emplace_back(f.key, static_cast<double>(d.*f.member));
     prev_faults_ = c;
   }
 

@@ -18,8 +18,11 @@
 #            first, then the tree against scripts/lint_spmd_allow.txt),
 #            plus clang-tidy over src/tests/examples (skipped if not
 #            installed)
-#   ubsan    -fsanitize=undefined (non-recoverable) build; collectives,
-#            fault, stream, runtime (fiber executor, value collectives),
+#   ubsan    -fsanitize=undefined,float-cast-overflow (non-recoverable)
+#            build (GCC's undefined group omits float-cast-overflow, the
+#            check that catches a --faults value cast out of range);
+#            collectives, fault (incl. the FaultConfigFuzz parser mutation
+#            tests), stream, runtime (fiber executor, value collectives),
 #            sched (FastDiv's 128-bit multiply and its wild-index fallback)
 #            and machine (tally fold) test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline

@@ -268,11 +268,11 @@ inline void retransmit_until_clean(pgas::ThreadCtx& ctx,
   while (batch_checksum(parts) != expect) {
     if (tries++ >= finj.config().max_retries)
       throw fault::FaultError(fault::FaultKind::Corruption, what);
-    finj.count_detected();
+    finj.count(&fault::FaultCounters::detected);
     ctx.charge(Cat::Comm, ctx.net().msg_wire_ns(payload + 24) +
                               finj.config().backoff_ns_for(tries - 1));
     ctx.count_message(payload + 24);
-    finj.count_retransmits(1);
+    finj.count(&fault::FaultCounters::retransmits);
     for (const BatchPart& p : parts) finj.repair(p.data, p.bytes);
     ctx.compute(parts.size() * cnt, Cat::Copy);
   }

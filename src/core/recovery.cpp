@@ -94,7 +94,7 @@ void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
         // The restore bypassed the incremental checksum: recompute the
         // scrub baseline over the freshly restored block.
         rebaseline(ctx);
-        if (me == 0) finj->count_rollback();
+        if (me == 0) finj->count(&fault::FaultCounters::rollbacks);
         ctx.barrier();  // restores visible before the next getd serves
       } else if (ev_now == seen_recovery &&
                  !finj->outage_active(ctx.epoch()) &&
@@ -124,7 +124,7 @@ void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
           ck_it = it;
           ck_valid = true;
           ctx.mem_seq(state_bytes(), Cat::Copy);
-          if (me == 0) finj->count_checkpoint();
+          if (me == 0) finj->count(&fault::FaultCounters::checkpoints);
           fresh_ckpt = true;
         }
       }
@@ -202,15 +202,17 @@ void RecoveryLoop::scrub(pgas::ThreadCtx& ctx) {
     const std::uint64_t d = scrub_detected_.load(std::memory_order_acquire);
     const std::uint64_t h = scrub_healed_.load(std::memory_order_acquire);
     if (finj != nullptr) {
-      finj->count_scrub_pass();
+      finj->count(&fault::FaultCounters::scrub_passes);
       if (d > scrub_seen_detected_)
-        finj->count_scrub_detected(d - scrub_seen_detected_);
+        finj->count(&fault::FaultCounters::scrub_detected,
+                    d - scrub_seen_detected_);
       if (h > scrub_seen_healed_)
-        finj->count_scrub_heals(h - scrub_seen_healed_);
+        finj->count(&fault::FaultCounters::scrub_heals, h - scrub_seen_healed_);
       // One recovery event per pass that found anything: healed bytes are
       // checkpoint-time bytes and unhealable ones need the checkpoint
       // restore, so either way the loop must roll back.
-      if (d > scrub_seen_detected_) finj->raise_scrub_event();
+      if (d > scrub_seen_detected_)
+        finj->count(&fault::FaultCounters::scrub_events);
     }
     scrub_seen_detected_ = d;
     scrub_seen_healed_ = h;

@@ -1,7 +1,10 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 
 namespace pgraph::fault {
 
@@ -19,6 +22,35 @@ enum Stream : std::uint64_t {
   kStreamLoss = 0x77,
   kStreamMemFlip = 0x88,
 };
+
+/// True iff kFaultCounterFields names each FaultCounters field once, under
+/// its own key (every field is a uint64_t, so rows = fields).
+constexpr bool counter_table_complete() {
+  constexpr std::size_t n = std::size(kFaultCounterFields);
+  if (n * sizeof(std::uint64_t) != sizeof(FaultCounters)) return false;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      if (kFaultCounterFields[i].member == kFaultCounterFields[j].member ||
+          kFaultCounterFields[i].key == kFaultCounterFields[j].key)
+        return false;
+  return true;
+}
+static_assert(counter_table_complete(),
+              "list every FaultCounters field once in kFaultCounterFields");
+
+/// `v` as an `Int`, or throw: `v` must be integral and fit the type.
+/// Checked before the cast, because converting an out-of-range double to
+/// an integer type is undefined.
+template <class Int>
+Int integral(const std::string& key, double v) {
+  const double lo = static_cast<double>(std::numeric_limits<Int>::min());
+  // One past the maximum: 2^31 for int, 2^64 for uint64_t (both exact).
+  const double end = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  if (v != std::trunc(v) || v < lo || v >= end)
+    throw std::invalid_argument("faults: " + key +
+                                " must be an integer that fits its field");
+  return static_cast<Int>(v);
+}
 
 }  // namespace
 
@@ -85,48 +117,68 @@ FaultConfig FaultConfig::parse(const std::string& spec, std::uint64_t seed) {
       throw std::invalid_argument("faults: bad value for '" + key + "': '" +
                                   val + "'");
     }
-    if (key == "drop") cfg.drop_p = v;
-    else if (key == "dup") cfg.dup_p = v;
-    else if (key == "delay") cfg.delay_p = v;
-    else if (key == "delay_ns") cfg.delay_ns = v;
-    else if (key == "corrupt") cfg.corrupt_p = v;
-    else if (key == "straggle") cfg.straggle_p = v;
-    else if (key == "straggle_ns") cfg.straggle_ns = v;
-    else if (key == "outage_every") cfg.outage_every = static_cast<std::uint64_t>(v);
-    else if (key == "outage_k") cfg.outage_k = static_cast<int>(v);
-    else if (key == "loss_at") cfg.loss_at = static_cast<std::uint64_t>(v);
-    else if (key == "loss_node") cfg.loss_node = static_cast<int>(v);
-    else if (key == "mem_flip_at") cfg.mem_flip_at = static_cast<std::uint64_t>(v);
+    if (!std::isfinite(v))
+      throw std::invalid_argument("faults: '" + key + "' must be finite");
+    const auto prob = [&](double& out) {
+      if (v < 0.0 || v > 1.0)
+        throw std::invalid_argument("faults: probabilities must be in [0,1]");
+      out = v;
+    };
+    // A negative duration would run the modeled clocks backwards, and the
+    // retry waits are tallied as integer ns in a uint64_t counter.
+    const auto duration = [&](double& out) {
+      if (v < 0.0 || v >= 0x1p64)
+        throw std::invalid_argument("faults: " + key +
+                                    " must be in [0, 2^64)");
+      out = v;
+    };
+    const auto flag = [&](bool& out) {
+      if (v != 0.0 && v != 1.0)
+        throw std::invalid_argument("faults: " + key + " must be 0 or 1");
+      out = v != 0.0;
+    };
+    if (key == "drop") prob(cfg.drop_p);
+    else if (key == "dup") prob(cfg.dup_p);
+    else if (key == "delay") prob(cfg.delay_p);
+    else if (key == "delay_ns") duration(cfg.delay_ns);
+    else if (key == "corrupt") prob(cfg.corrupt_p);
+    else if (key == "straggle") prob(cfg.straggle_p);
+    else if (key == "straggle_ns") duration(cfg.straggle_ns);
+    else if (key == "outage_every") {
+      cfg.outage_every = integral<std::uint64_t>(key, v);
+      // Period 1 leaves no room for a window shorter than its period.
+      if (cfg.outage_every == 1)
+        throw std::invalid_argument("faults: outage_every must be 0 or >= 2");
+    }
+    else if (key == "outage_k") cfg.outage_k = integral<int>(key, v);
+    else if (key == "loss_at") cfg.loss_at = integral<std::uint64_t>(key, v);
+    else if (key == "loss_node") {
+      cfg.loss_node = integral<int>(key, v);
+      if (cfg.loss_node < -1)
+        throw std::invalid_argument("faults: loss_node must be >= -1");
+    }
+    else if (key == "mem_flip_at")
+      cfg.mem_flip_at = integral<std::uint64_t>(key, v);
     else if (key == "mem_flips") {
-      if (v < 0.0)
+      cfg.mem_flips = integral<int>(key, v);
+      if (cfg.mem_flips < 0)
         throw std::invalid_argument("faults: mem_flips must be >= 0");
-      cfg.mem_flips = static_cast<int>(v);
     }
-    else if (key == "mem_flip_mirror") {
-      if (v != 0.0 && v != 1.0)
-        throw std::invalid_argument("faults: mem_flip_mirror must be 0 or 1");
-      cfg.mem_flip_mirror = v != 0.0;
-    }
-    else if (key == "retries") cfg.max_retries = static_cast<int>(v);
-    else if (key == "timeout_ns") cfg.ack_timeout_ns = v;
-    else if (key == "backoff_ns") cfg.retry_backoff_ns = v;
-    else if (key == "cap_ns") cfg.backoff_cap_ns = v;
-    else if (key == "arm") {
-      if (v != 0.0 && v != 1.0)
-        throw std::invalid_argument("faults: arm must be 0 or 1");
-      cfg.start_armed = v != 0.0;
-    }
+    else if (key == "mem_flip_mirror") flag(cfg.mem_flip_mirror);
+    else if (key == "retries") cfg.max_retries = integral<int>(key, v);
+    else if (key == "timeout_ns") duration(cfg.ack_timeout_ns);
+    else if (key == "backoff_ns") duration(cfg.retry_backoff_ns);
+    else if (key == "cap_ns") duration(cfg.backoff_cap_ns);
+    else if (key == "arm") flag(cfg.start_armed);
     else
       throw std::invalid_argument("faults: unknown key '" + key + "'");
   }
-  for (double p : {cfg.drop_p, cfg.dup_p, cfg.delay_p, cfg.corrupt_p,
-                   cfg.straggle_p})
-    if (p < 0.0 || p > 1.0)
-      throw std::invalid_argument("faults: probabilities must be in [0,1]");
   if (cfg.outage_every > 0) {
     // A window must be shorter than its period or the node never recovers.
-    cfg.outage_k = std::clamp<int>(cfg.outage_k, 1,
-                                   static_cast<int>(cfg.outage_every) - 1);
+    const std::uint64_t longest = std::min<std::uint64_t>(
+        cfg.outage_every - 1, std::numeric_limits<int>::max());
+    cfg.outage_k =
+        std::clamp<int>(cfg.outage_k, 1, static_cast<int>(longest));
   }
   if (cfg.loss_at == 0 && cfg.loss_node >= 0)
     throw std::invalid_argument(
@@ -183,10 +235,6 @@ bool FaultInjector::outage_ends_at(std::uint64_t epoch) const {
   return outage_active(epoch) && !outage_active(epoch + 1);
 }
 
-void FaultInjector::raise_outage_event() {
-  c_outage_events_.fetch_add(1, std::memory_order_acq_rel);
-}
-
 int FaultInjector::perm_lost_node(int nodes, std::uint64_t epoch) const {
   if (!armed() || cfg_.loss_at == 0 || nodes <= 1 || epoch < cfg_.loss_at)
     return -1;
@@ -197,34 +245,10 @@ int FaultInjector::perm_lost_node(int nodes, std::uint64_t epoch) const {
                           static_cast<std::uint64_t>(nodes));
 }
 
-void FaultInjector::raise_loss_event() {
-  c_loss_events_.fetch_add(1, std::memory_order_acq_rel);
-}
-
 std::uint64_t FaultInjector::mem_flip_word(std::uint64_t epoch, int k,
                                            int salt) const {
   return draw(kStreamMemFlip, epoch, static_cast<std::uint64_t>(k),
               static_cast<std::uint64_t>(salt));
-}
-
-void FaultInjector::count_mem_flips(std::uint64_t n) {
-  c_mem_flips_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_scrub_pass() {
-  c_scrub_passes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_scrub_detected(std::uint64_t n) {
-  c_scrub_detected_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_scrub_heals(std::uint64_t n) {
-  c_scrub_heals_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void FaultInjector::raise_scrub_event() {
-  c_scrub_events_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 ExchangeFaults FaultInjector::apply_exchange(
@@ -249,7 +273,7 @@ ExchangeFaults FaultInjector::apply_exchange(
         // shrinks (Runtime::on_barrier).
         m.dropped = true;
         lst[k] = m;
-        c_loss_drops_.fetch_add(1, std::memory_order_relaxed);
+        count(&FaultCounters::loss_drops);
         machine::ExchangeMsg clean = m;
         clean.dropped = false;
         clean.extra_delay_ns = 0.0;
@@ -260,14 +284,14 @@ ExchangeFaults FaultInjector::apply_exchange(
         m.dropped = true;
         lst[k] = m;
         ++out.outage_drops;
-        c_outage_drops_.fetch_add(1, std::memory_order_relaxed);
+        count(&FaultCounters::outage_drops);
         continue;
       }
       if (cfg_.drop_p > 0.0 &&
           unit(draw(kStreamDrop, epoch, att, actor)) < cfg_.drop_p) {
         m.dropped = true;
         lst[k] = m;
-        c_drops_.fetch_add(1, std::memory_order_relaxed);
+        count(&FaultCounters::drops);
         machine::ExchangeMsg clean = m;
         clean.dropped = false;
         clean.extra_delay_ns = 0.0;
@@ -277,7 +301,7 @@ ExchangeFaults FaultInjector::apply_exchange(
       if (cfg_.delay_p > 0.0 &&
           unit(draw(kStreamDelay, epoch, att, actor)) < cfg_.delay_p) {
         m.extra_delay_ns += cfg_.delay_ns;
-        c_delays_.fetch_add(1, std::memory_order_relaxed);
+        count(&FaultCounters::delays);
       }
       lst[k] = m;
       if (cfg_.dup_p > 0.0 &&
@@ -285,7 +309,7 @@ ExchangeFaults FaultInjector::apply_exchange(
         // The duplicate burns send and receive NIC time; the payload is
         // idempotent (same shared-memory data), so nothing else changes.
         lst.push_back(m);
-        c_duplicates_.fetch_add(1, std::memory_order_relaxed);
+        count(&FaultCounters::duplicates);
       }
     }
   }
@@ -297,7 +321,7 @@ double FaultInjector::straggler_delay_ns(std::uint64_t epoch, int thread) {
   const std::uint64_t h =
       draw(kStreamStraggle, epoch, static_cast<std::uint64_t>(thread), 0);
   if (unit(h) >= cfg_.straggle_p) return 0.0;
-  c_straggles_.fetch_add(1, std::memory_order_relaxed);
+  count(&FaultCounters::straggles);
   // 0.5x .. 1.5x of the configured magnitude, deterministically jittered.
   return cfg_.straggle_ns * (0.5 + unit(mix64(h)));
 }
@@ -322,7 +346,7 @@ int FaultInjector::corrupt(void* buf, std::size_t bytes, std::uint64_t epoch,
     std::lock_guard<std::mutex> lock(corrupt_mu_);
     corrupt_events_.push_back({addr, orig});
   }
-  c_corruptions_.fetch_add(1, std::memory_order_relaxed);
+  count(&FaultCounters::corruptions);
   return 1;
 }
 
@@ -343,96 +367,20 @@ int FaultInjector::repair(void* buf, std::size_t bytes) {
     }
   }
   if (restored > 0)
-    c_repairs_.fetch_add(static_cast<std::uint64_t>(restored),
-                         std::memory_order_relaxed);
+    count(&FaultCounters::repairs, static_cast<std::uint64_t>(restored));
   return restored;
-}
-
-void FaultInjector::count_retransmits(std::size_t n) {
-  c_retransmits_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_retry_wait(double ns) {
-  c_retry_wait_ns_.fetch_add(static_cast<std::uint64_t>(ns),
-                             std::memory_order_relaxed);
-}
-
-void FaultInjector::count_detected() {
-  c_detected_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_rollback() {
-  c_rollbacks_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_checkpoint() {
-  c_checkpoints_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_replication() {
-  c_replications_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_replica_bytes(std::size_t bytes) {
-  c_replica_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void FaultInjector::count_promoted(std::size_t bytes) {
-  c_promoted_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 FaultCounters FaultInjector::counters() const {
   FaultCounters c;
-  c.drops = c_drops_.load(std::memory_order_relaxed);
-  c.duplicates = c_duplicates_.load(std::memory_order_relaxed);
-  c.delays = c_delays_.load(std::memory_order_relaxed);
-  c.outage_drops = c_outage_drops_.load(std::memory_order_relaxed);
-  c.retransmits = c_retransmits_.load(std::memory_order_relaxed);
-  c.corruptions = c_corruptions_.load(std::memory_order_relaxed);
-  c.detected = c_detected_.load(std::memory_order_relaxed);
-  c.repairs = c_repairs_.load(std::memory_order_relaxed);
-  c.straggles = c_straggles_.load(std::memory_order_relaxed);
-  c.outage_events = c_outage_events_.load(std::memory_order_acquire);
-  c.rollbacks = c_rollbacks_.load(std::memory_order_relaxed);
-  c.checkpoints = c_checkpoints_.load(std::memory_order_relaxed);
-  c.retry_wait_ns = c_retry_wait_ns_.load(std::memory_order_relaxed);
-  c.loss_drops = c_loss_drops_.load(std::memory_order_relaxed);
-  c.loss_events = c_loss_events_.load(std::memory_order_acquire);
-  c.replications = c_replications_.load(std::memory_order_relaxed);
-  c.replica_bytes = c_replica_bytes_.load(std::memory_order_relaxed);
-  c.promoted_bytes = c_promoted_bytes_.load(std::memory_order_relaxed);
-  c.mem_flips = c_mem_flips_.load(std::memory_order_relaxed);
-  c.scrub_passes = c_scrub_passes_.load(std::memory_order_relaxed);
-  c.scrub_detected = c_scrub_detected_.load(std::memory_order_relaxed);
-  c.scrub_heals = c_scrub_heals_.load(std::memory_order_relaxed);
-  c.scrub_events = c_scrub_events_.load(std::memory_order_acquire);
+  for (const FaultCounterField& f : kFaultCounterFields)
+    c.*f.member = count_of(f.member);
   return c;
 }
 
 void FaultInjector::reset_counters() {
-  c_drops_ = 0;
-  c_duplicates_ = 0;
-  c_delays_ = 0;
-  c_outage_drops_ = 0;
-  c_retransmits_ = 0;
-  c_corruptions_ = 0;
-  c_detected_ = 0;
-  c_repairs_ = 0;
-  c_straggles_ = 0;
-  c_outage_events_ = 0;
-  c_rollbacks_ = 0;
-  c_checkpoints_ = 0;
-  c_retry_wait_ns_ = 0;
-  c_loss_drops_ = 0;
-  c_loss_events_ = 0;
-  c_replications_ = 0;
-  c_replica_bytes_ = 0;
-  c_promoted_bytes_ = 0;
-  c_mem_flips_ = 0;
-  c_scrub_passes_ = 0;
-  c_scrub_detected_ = 0;
-  c_scrub_heals_ = 0;
-  c_scrub_events_ = 0;
+  for (const FaultCounterField& f : kFaultCounterFields)
+    slot(f.member).store(0);
   std::lock_guard<std::mutex> lock(corrupt_mu_);
   corrupt_events_.clear();
 }

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -142,7 +143,15 @@ struct FaultConfig {
   double backoff_ns_for(int attempt) const;
 
   /// Parse a `--faults` spec; throws std::invalid_argument on unknown keys
-  /// or malformed values.  An empty spec is a valid all-zero plan.
+  /// or malformed values.  An empty spec is a valid all-zero plan; a key
+  /// given twice keeps its last value.  Every value must be finite:
+  /// probabilities (drop dup delay corrupt straggle) in [0,1], durations
+  /// (delay_ns straggle_ns timeout_ns backoff_ns cap_ns) in [0, 2^64) ns,
+  /// and integer keys integral and within their field.  outage_every is 0
+  /// or >= 2, and outage_k is then clamped to [1, outage_every - 1];
+  /// loss_node >= -1 (>= 0 needs loss_at > 0); mem_flips >= 0; retries is
+  /// clamped to >= 0; arm and mem_flip_mirror are 0 or 1 (mirror needs
+  /// mem_flip_at > 0).
   static FaultConfig parse(const std::string& spec, std::uint64_t seed);
 
   /// Reject plans that cannot run on `nodes` nodes: outages and permanent
@@ -180,6 +189,54 @@ struct FaultCounters {
                                    ///< triggers for checkpointing loops)
 };
 
+/// One FaultCounters field and the key bench JSON reports it under.
+struct FaultCounterField {
+  std::uint64_t FaultCounters::*member;
+  std::string_view key;
+};
+
+/// The one list of fault counters, in bench-JSON emission order.  The
+/// injector's snapshot and reset, the field-wise delta and the per-row
+/// bench extras all loop over it: a new counter is one FaultCounters field
+/// plus one row here.  Keys are frozen by the committed baselines, hence
+/// the irregular ones (`fault_dups`, `fault_outages`, `fault_shrinks`, the
+/// unprefixed `scrub_*`).
+inline constexpr FaultCounterField kFaultCounterFields[] = {
+    {&FaultCounters::drops, "fault_drops"},
+    {&FaultCounters::duplicates, "fault_dups"},
+    {&FaultCounters::delays, "fault_delays"},
+    {&FaultCounters::outage_drops, "fault_outage_drops"},
+    {&FaultCounters::retransmits, "fault_retransmits"},
+    {&FaultCounters::corruptions, "fault_corruptions"},
+    {&FaultCounters::detected, "fault_detected"},
+    {&FaultCounters::repairs, "fault_repairs"},
+    {&FaultCounters::straggles, "fault_straggles"},
+    {&FaultCounters::outage_events, "fault_outages"},
+    {&FaultCounters::rollbacks, "fault_rollbacks"},
+    {&FaultCounters::checkpoints, "fault_checkpoints"},
+    {&FaultCounters::retry_wait_ns, "fault_retry_wait_ns"},
+    {&FaultCounters::loss_drops, "fault_loss_drops"},
+    {&FaultCounters::loss_events, "fault_shrinks"},
+    {&FaultCounters::replications, "fault_replications"},
+    {&FaultCounters::replica_bytes, "fault_replica_bytes"},
+    {&FaultCounters::promoted_bytes, "fault_promoted_bytes"},
+    {&FaultCounters::mem_flips, "fault_mem_flips"},
+    {&FaultCounters::scrub_passes, "scrub_passes"},
+    {&FaultCounters::scrub_detected, "scrub_detected"},
+    {&FaultCounters::scrub_heals, "scrub_heals"},
+    {&FaultCounters::scrub_events, "scrub_events"},
+};
+
+/// Field-wise difference of two snapshots of one injector (a later minus an
+/// earlier one: the events in between).
+constexpr FaultCounters operator-(const FaultCounters& a,
+                                  const FaultCounters& b) {
+  FaultCounters d;
+  for (const FaultCounterField& f : kFaultCounterFields)
+    d.*f.member = a.*f.member - b.*f.member;
+  return d;
+}
+
 /// What one fault pass over an exchange plan produced: the retryable lost
 /// messages (keyed by sending thread) and the count of outage drops, which
 /// time out once but are not retransmitted while the node is down.
@@ -191,14 +248,39 @@ struct ExchangeFaults {
 /// The seeded injector.  One instance serves a whole bench process; it is
 /// attached to a Runtime (Runtime::set_fault_injector) and shared by the
 /// collectives' checksum protocol and the algorithms' checkpoint loops.
-/// Counter methods are thread-safe; apply_exchange and the outage/straggler
-/// draws are called from the barrier completion step (single-threaded).
+/// Counting is thread-safe; apply_exchange and the outage/straggler draws
+/// are called from the barrier completion step (single-threaded).
 class FaultInjector {
  public:
+  /// Names one counter, e.g. `&FaultCounters::rollbacks`.
+  using Counter = std::uint64_t FaultCounters::*;
+
   explicit FaultInjector(FaultConfig cfg)
       : cfg_(cfg), armed_(cfg.start_armed) {}
 
   const FaultConfig& config() const { return cfg_; }
+
+  // --- counters ---------------------------------------------------------
+  /// Add `n` events to one counter.  Recovery events (`outage_events`,
+  /// `loss_events`, `scrub_events`) are counted in the barrier completion
+  /// step or before a barrier, so every thread's poll after it sees them.
+  void count(Counter field, std::uint64_t n = 1) {
+    slot(field).fetch_add(n, std::memory_order_acq_rel);
+  }
+  std::uint64_t count_of(Counter field) const {
+    return slot(field).load(std::memory_order_acquire);
+  }
+  /// Rollback triggers for checkpointing loops: outage windows that ended,
+  /// shrink events, and scrub heals (a heal restores checkpoint-time bytes,
+  /// so the loop must rewind to that checkpoint for consistency).
+  std::uint64_t recovery_events() const {
+    return count_of(&FaultCounters::outage_events) +
+           count_of(&FaultCounters::loss_events) +
+           count_of(&FaultCounters::scrub_events);
+  }
+  FaultCounters counters() const;
+  /// Zero every counter and forget unrepaired corruptions.
+  void reset_counters();
 
   // --- arming ------------------------------------------------------------
   /// Host-side gate over every injection point (drops, outages, loss,
@@ -227,43 +309,17 @@ class FaultInjector {
   /// True iff `epoch` is the last superstep of an outage window; the
   /// runtime raises one recovery event per window at that barrier.
   bool outage_ends_at(std::uint64_t epoch) const;
-  void raise_outage_event();
-  std::uint64_t outage_events() const {
-    return c_outage_events_.load(std::memory_order_acquire);
-  }
 
   // --- permanent node loss ----------------------------------------------
   /// Node that is permanently lost as of `epoch`, or -1.  Stable: the same
   /// node for every epoch >= loss_at.
   int perm_lost_node(int nodes, std::uint64_t epoch) const;
-  void raise_loss_event();
-  std::uint64_t loss_events() const {
-    return c_loss_events_.load(std::memory_order_acquire);
-  }
-  /// Rollback triggers for checkpointing loops: outage windows that ended,
-  /// shrink events, and scrub heals (a heal restores checkpoint-time bytes,
-  /// so the loop must rewind to that checkpoint for consistency).
-  std::uint64_t recovery_events() const {
-    return outage_events() + loss_events() + scrub_events();
-  }
 
   // --- at-rest memory corruption ----------------------------------------
   /// Seeded draw for the k-th memory bit flip of `epoch`; `salt`
   /// distinguishes independent sub-draws (victim pick vs. bit pick).  The
   /// runtime maps the value onto a (site, thread, byte, bit) target.
   std::uint64_t mem_flip_word(std::uint64_t epoch, int k, int salt) const;
-  void count_mem_flips(std::uint64_t n);
-
-  // --- scrub protocol ---------------------------------------------------
-  void count_scrub_pass();
-  void count_scrub_detected(std::uint64_t n);
-  void count_scrub_heals(std::uint64_t n);
-  /// One per scrub pass that healed at least one partition; feeds
-  /// recovery_events() so checkpoint loops roll back after a heal.
-  void raise_scrub_event();
-  std::uint64_t scrub_events() const {
-    return c_scrub_events_.load(std::memory_order_acquire);
-  }
 
   // --- stragglers -------------------------------------------------------
   /// Extra modeled delay for `thread` in the superstep ending at `epoch`
@@ -281,20 +337,12 @@ class FaultInjector {
   /// of words restored.
   int repair(void* buf, std::size_t bytes);
 
-  // --- bookkeeping ------------------------------------------------------
-  void count_retransmits(std::size_t n);
-  void count_retry_wait(double ns);
-  void count_detected();
-  void count_rollback();
-  void count_checkpoint();
-  void count_replication();  ///< one buddy-replication pass completed
-  void count_replica_bytes(std::size_t bytes);
-  void count_promoted(std::size_t bytes);
-
-  FaultCounters counters() const;
-  void reset_counters();
-
  private:
+  static_assert(alignof(std::uint64_t) >=
+                std::atomic_ref<std::uint64_t>::required_alignment);
+  std::atomic_ref<std::uint64_t> slot(Counter field) const {
+    return std::atomic_ref<std::uint64_t>(counters_.*field);
+  }
   std::uint64_t draw(std::uint64_t stream, std::uint64_t a, std::uint64_t b,
                      std::uint64_t c) const;
   /// Uniform [0,1) from a draw.
@@ -312,29 +360,9 @@ class FaultInjector {
   mutable std::mutex corrupt_mu_;
   std::vector<CorruptEvent> corrupt_events_;
 
-  std::atomic<std::uint64_t> c_drops_{0};
-  std::atomic<std::uint64_t> c_duplicates_{0};
-  std::atomic<std::uint64_t> c_delays_{0};
-  std::atomic<std::uint64_t> c_outage_drops_{0};
-  std::atomic<std::uint64_t> c_retransmits_{0};
-  std::atomic<std::uint64_t> c_corruptions_{0};
-  std::atomic<std::uint64_t> c_detected_{0};
-  std::atomic<std::uint64_t> c_repairs_{0};
-  std::atomic<std::uint64_t> c_straggles_{0};
-  std::atomic<std::uint64_t> c_outage_events_{0};
-  std::atomic<std::uint64_t> c_rollbacks_{0};
-  std::atomic<std::uint64_t> c_checkpoints_{0};
-  std::atomic<std::uint64_t> c_retry_wait_ns_{0};
-  std::atomic<std::uint64_t> c_loss_drops_{0};
-  std::atomic<std::uint64_t> c_loss_events_{0};
-  std::atomic<std::uint64_t> c_replications_{0};
-  std::atomic<std::uint64_t> c_replica_bytes_{0};
-  std::atomic<std::uint64_t> c_promoted_bytes_{0};
-  std::atomic<std::uint64_t> c_mem_flips_{0};
-  std::atomic<std::uint64_t> c_scrub_passes_{0};
-  std::atomic<std::uint64_t> c_scrub_detected_{0};
-  std::atomic<std::uint64_t> c_scrub_heals_{0};
-  std::atomic<std::uint64_t> c_scrub_events_{0};
+  /// Accessed only through std::atomic_ref (slot()), which needs a
+  /// non-const object even for loads.
+  mutable FaultCounters counters_;
 };
 
 }  // namespace pgraph::fault

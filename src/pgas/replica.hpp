@@ -55,7 +55,7 @@ inline void replicate_to_buddy(ThreadCtx& ctx) {
   }
   // Local half: stream the blocks out of DRAM and into the mirror.
   ctx.mem_seq(2 * bytes, machine::Cat::Comm);
-  finj->count_replica_bytes(bytes);
+  finj->count(&fault::FaultCounters::replica_bytes, bytes);
 
   // Mirrors are complete in memory once every thread passes this barrier;
   // declare them promotable *before* the exchange so a loss striking the
@@ -63,7 +63,7 @@ inline void replicate_to_buddy(ThreadCtx& ctx) {
   ctx.barrier();
   if (me == 0) {
     rt.mark_replicas_valid();
-    finj->count_replication();
+    finj->count(&fault::FaultCounters::replications);
   }
 
   // Network half: ship this thread's partition bytes to the buddy node.

@@ -527,8 +527,8 @@ bool Runtime::try_shrink_after_exhaustion(
   // all of them); live node count drops by one.
   topo_.remap_node(lost, buddy);
   thread_node_ = topo_.thread_node_map();
-  fault_->count_promoted(promoted);
-  fault_->raise_loss_event();
+  fault_->count(&fault::FaultCounters::promoted_bytes, promoted);
+  fault_->count(&fault::FaultCounters::loss_events);
   loss_throw_epoch_ = epoch_;
   return true;
 }
@@ -578,7 +578,7 @@ void Runtime::apply_mem_flips() {
       off -= tg.len;
     }
   }
-  if (flipped > 0) fault_->count_mem_flips(flipped);
+  if (flipped > 0) fault_->count(&fault::FaultCounters::mem_flips, flipped);
 }
 
 void Runtime::on_barrier() {
@@ -677,7 +677,8 @@ void Runtime::on_barrier() {
       if (ef.outage_drops > 0 || !ef.retry.empty()) {
         // Senders discover the losses by ack timeout.
         exch_dur += fc.ack_timeout_ns;
-        fault_->count_retry_wait(fc.ack_timeout_ns);
+        fault_->count(&fault::FaultCounters::retry_wait_ns,
+                      static_cast<std::uint64_t>(fc.ack_timeout_ns));
       }
       if (ef.retry.empty()) break;
       if (attempt >= fc.max_retries) {
@@ -690,7 +691,8 @@ void Runtime::on_barrier() {
       }
       const double backoff = fc.backoff_ns_for(attempt);
       exch_dur += backoff;
-      fault_->count_retry_wait(backoff);
+      fault_->count(&fault::FaultCounters::retry_wait_ns,
+                    static_cast<std::uint64_t>(backoff));
       // Rebuild the plan from the lost messages only and go again; the
       // retransmissions are real traffic for the message counters.
       for (auto& lst : plan) lst.clear();
@@ -700,7 +702,7 @@ void Runtime::on_barrier() {
         resent.count_message(msg.wire_bytes);
       }
       net_->fold(resent);
-      fault_->count_retransmits(ef.retry.size());
+      fault_->count(&fault::FaultCounters::retransmits, ef.retry.size());
       ++attempt;
     }
     for (auto& row : plan) row.clear();
@@ -796,8 +798,8 @@ void Runtime::on_barrier() {
   // the checkpoint loop rolls back past the clamped (garbage) superstep.
   if (corrupt_index_.exchange(false, std::memory_order_relaxed) &&
       fault_ != nullptr && fault_->armed()) {
-    fault_->count_scrub_detected(1);
-    fault_->raise_scrub_event();
+    fault_->count(&fault::FaultCounters::scrub_detected);
+    fault_->count(&fault::FaultCounters::scrub_events);
   }
   // Determinism digest of the committed GlobalArray state at this barrier
   // (observation only: never touches the modeled clocks).
@@ -831,15 +833,7 @@ void Runtime::on_barrier() {
     trace_prev_fine_ = fine;
     if (fault_ != nullptr) {
       const fault::FaultCounters fc = fault_->counters();
-      const fault::FaultCounters& pv = trace_prev_faults_;
-      rec.fault_drops_delta =
-          (fc.drops + fc.outage_drops) - (pv.drops + pv.outage_drops);
-      rec.fault_retransmits_delta = fc.retransmits - pv.retransmits;
-      rec.fault_corruptions_delta = fc.corruptions - pv.corruptions;
-      rec.fault_rollbacks_delta = fc.rollbacks - pv.rollbacks;
-      rec.fault_wait_ns_delta = fc.retry_wait_ns - pv.retry_wait_ns;
-      rec.fault_loss_drops_delta = fc.loss_drops - pv.loss_drops;
-      rec.fault_shrinks_delta = fc.loss_events - pv.loss_events;
+      rec.fault_delta = fc - trace_prev_faults_;
       trace_prev_faults_ = fc;
     }
     rec.live_nodes = topo_.live_node_count();
@@ -848,10 +842,10 @@ void Runtime::on_barrier() {
     sink_->on_superstep(rec);
   }
   // One recovery event per outage window, raised at the barrier that ends
-  // it (the node "reboots"); checkpointing loops poll outage_events() at
+  // it (the node "reboots"); checkpointing loops poll recovery_events() at
   // iteration granularity and roll back on a change.
   if (fault_ != nullptr && fault_->outage_ends_at(epoch_))
-    fault_->raise_outage_event();
+    fault_->count(&fault::FaultCounters::outage_events);
   ++barriers_;
   ++epoch_;
 }

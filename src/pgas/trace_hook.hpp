@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "machine/exchange_sim.hpp"
 #include "machine/network_model.hpp"
 #include "machine/phase_stats.hpp"
@@ -84,13 +85,7 @@ struct SuperstepRecord {
   std::uint64_t fine_msgs_delta = 0;
   /// FaultInjector counter deltas over this superstep (all zero when no
   /// injector is attached): where resilience cost went.
-  std::uint64_t fault_drops_delta = 0;        ///< drops incl. outage drops
-  std::uint64_t fault_retransmits_delta = 0;
-  std::uint64_t fault_corruptions_delta = 0;
-  std::uint64_t fault_rollbacks_delta = 0;
-  std::uint64_t fault_wait_ns_delta = 0;      ///< ack timeouts + backoff
-  std::uint64_t fault_loss_drops_delta = 0;   ///< drops to/from a lost node
-  std::uint64_t fault_shrinks_delta = 0;      ///< permanent-loss shrinks
+  fault::FaultCounters fault_delta;
   /// Nodes still hosting threads after this superstep (== topology nodes
   /// until a shrink; each shrink decrements it — the degraded-epoch mark).
   int live_nodes = 0;

@@ -70,7 +70,7 @@ QueryServer::QueryServer(stream::DynamicGraph& dg, int tenants,
     // Losses the DynamicGraph already absorbed (construction, earlier
     // batches) are not ours to recover from.
     if (const fault::FaultInjector* inj = dg_.runtime().fault_injector())
-      seen_loss_ = inj->loss_events();
+      seen_loss_ = inj->count_of(&fault::FaultCounters::loss_events);
   }
 }
 
@@ -595,7 +595,7 @@ bool QueryServer::spend_retry_tokens(const Window& w,
 void QueryServer::poll_recovery(double now_ns, double* service_ns) {
   const fault::FaultInjector* inj = dg_.runtime().fault_injector();
   if (inj == nullptr) return;
-  const std::uint64_t ev = inj->loss_events();
+  const std::uint64_t ev = inj->count_of(&fault::FaultCounters::loss_events);
   if (ev <= seen_loss_) return;
   seen_loss_ = ev;
   // A node was permanently lost and the topology shrank: republish the
@@ -632,7 +632,7 @@ stream::BatchStats QueryServer::publish(
     // fold any loss it absorbed into the seen baseline rather than
     // republishing a second time.
     if (const fault::FaultInjector* inj = dg_.runtime().fault_injector())
-      seen_loss_ = inj->loss_events();
+      seen_loss_ = inj->count_of(&fault::FaultCounters::loss_events);
     update_mode(server_free_ns_);
   }
   return st;

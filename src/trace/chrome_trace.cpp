@@ -104,19 +104,21 @@ void SuperstepTracer::write_chrome_trace(std::ostream& os) const {
                << ",\"fine_msgs\":" << st.fine_msgs_delta
                << ",\"violations\":" << st.violations_delta;
     // Fault-injection args only when the superstep saw any, so fault-free
-    // traces stay byte-identical.
-    if (st.fault_drops_delta != 0 || st.fault_retransmits_delta != 0 ||
-        st.fault_corruptions_delta != 0 || st.fault_rollbacks_delta != 0)
-      ev.out() << ",\"fault_drops\":" << st.fault_drops_delta
-               << ",\"fault_retransmits\":" << st.fault_retransmits_delta
-               << ",\"fault_corruptions\":" << st.fault_corruptions_delta
-               << ",\"fault_rollbacks\":" << st.fault_rollbacks_delta
-               << ",\"fault_wait_ns\":" << st.fault_wait_ns_delta;
+    // traces stay byte-identical.  `fault_drops` counts outage drops too.
+    const fault::FaultCounters& f = st.fault_delta;
+    const std::uint64_t drops = f.drops + f.outage_drops;
+    if (drops != 0 || f.retransmits != 0 || f.corruptions != 0 ||
+        f.rollbacks != 0)
+      ev.out() << ",\"fault_drops\":" << drops
+               << ",\"fault_retransmits\":" << f.retransmits
+               << ",\"fault_corruptions\":" << f.corruptions
+               << ",\"fault_rollbacks\":" << f.rollbacks
+               << ",\"fault_wait_ns\":" << f.retry_wait_ns;
     // Degraded-epoch marks: only emitted once a loss touched the step, so
     // loss-free traces stay byte-identical.
-    if (st.fault_loss_drops_delta != 0 || st.fault_shrinks_delta != 0)
-      ev.out() << ",\"fault_loss_drops\":" << st.fault_loss_drops_delta
-               << ",\"fault_shrinks\":" << st.fault_shrinks_delta
+    if (f.loss_drops != 0 || f.loss_events != 0)
+      ev.out() << ",\"fault_loss_drops\":" << f.loss_drops
+               << ",\"fault_shrinks\":" << f.loss_events
                << ",\"live_nodes\":" << st.live_nodes;
     // Determinism digest: only when the run recorded one (--digest), so
     // digest-off traces stay byte-identical.
@@ -131,7 +133,7 @@ void SuperstepTracer::write_chrome_trace(std::ostream& os) const {
     // A shrink is a global topology event; mark it as an instant so it is
     // findable at a glance in the viewer (instants add no slice time, so
     // per-category totals still equal PhaseStats exactly).
-    if (st.fault_shrinks_delta != 0)
+    if (f.loss_events != 0)
       ev.begin() << "{\"ph\":\"i\",\"pid\":" << pid
                  << ",\"tid\":" << kVerdictTid
                  << ",\"name\":\"node-loss shrink (" << st.live_nodes

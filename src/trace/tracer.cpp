@@ -89,13 +89,7 @@ void SuperstepTracer::on_superstep(const pgas::SuperstepRecord& rec) {
   st.msgs_delta = rec.msgs_delta;
   st.bytes_delta = rec.bytes_delta;
   st.fine_msgs_delta = rec.fine_msgs_delta;
-  st.fault_drops_delta = rec.fault_drops_delta;
-  st.fault_retransmits_delta = rec.fault_retransmits_delta;
-  st.fault_corruptions_delta = rec.fault_corruptions_delta;
-  st.fault_rollbacks_delta = rec.fault_rollbacks_delta;
-  st.fault_wait_ns_delta = rec.fault_wait_ns_delta;
-  st.fault_loss_drops_delta = rec.fault_loss_drops_delta;
-  st.fault_shrinks_delta = rec.fault_shrinks_delta;
+  st.fault_delta = rec.fault_delta;
   st.live_nodes = rec.live_nodes;
   st.has_digest = rec.has_digest;
   st.state_digest = rec.state_digest;

@@ -58,13 +58,7 @@ struct Superstep {
   std::uint64_t violations_delta = 0;  ///< access checker (check builds)
   // Fault-injection activity this superstep (all zero without an injector;
   // see docs/ROBUSTNESS.md).
-  std::uint64_t fault_drops_delta = 0;
-  std::uint64_t fault_retransmits_delta = 0;
-  std::uint64_t fault_corruptions_delta = 0;
-  std::uint64_t fault_rollbacks_delta = 0;
-  std::uint64_t fault_wait_ns_delta = 0;
-  std::uint64_t fault_loss_drops_delta = 0;
-  std::uint64_t fault_shrinks_delta = 0;  ///< permanent-loss shrink events
+  fault::FaultCounters fault_delta;
   int live_nodes = 0;  ///< surviving nodes after this superstep
   /// Determinism digest of the committed GlobalArray state at this barrier
   /// (Runtime::set_digest_enabled; has_digest false when the feature is off).

@@ -15,6 +15,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,8 @@
 #include "pgas/global_array.hpp"
 #include "pgas/replica.hpp"
 #include "pgas/runtime.hpp"
+#include "trace/chrome_trace.hpp"
+#include "trace/json.hpp"
 
 namespace g = pgraph::graph;
 namespace pg = pgraph::pgas;
@@ -36,6 +40,7 @@ namespace m = pgraph::machine;
 namespace core = pgraph::core;
 namespace coll = pgraph::coll;
 namespace flt = pgraph::fault;
+namespace tr = pgraph::trace;
 
 namespace {
 
@@ -107,6 +112,155 @@ TEST(FaultConfig, BackoffIsExponentialAndCapped) {
   EXPECT_DOUBLE_EQ(c.backoff_ns_for(1), 200.0);
   EXPECT_DOUBLE_EQ(c.backoff_ns_for(2), 350.0);  // capped
   EXPECT_DOUBLE_EQ(c.backoff_ns_for(10), 350.0);
+}
+
+// --- FaultConfig::parse under hostile input -------------------------------
+//
+// `--faults` is input from outside the program: every value must either be
+// rejected with std::invalid_argument or land in a config that meets the
+// invariants documented on FaultConfig::parse.  Under the ubsan preset
+// (which includes float-cast-overflow) a narrowing cast of an out-of-range
+// value fails these tests too.
+
+namespace {
+
+/// The first documented parse invariant `c` breaks, or "" if none.
+std::string config_violation(const flt::FaultConfig& c) {
+  for (const double p :
+       {c.drop_p, c.dup_p, c.delay_p, c.corrupt_p, c.straggle_p})
+    if (!(p >= 0.0 && p <= 1.0)) return "probability outside [0,1]";
+  for (const double d : {c.delay_ns, c.straggle_ns, c.ack_timeout_ns,
+                         c.retry_backoff_ns, c.backoff_cap_ns})
+    if (!(d >= 0.0 && d < 0x1p64)) return "duration outside [0, 2^64)";
+  if (c.outage_every == 1) return "outage_every == 1";
+  if (c.outage_every > 0 &&
+      (c.outage_k < 1 ||
+       static_cast<std::uint64_t>(c.outage_k) >= c.outage_every))
+    return "outage_k outside [1, outage_every)";
+  if (c.loss_node < -1) return "loss_node < -1";
+  if (c.loss_node >= 0 && c.loss_at == 0) return "loss_node without loss_at";
+  if (c.mem_flips < 0) return "mem_flips < 0";
+  if (c.mem_flip_mirror && c.mem_flip_at == 0)
+    return "mem_flip_mirror without mem_flip_at";
+  if (c.max_retries < 0) return "max_retries < 0";
+  return "";
+}
+
+}  // namespace
+
+TEST(FaultConfigFuzz, RejectsValuesItCannotHonour) {
+  struct Case {
+    const char* what;
+    const char* spec;
+  };
+  const Case bad[] = {
+      {"NaN passes the [0,1] check", "drop=nan"},
+      {"NaN passes the [0,1] check", "corrupt=nan"},
+      {"negative duration runs clocks backwards", "delay_ns=-1e9"},
+      {"negative duration runs clocks backwards", "straggle_ns=-1e9"},
+      {"negative duration runs clocks backwards", "timeout_ns=-5e4"},
+      {"non-finite duration", "backoff_ns=inf"},
+      {"non-finite duration", "cap_ns=nan"},
+      {"duration beyond the uint64 wait counter", "timeout_ns=1e30"},
+      {"negative to unsigned cast is undefined", "outage_every=-3"},
+      {"negative to unsigned cast is undefined", "loss_at=-1"},
+      {"INT_MIN silently disables flips", "mem_flips=1e10"},
+      {"out-of-range retries became 0", "retries=1e10"},
+      {"NaN retries became 0", "retries=nan"},
+      {"fractional epoch truncated", "loss_at=2.5"},
+      {"loss_node below -1", "loss_node=-7"},
+      {"loss_node below -1", "loss_at=5,loss_node=-7"},
+      {"period 1 clamps outage_k into [1, 0]", "outage_every=1"},
+  };
+  for (const Case& c : bad) {
+    SCOPED_TRACE(std::string(c.what) + ": " + c.spec);
+    EXPECT_THROW(flt::FaultConfig::parse(c.spec, 1), std::invalid_argument);
+  }
+}
+
+TEST(FaultConfigFuzz, ClampsOutageKAndRetriesIntoRange) {
+  // outage_k lands in [1, outage_every - 1] even when the period does not
+  // fit an int, and negative retries mean none.
+  EXPECT_EQ(flt::FaultConfig::parse("outage_every=3,outage_k=9", 1).outage_k,
+            2);
+  EXPECT_EQ(flt::FaultConfig::parse("outage_every=3,outage_k=-5", 1).outage_k,
+            1);
+  EXPECT_EQ(flt::FaultConfig::parse("outage_every=4294967296", 1).outage_k,
+            2);
+  EXPECT_EQ(flt::FaultConfig::parse("retries=-3", 1).max_retries, 0);
+}
+
+TEST(FaultConfigFuzz, SeededMutationsThrowOrMeetInvariants) {
+  // Valid plans from the tests, run_checks.sh and EXPERIMENTS.md.
+  const std::vector<std::string> valid = {
+      "outage_every=40,outage_k=2",
+      "loss_at=24",
+      "corrupt=0.5",
+      "drop=0.05,dup=0.03,delay=0.1,straggle=0.05",
+      "mem_flip_at=12,mem_flips=1",
+      "drop=0.25,dup=0.125,delay=0.5,delay_ns=777,corrupt=0.1,straggle=0.2,"
+      "straggle_ns=999,outage_every=40,outage_k=3,retries=4,timeout_ns=1000,"
+      "backoff_ns=500,cap_ns=8000",
+      "loss_at=9,loss_node=2,mem_flip_at=5,mem_flips=32,mem_flip_mirror=1",
+      "drop=0.12,retries=3,arm=0",
+      "drop=0.02,corrupt=0.01,straggle=0.05",
+      "drop=0",
+  };
+  const char* const splices[] = {"nan",  "inf", "-1", "1.5", "1e30",
+                                 "18446744073709551616", "-inf", "0",
+                                 "1",    "2",   "4294967296", "2147483648"};
+  std::mt19937_64 rng(20241017);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // Replace the value of one key=value item with a spliced token.
+  const auto splice = [&](std::string s) {
+    std::vector<std::size_t> eqs;
+    for (std::size_t i = 0; i < s.size(); ++i)
+      if (s[i] == '=') eqs.push_back(i);
+    if (eqs.empty()) return s;
+    const std::size_t eq = eqs[pick(eqs.size())];
+    std::size_t end = s.find(',', eq);
+    if (end == std::string::npos) end = s.size();
+    return s.substr(0, eq + 1) + splices[pick(std::size(splices))] +
+           s.substr(end);
+  };
+  std::size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string spec = valid[pick(valid.size())];
+    const int ops = 1 + static_cast<int>(pick(3));
+    for (int k = 0; k < ops; ++k) {
+      switch (pick(4)) {
+        case 0:
+          spec = splice(spec);
+          break;
+        case 1:  // flip one byte
+          if (!spec.empty())
+            spec[pick(spec.size())] = static_cast<char>(pick(256));
+          break;
+        case 2:  // truncate
+          spec.resize(pick(spec.size() + 1));
+          break;
+        default:  // repeat a key, maybe with a spliced value
+          spec += "," + (pick(2) ? valid[pick(valid.size())]
+                                 : splice(valid[pick(valid.size())]));
+          break;
+      }
+    }
+    flt::FaultConfig cfg;
+    try {
+      cfg = flt::FaultConfig::parse(spec, 5);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(config_violation(cfg), "") << "spec '" << spec << "'";
+    EXPECT_EQ(cfg.seed, 5u);
+  }
+  // Both outcomes are exercised, so neither branch is vacuous.
+  EXPECT_GT(accepted, 400u);
+  EXPECT_GT(rejected, 400u);
 }
 
 TEST(FaultInjector, DrawsAreDeterministic) {
@@ -980,5 +1134,97 @@ TEST(FaultGolden, MstTrajectoriesExact) {
           return core::mst_pgas(rt, el, o).costs;
         });
     expect_golden(kGoldenPlans[i], got, want[i]);
+  }
+}
+
+// --- the counter table ------------------------------------------------------
+
+TEST(FaultCounterTable, KeysAreTheBenchExtrasInOrder) {
+  // The keys and order bench JSON rows have always carried; committed
+  // baselines are compared key by key.
+  const std::vector<std::string> want = {
+      "fault_drops",         "fault_dups",          "fault_delays",
+      "fault_outage_drops",  "fault_retransmits",   "fault_corruptions",
+      "fault_detected",      "fault_repairs",       "fault_straggles",
+      "fault_outages",       "fault_rollbacks",     "fault_checkpoints",
+      "fault_retry_wait_ns", "fault_loss_drops",    "fault_shrinks",
+      "fault_replications",  "fault_replica_bytes", "fault_promoted_bytes",
+      "fault_mem_flips",     "scrub_passes",        "scrub_detected",
+      "scrub_heals",         "scrub_events"};
+  std::vector<std::string> got;
+  for (const flt::FaultCounterField& f : flt::kFaultCounterFields)
+    got.emplace_back(f.key);
+  EXPECT_EQ(got, want);
+}
+
+TEST(FaultCounterTable, EachRowCountsItsOwnField) {
+  flt::FaultInjector inj(flt::FaultConfig{});
+  for (const flt::FaultCounterField& f : flt::kFaultCounterFields)
+    inj.count(f.member);
+  // Read back by field name, independently of the table.
+  EXPECT_EQ(counter_values(inj.counters()),
+            std::vector<std::uint64_t>(23, 1));
+  EXPECT_EQ(inj.recovery_events(), 3u);
+
+  const flt::FaultCounters before = inj.counters();
+  inj.count(&flt::FaultCounters::retry_wait_ns, 4000);
+  std::vector<std::uint64_t> want(23, 0);
+  want[12] = 4000;  // retry_wait_ns
+  EXPECT_EQ(counter_values(inj.counters() - before), want);
+
+  inj.reset_counters();
+  EXPECT_EQ(counter_values(inj.counters()),
+            std::vector<std::uint64_t>(23, 0));
+}
+
+// --- per-superstep deltas through the Chrome trace -----------------------
+
+TEST(FaultTrace, VerdictArgsSumToInjectorTotals) {
+  const auto el = g::random_graph(256, 1024, 21);
+  for (const char* spec : {"drop=0.05,loss_at=24", "corrupt=0.5"}) {
+    SCOPED_TRACE(spec);
+    flt::FaultInjector inj(flt::FaultConfig::parse(spec, /*seed=*/1));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&inj);
+    tr::SuperstepTracer tracer;
+    tracer.attach(rt);
+    core::cc_coalesced(rt, el, core::CcOptions{});
+
+    std::ostringstream os;
+    tracer.write_chrome_trace(os);
+    tr::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(tr::json::parse(os.str(), doc, &err)) << err;
+    const char* const keys[] = {"fault_drops",      "fault_retransmits",
+                                "fault_corruptions", "fault_rollbacks",
+                                "fault_wait_ns",     "fault_loss_drops",
+                                "fault_shrinks"};
+    std::vector<double> sum(std::size(keys), 0.0);
+    std::uint64_t shrink_instants = 0;
+    for (const auto& e : doc["traceEvents"].items()) {
+      if (static_cast<std::int64_t>(e["tid"].as_number(-1)) != tr::kVerdictTid)
+        continue;
+      const std::string& ph = e["ph"].as_string();
+      if (ph == "i" && e["name"].as_string().rfind("node-loss shrink", 0) == 0)
+        ++shrink_instants;
+      if (ph != "X") continue;
+      for (std::size_t k = 0; k < std::size(keys); ++k)
+        sum[k] += e["args"][keys[k]].as_number(0.0);
+    }
+    const flt::FaultCounters c = inj.counters();
+    const std::vector<double> want = {
+        static_cast<double>(c.drops + c.outage_drops),
+        static_cast<double>(c.retransmits),
+        static_cast<double>(c.corruptions),
+        static_cast<double>(c.rollbacks),
+        static_cast<double>(c.retry_wait_ns),
+        static_cast<double>(c.loss_drops),
+        static_cast<double>(c.loss_events)};
+    EXPECT_EQ(sum, want);
+    EXPECT_EQ(shrink_instants, c.loss_events);
+    // Each plan really moved its counters.
+    EXPECT_GT(c.retransmits, 0u);
+    EXPECT_GT(c.drops + c.corruptions, 0u);
+    EXPECT_EQ(c.loss_events, inj.config().loss_enabled() ? 1u : 0u);
   }
 }
