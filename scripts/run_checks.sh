@@ -23,8 +23,11 @@
 #            check that catches a --faults value cast out of range);
 #            collectives, fault (incl. the FaultConfigFuzz parser mutation
 #            tests), stream, runtime (fiber executor, value collectives),
-#            sched (FastDiv's 128-bit multiply and its wild-index fallback)
-#            and machine (tally fold) test binaries under it
+#            sched (FastDiv's 128-bit multiply and its wild-index fallback),
+#            machine (tally fold), scrub (the replica module's mirror-flip
+#            refusal at promotion, flip-detect-heal under sv and MST, and
+#            the digest properties) and harness (the BenchArgsFuzz flag
+#            parser mutation tests and scaled()) test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
 #            (scripts/baselines/BENCH_smoke.json; skipped without python3),
 #            after a self-test that perturbed copies fail the gate
@@ -150,14 +153,16 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
         --target test_collectives --target test_fault --target test_stream \
-        --target test_runtime --target test_sched --target test_machine
-      # The last two groups are test_sched's and test_machine's suites.
+        --target test_runtime --target test_sched --target test_machine \
+        --target test_scrub --target test_harness
+      # The next two groups are test_sched's and test_machine's suites;
+      # Scrub and BenchArgs cover test_scrub and test_harness's parser.
       ctest --preset ubsan \
-        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel))' \
+        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs)' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)

@@ -128,7 +128,7 @@ void setd_combine(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
     // scrub pass baselined this partition, every applied element folds an
     // O(1) digest delta into the partition checksum (the old value is
     // already in cache for the combine, so the modeled cost is unchanged).
-    const bool track = D.integrity_tracking_thread(me);
+    const bool track = D.replica().tracking(me);
     // One coalesced message of (index, value) records per remote batch.
     detail::owner_walk(
         ctx, D, cc, ws, opt, vb, {sizeof(std::uint64_t) + sizeof(T), 0},

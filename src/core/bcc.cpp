@@ -1,63 +1,17 @@
 #include "core/bcc.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "core/cc_coalesced.hpp"
 #include "core/cc_seq.hpp"
-#include "core/dsu.hpp"
 #include "core/euler_tour.hpp"
-#include "core/mst_pgas.hpp"
 
 namespace pgraph::core {
 
 namespace {
-
-void accumulate(RunCosts& into, const RunCosts& c) {
-  into.modeled_ns += c.modeled_ns;
-  into.wall_s += c.wall_s;
-  into.breakdown.merge_sum(c.breakdown);
-  into.messages += c.messages;
-  into.fine_messages += c.fine_messages;
-  into.bytes += c.bytes;
-  into.barriers += c.barriers;
-}
-
-/// Static range-min/max over an array: O(n log n) sparse table.
-class SparseTable {
- public:
-  SparseTable(const std::vector<std::uint64_t>& a, bool take_min)
-      : min_(take_min) {
-    const std::size_t n = a.size();
-    levels_ = n < 2 ? 1 : std::bit_width(n - 1) + 1;
-    table_.assign(levels_, a);
-    for (std::size_t k = 1; k < levels_; ++k) {
-      const std::size_t half = 1ull << (k - 1);
-      for (std::size_t i = 0; i + (1ull << k) <= n; ++i)
-        table_[k][i] = pick(table_[k - 1][i], table_[k - 1][i + half]);
-    }
-  }
-
-  /// Query over the inclusive range [lo, hi].
-  std::uint64_t query(std::size_t lo, std::size_t hi) const {
-    assert(lo <= hi && hi < table_[0].size());
-    const std::size_t k =
-        lo == hi ? 0 : std::bit_width(hi - lo + 1) - 1;
-    return pick(table_[k][lo], table_[k][hi + 1 - (1ull << k)]);
-  }
-
- private:
-  std::uint64_t pick(std::uint64_t a, std::uint64_t b) const {
-    return min_ ? std::min(a, b) : std::max(a, b);
-  }
-  bool min_;
-  std::size_t levels_;
-  std::vector<std::vector<std::uint64_t>> table_;
-};
 
 /// Compute the number of distinct blocks and the articulation vertices
 /// from per-edge block labels: a vertex is an articulation point iff its
@@ -94,59 +48,23 @@ BccResult bcc_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
     return r;
   }
 
-  // --- phase 1: spanning forest (distributed Boruvka). -------------------
-  core::MstOptions mopt;
-  mopt.coll = opt;
-  mopt.compact = true;
-  const auto st = spanning_tree_pgas(rt, el, mopt);
-  accumulate(r.costs, st.costs);
-
-  graph::EdgeList tree;
-  tree.n = el.n;
-  std::vector<std::uint8_t> is_tree(el.m(), 0);
-  std::vector<std::uint64_t> tree_edge_of_global(el.m(), UINT64_MAX);
-  for (const auto id : st.edges) {
-    tree_edge_of_global[id] = tree.edges.size();
-    tree.edges.push_back(el.edges[id]);
-    is_tree[id] = 1;
-  }
-  const std::size_t nt = tree.m();
-
-  // --- phase 2: Euler tour metrics (two distributed rankings). -----------
-  const auto tour = build_euler_tour(tree, 0);
-  const auto tm = euler_tour_metrics(rt, tour, opt);
-  accumulate(r.costs, tm.costs);
+  // --- phases 1-2: spanning forest (distributed Boruvka), its Euler tour
+  // metrics (two distributed rankings) and global preorder positions. -----
+  const RootedForest f = rooted_spanning_forest(rt, el, opt);
+  r.costs += f.costs;
+  const TreeMetrics& tm = f.tm;
+  const std::vector<std::uint64_t>& gp = f.gp;
+  const std::vector<std::uint8_t>& is_tree = f.is_tree;
+  const std::size_t nt = f.tree.m();
 
   // Map each non-root vertex to its tree edge e^(v) = (parent(v), v).
   std::vector<std::uint64_t> vertex_edge(el.n, UINT64_MAX);
   for (std::size_t t = 0; t < nt; ++t) {
-    const auto& e = tree.edges[t];
-    const std::uint64_t child = tm.parent[e.v] == e.u ? e.v : e.u;
+    const std::uint64_t child = f.child(t);
+    [[maybe_unused]] const auto& e = f.tree.edges[t];
     assert(tm.parent[child] == (child == e.v ? e.u : e.v));
     vertex_edge[child] = t;
   }
-
-  // Global positions: component-local preorders packed side by side so
-  // subtree intervals remain contiguous and never cross components.
-  std::vector<std::uint64_t> comp_of(el.n);
-  {
-    Dsu comp(el.n);
-    for (const auto& e : tree.edges) comp.unite(e.u, e.v);
-    for (std::size_t v = 0; v < el.n; ++v) comp_of[v] = comp.find(v);
-  }
-  std::vector<std::uint64_t> comp_offset(el.n, 0);
-  {
-    std::vector<std::uint64_t> sizes(el.n, 0);
-    for (std::size_t v = 0; v < el.n; ++v) ++sizes[comp_of[v]];
-    std::uint64_t off = 0;
-    for (std::size_t c = 0; c < el.n; ++c) {
-      comp_offset[c] = off;
-      off += sizes[c];
-    }
-  }
-  std::vector<std::uint64_t> gp(el.n);
-  for (std::size_t v = 0; v < el.n; ++v)
-    gp[v] = comp_offset[comp_of[v]] + tm.preorder[v];
 
   // --- phase 3: low/high over preorder intervals (local sparse tables). --
   std::vector<std::uint64_t> amin(el.n), amax(el.n);
@@ -184,8 +102,7 @@ BccResult bcc_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   // *own* position is fine — it joins e^(w) and e^(v) when subtree(w)
   // escapes v's interval via a nontree edge.
   for (std::size_t t = 0; t < nt; ++t) {
-    const auto& e = tree.edges[t];
-    const std::uint64_t w = tm.parent[e.v] == e.u ? e.v : e.u;
+    const std::uint64_t w = f.child(t);
     const std::uint64_t v = tm.parent[w];
     if (tm.parent[v] == v) continue;  // v is a component root: no e^(v)
     if (low(w) < gp[v] || high(w) >= gp[v] + tm.subtree_size[v])
@@ -198,19 +115,16 @@ BccResult bcc_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   ccopt.coll = opt;
   ccopt.compact = true;
   const auto aux_cc = cc_coalesced(rt, aux, ccopt);
-  accumulate(r.costs, aux_cc.costs);
+  r.costs += aux_cc.costs;
 
-  // --- assignment: tree edge -> its auxiliary label; nontree edge {u, w}
-  // -> the label of e^(the endpoint with the larger preorder) (for a back
-  // edge that is the descendant; for a cross edge rule 1 made both equal).
+  // --- assignment: edge {u, w} -> the label of e^(the endpoint with the
+  // larger preorder).  For a tree edge that is the child, so the label is
+  // the edge's own; for a back edge it is the descendant; for a cross edge
+  // rule 1 made both equal.
   for (std::size_t e = 0; e < el.m(); ++e) {
-    if (is_tree[e]) {
-      r.edge_block[e] = aux_cc.labels[tree_edge_of_global[e]];
-    } else {
-      const std::uint64_t u = el.edges[e].u, w = el.edges[e].v;
-      const std::uint64_t deeper = gp[u] > gp[w] ? u : w;
-      r.edge_block[e] = aux_cc.labels[vertex_edge[deeper]];
-    }
+    const std::uint64_t u = el.edges[e].u, w = el.edges[e].v;
+    const std::uint64_t deeper = gp[u] > gp[w] ? u : w;
+    r.edge_block[e] = aux_cc.labels[vertex_edge[deeper]];
   }
   finish_result(el, r);
   return r;

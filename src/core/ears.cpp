@@ -2,51 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 
-#include "core/cc_coalesced.hpp"
-#include "core/dsu.hpp"
 #include "core/euler_tour.hpp"
-#include "core/mst_pgas.hpp"
 
 namespace pgraph::core {
 
 namespace {
-
-void accumulate(RunCosts& into, const RunCosts& c) {
-  into.modeled_ns += c.modeled_ns;
-  into.wall_s += c.wall_s;
-  into.breakdown.merge_sum(c.breakdown);
-  into.messages += c.messages;
-  into.fine_messages += c.fine_messages;
-  into.bytes += c.bytes;
-  into.barriers += c.barriers;
-}
-
-/// Range-min sparse table (as in bcc.cpp, min-only).
-class MinTable {
- public:
-  explicit MinTable(const std::vector<std::uint64_t>& a) {
-    const std::size_t n = a.size();
-    levels_ = n < 2 ? 1 : std::bit_width(n - 1) + 1;
-    table_.assign(levels_, a);
-    for (std::size_t k = 1; k < levels_; ++k) {
-      const std::size_t half = 1ull << (k - 1);
-      for (std::size_t i = 0; i + (1ull << k) <= n; ++i)
-        table_[k][i] =
-            std::min(table_[k - 1][i], table_[k - 1][i + half]);
-    }
-  }
-  std::uint64_t query(std::size_t lo, std::size_t hi) const {
-    const std::size_t k = lo == hi ? 0 : std::bit_width(hi - lo + 1) - 1;
-    return std::min(table_[k][lo], table_[k][hi + 1 - (1ull << k)]);
-  }
-
- private:
-  std::size_t levels_;
-  std::vector<std::vector<std::uint64_t>> table_;
-};
 
 /// Binary-lifting LCA over the rooted forest (parent/depth from the Euler
 /// metrics); a local O(n log n) helper for labeling the nontree edges.
@@ -102,39 +64,13 @@ EarResult ear_decomposition_pgas(pgas::Runtime& rt,
   r.ear.assign(el.m(), kBridge);
   if (el.m() == 0) return r;
 
-  // --- distributed phases: spanning forest + Euler metrics. --------------
-  MstOptions mopt;
-  mopt.coll = opt;
-  const auto st = spanning_tree_pgas(rt, el, mopt);
-  accumulate(r.costs, st.costs);
-  graph::EdgeList tree;
-  tree.n = el.n;
-  std::vector<std::uint8_t> is_tree(el.m(), 0);
-  for (const auto id : st.edges) {
-    tree.edges.push_back(el.edges[id]);
-    is_tree[id] = 1;
-  }
-  const auto tour = build_euler_tour(tree, 0);
-  const auto tm = euler_tour_metrics(rt, tour, opt);
-  accumulate(r.costs, tm.costs);
-
-  // --- global preorder positions (per-component intervals, as in BCC). ---
-  std::vector<std::uint64_t> comp_of(el.n), comp_offset(el.n, 0);
-  {
-    Dsu comp(el.n);
-    for (const auto& e : tree.edges) comp.unite(e.u, e.v);
-    for (std::size_t v = 0; v < el.n; ++v) comp_of[v] = comp.find(v);
-    std::vector<std::uint64_t> sizes(el.n, 0);
-    for (std::size_t v = 0; v < el.n; ++v) ++sizes[comp_of[v]];
-    std::uint64_t off = 0;
-    for (std::size_t c = 0; c < el.n; ++c) {
-      comp_offset[c] = off;
-      off += sizes[c];
-    }
-  }
-  std::vector<std::uint64_t> gp(el.n);
-  for (std::size_t v = 0; v < el.n; ++v)
-    gp[v] = comp_offset[comp_of[v]] + tm.preorder[v];
+  // --- distributed phases: spanning forest + Euler metrics, then global
+  // preorder positions (per-component intervals, as in BCC). -------------
+  const RootedForest f = rooted_spanning_forest(rt, el, opt);
+  r.costs += f.costs;
+  const TreeMetrics& tm = f.tm;
+  const std::vector<std::uint64_t>& gp = f.gp;
+  const std::vector<std::uint8_t>& is_tree = f.is_tree;
 
   // --- labels: (depth of LCA, serial) per nontree edge.  The serial keeps
   // labels unique; packing the LCA depth in the high bits makes the
@@ -157,18 +93,16 @@ EarResult ear_decomposition_pgas(pgas::Runtime& rt,
     for (const auto v : {el.edges[e].u, el.edges[e].v})
       amin[gp[v]] = std::min(amin[gp[v]], label[e]);
   }
-  const MinTable tmin(amin);
+  const SparseTable tmin(amin, /*take_min=*/true);
 
   // --- assignment.  A tree edge e^(v) = (parent(v), v) is covered iff the
   // minimal label in subtree(v) has its LCA strictly above v.
-  for (std::size_t t = 0; t < tree.m(); ++t) {
-    const auto& e = tree.edges[t];
-    const std::uint64_t v = tm.parent[e.v] == e.u ? e.v : e.u;
+  for (std::size_t t = 0; t < f.tree.m(); ++t) {
+    const std::uint64_t v = f.child(t);
     const std::uint64_t best =
         tmin.query(gp[v], gp[v] + tm.subtree_size[v] - 1);
-    const std::uint64_t global_id = st.edges[t];
     if (best != kNone && (best >> 32) < tm.depth[v])
-      r.ear[global_id] = best;
+      r.ear[f.tree_ids[t]] = best;
   }
   for (std::size_t e = 0; e < el.m(); ++e)
     if (!is_tree[e]) r.ear[e] = label[e];

@@ -5,6 +5,7 @@
 
 #include "core/dsu.hpp"
 #include "core/list_ranking.hpp"
+#include "core/mst_pgas.hpp"
 
 namespace pgraph::core {
 
@@ -104,20 +105,6 @@ EulerTour build_euler_tour(const graph::EdgeList& tree, std::uint64_t root) {
   return t;
 }
 
-namespace {
-
-void accumulate(RunCosts& into, const RunCosts& c) {
-  into.modeled_ns += c.modeled_ns;
-  into.wall_s += c.wall_s;
-  into.breakdown.merge_sum(c.breakdown);
-  into.messages += c.messages;
-  into.fine_messages += c.fine_messages;
-  into.bytes += c.bytes;
-  into.barriers += c.barriers;
-}
-
-}  // namespace
-
 TreeMetrics euler_tour_metrics(pgas::Runtime& rt, const EulerTour& tour,
                                const coll::CollectiveOptions& opt) {
   TreeMetrics m;
@@ -137,7 +124,7 @@ TreeMetrics euler_tour_metrics(pgas::Runtime& rt, const EulerTour& tour,
   // Phase 1: unit-weight ranking orients the arcs — (u->v) is downward iff
   // it appears before its reverse, i.e. has the larger suffix count.
   const auto r1 = list_ranking_pgas(rt, tour.succ, opt);
-  accumulate(m.costs, r1.costs);
+  m.costs += r1.costs;
   m.ranking_rounds = r1.rounds;
 
   // Phase 2: +1 on down arcs, -1 (two's complement) on up arcs; the
@@ -149,7 +136,7 @@ TreeMetrics euler_tour_metrics(pgas::Runtime& rt, const EulerTour& tour,
     w[2 * e + 1] = down_is_even ? ~0ull : 1;  // the reverse
   }
   const auto r2 = list_ranking_weighted_pgas(rt, tour.succ, w, opt);
-  accumulate(m.costs, r2.costs);
+  m.costs += r2.costs;
   m.ranking_rounds += r2.rounds;
 
   // Per-component arc counts (= rank of the component's first arc + 1).
@@ -179,6 +166,43 @@ TreeMetrics euler_tour_metrics(pgas::Runtime& rt, const EulerTour& tour,
     m.preorder[child] = (pos + 1 + m.depth[child]) / 2;
   }
   return m;
+}
+
+RootedForest rooted_spanning_forest(pgas::Runtime& rt,
+                                    const graph::EdgeList& el,
+                                    const coll::CollectiveOptions& opt) {
+  RootedForest f;
+  MstOptions mopt;
+  mopt.coll = opt;
+  const auto st = spanning_tree_pgas(rt, el, mopt);
+  f.costs += st.costs;
+  f.tree_ids = st.edges;
+  f.is_tree.assign(el.m(), 0);
+  f.tree.n = el.n;
+  for (const auto id : st.edges) {
+    f.tree.edges.push_back(el.edges[id]);
+    f.is_tree[id] = 1;
+  }
+  f.tm = euler_tour_metrics(rt, build_euler_tour(f.tree, 0), opt);
+  f.costs += f.tm.costs;
+
+  std::vector<std::uint64_t> comp_of(el.n), comp_offset(el.n, 0);
+  {
+    Dsu comp(el.n);
+    for (const auto& e : f.tree.edges) comp.unite(e.u, e.v);
+    for (std::size_t v = 0; v < el.n; ++v) comp_of[v] = comp.find(v);
+    std::vector<std::uint64_t> sizes(el.n, 0);
+    for (std::size_t v = 0; v < el.n; ++v) ++sizes[comp_of[v]];
+    std::uint64_t off = 0;
+    for (std::size_t c = 0; c < el.n; ++c) {
+      comp_offset[c] = off;
+      off += sizes[c];
+    }
+  }
+  f.gp.resize(el.n);
+  for (std::size_t v = 0; v < el.n; ++v)
+    f.gp[v] = comp_offset[comp_of[v]] + f.tm.preorder[v];
+  return f;
 }
 
 TreeMetrics tree_metrics_sequential(const graph::EdgeList& tree,

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -68,6 +71,65 @@ struct TreeMetrics {
 TreeMetrics euler_tour_metrics(
     pgas::Runtime& rt, const EulerTour& tour,
     const coll::CollectiveOptions& opt = coll::CollectiveOptions::optimized());
+
+/// A rooted spanning forest of a general graph with global preorder
+/// positions: the prelude that biconnectivity and ear decomposition share.
+/// The forest comes from spanning_tree_pgas (distributed Boruvka), its
+/// metrics from euler_tour_metrics (two distributed rankings), and the
+/// component-local preorders are packed side by side into `gp`, so every
+/// subtree(v) is the interval [gp[v], gp[v] + subtree_size[v]) and never
+/// crosses components.
+struct RootedForest {
+  std::vector<std::uint64_t> tree_ids;  ///< input edge id of forest edge t
+  std::vector<std::uint8_t> is_tree;    ///< per input edge
+  graph::EdgeList tree;                 ///< the forest edges, in t order
+  TreeMetrics tm;
+  std::vector<std::uint64_t> gp;  ///< global preorder position per vertex
+  RunCosts costs;                 ///< both distributed phases
+
+  /// The child endpoint v of forest edge t = (parent(v), v).
+  std::uint64_t child(std::size_t t) const {
+    const auto& e = tree.edges[t];
+    return tm.parent[e.v] == e.u ? e.v : e.u;
+  }
+};
+
+RootedForest rooted_spanning_forest(pgas::Runtime& rt,
+                                    const graph::EdgeList& el,
+                                    const coll::CollectiveOptions& opt);
+
+/// Static range-min or range-max over an array (e.g. indexed by
+/// RootedForest::gp, to query subtree intervals): O(n log n) sparse table.
+class SparseTable {
+ public:
+  SparseTable(const std::vector<std::uint64_t>& a, bool take_min)
+      : min_(take_min) {
+    const std::size_t n = a.size();
+    levels_ = n < 2 ? 1 : std::bit_width(n - 1) + 1;
+    table_.assign(levels_, a);
+    for (std::size_t k = 1; k < levels_; ++k) {
+      const std::size_t half = 1ull << (k - 1);
+      for (std::size_t i = 0; i + (1ull << k) <= n; ++i)
+        table_[k][i] = pick(table_[k - 1][i], table_[k - 1][i + half]);
+    }
+  }
+
+  /// Query over the inclusive range [lo, hi].
+  std::uint64_t query(std::size_t lo, std::size_t hi) const {
+    assert(lo <= hi && hi < table_[0].size());
+    const std::size_t k =
+        lo == hi ? 0 : std::bit_width(hi - lo + 1) - 1;
+    return pick(table_[k][lo], table_[k][hi + 1 - (1ull << k)]);
+  }
+
+ private:
+  std::uint64_t pick(std::uint64_t a, std::uint64_t b) const {
+    return min_ ? std::min(a, b) : std::max(a, b);
+  }
+  bool min_;
+  std::size_t levels_;
+  std::vector<std::vector<std::uint64_t>> table_;
+};
 
 /// Sequential ground truth (DFS over every component, rooted the same way
 /// as build_euler_tour: `root`'s component at root, the rest at their

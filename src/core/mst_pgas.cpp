@@ -143,7 +143,7 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
         auto cb = cand.local_span(me);
         auto db = d.local_span(me);
         // Direct local writes to D are checksum commit points.
-        const bool track = d.integrity_tracking_thread(me);
+        const bool track = d.replica().tracking(me);
         roots.clear();
         rloc.clear();
         rpar.clear();

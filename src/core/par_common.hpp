@@ -19,6 +19,17 @@ struct RunCosts {
   std::uint64_t barriers = 0;
 
   double modeled_ms() const { return modeled_ns / 1e6; }
+  /// Costs of a pipeline: the sum over its phases.
+  RunCosts& operator+=(const RunCosts& c) {
+    modeled_ns += c.modeled_ns;
+    wall_s += c.wall_s;
+    breakdown.merge_sum(c.breakdown);
+    messages += c.messages;
+    fine_messages += c.fine_messages;
+    bytes += c.bytes;
+    barriers += c.barriers;
+    return *this;
+  }
 };
 
 /// Result of a parallel connected-components run.

@@ -49,7 +49,7 @@ inline bool jump_round(pgas::ThreadCtx& ctx,
   coll::getd(ctx, d, par, std::span<std::uint64_t>(grand), copt, cc, ws,
              known);
   // Direct local writes are a checksum commit point for scrubbed arrays.
-  const bool track = d.integrity_tracking_thread(ctx.id());
+  const bool track = d.replica().tracking(ctx.id());
   bool changed = false;
   for (std::size_t k = 0; k < par.size(); ++k) {
     if (grand[k] != par[k]) {

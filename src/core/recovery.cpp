@@ -24,7 +24,7 @@ RecoveryLoop::RecoveryLoop(pgas::Runtime& rt,
                (rt.fault_injector()->config().outage_every > 0 ||
                 rt.fault_injector()->config().loss_enabled() ||
                 rt.fault_injector()->config().mem_flips_enabled())) {
-  if (scrub_every_ > 0) d_.set_scrubbed(true);
+  if (scrub_every_ > 0) d_.replica().set_scrubbed(true);
 }
 
 void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
@@ -112,7 +112,7 @@ void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
           // barrier interval (flips only land at barrier completion, so a
           // verified stage is a clean stage), then agree collectively
           // before committing it over the old snapshot.
-          if (!d_.partition_clean(me)) rt_.note_corruption();
+          if (!d_.replica().partition_clean(me)) rt_.note_corruption();
           ctx.mem_seq(blk.size() * sizeof(std::uint64_t), Cat::Scrub);
           ctx.barrier();  // corruption flag -> recovery event, seen by all
           seal_ok = finj->recovery_events() == ev_now;
@@ -154,7 +154,6 @@ void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
 void RecoveryLoop::scrub(pgas::ThreadCtx& ctx) {
   const int me = ctx.id();
   fault::FaultInjector* const finj = rt_.fault_injector();
-  const std::vector<pgas::ReplicaSite*> sites = rt_.replica_sites();
   // Snapshot the unhealable counter BEFORE the entry barrier: between the
   // previous pass's visibility barrier and this one nobody mutates it, so
   // every thread reads the same value.  Reading it after the entry barrier
@@ -169,26 +168,16 @@ void RecoveryLoop::scrub(pgas::ThreadCtx& ctx) {
   std::uint64_t det = 0;
   std::uint64_t heal = 0;
   std::uint64_t bad = 0;
-  for (pgas::ReplicaSite* site : sites) {
-    const std::size_t bytes = site->replica_thread_bytes(me);
-    if (bytes == 0 || !(site->integrity_tracking_thread(me) ||
-                        !site->partition_bytes(me).empty()))
-      continue;
-    walked += bytes;
-    if (site->scrub_thread(me) == pgas::ReplicaSite::ScrubState::Corrupt) {
-      ++det;
-      if (site->heal_thread(me)) {
-        // Heal: one streamed read of the mirror plus a write of the block.
-        ctx.mem_seq(2 * bytes, Cat::Scrub);
-        ++heal;
-      } else {
-        // No validated mirror: drop the baseline so the next pass records
-        // a fresh one, and leave the repair to the checkpoint-rollback
-        // path (the scrub event below triggers it).
-        site->integrity_invalidate_thread(me);
-        ++bad;
-      }
-    }
+  for (pgas::Replica* r : rt_.replicas()) {
+    const pgas::Replica::ScrubStep st = r->scrub(me);
+    walked += st.walked;
+    det += st.detected;
+    heal += st.healed;
+    // No validated mirror: the repair is left to the checkpoint-rollback
+    // path (the scrub event below triggers it).
+    bad += st.detected && !st.healed;
+    // Heal: one streamed read of the mirror plus a write of the block.
+    if (st.healed) ctx.mem_seq(2 * st.walked, Cat::Scrub);
   }
   // The re-walk itself: a sequential stream over every scrubbed byte.
   if (walked > 0) ctx.mem_seq(walked, Cat::Scrub);
@@ -229,13 +218,8 @@ void RecoveryLoop::scrub(pgas::ThreadCtx& ctx) {
 }
 
 void RecoveryLoop::rebaseline(pgas::ThreadCtx& ctx) {
-  const int me = ctx.id();
   std::size_t walked = 0;
-  for (pgas::ReplicaSite* site : rt_.replica_sites()) {
-    if (!site->integrity_tracking_thread(me)) continue;
-    site->rebaseline_thread(me);
-    walked += site->replica_thread_bytes(me);
-  }
+  for (pgas::Replica* r : rt_.replicas()) walked += r->rebaseline(ctx.id());
   if (walked > 0) ctx.mem_seq(walked, Cat::Scrub);
 }
 

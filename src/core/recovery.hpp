@@ -57,12 +57,13 @@ class RecoveryLoop {
 
  private:
   /// Collective chunked scrubber: every thread re-walks its partitions of
-  /// the scrub-tracked ReplicaSites at streamed-memory cost (Cat::Scrub)
-  /// and compares against the incrementally maintained checksums.  The
-  /// first pass baselines; later passes detect.  A corrupt partition heals
-  /// from its buddy mirror when the mirror checksum validates (charged as
-  /// a read of the mirror plus a write of the block) — otherwise its
-  /// baseline is dropped so the checkpoint-rollback path can restore it.
+  /// the scrubbed arrays (pgas::Replica::scrub) at streamed-memory cost
+  /// (Cat::Scrub) and compares against the incrementally maintained
+  /// checksums.  The first pass baselines; later passes detect.  A
+  /// corrupt partition heals from its buddy mirror when the mirror
+  /// checksum validates (charged as a read of the mirror plus a write of
+  /// the block) — otherwise its baseline is dropped so the
+  /// checkpoint-rollback path can restore it.
   /// Either outcome raises one scrub recovery event (feeding
   /// recovery_events(), so the poll rolls back), and an unhealable
   /// detection additionally throws FaultError{MemoryCorrupt} collectively.

@@ -1,112 +1,131 @@
 #include "harness/args.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <type_traits>
+#include <variant>
 
 #include "fault/fault.hpp"
 #include "partition/partitioning.hpp"
 
 namespace pgraph::harness {
 
+namespace {
+
+/// The bench capability a flag needs (BenchCaps); Any: every bench.
+enum class Cap { Any, Stream, Serve, Robust, Partition };
+/// Accepted values of a numeric flag (None: whatever fits the field).
+enum class Range { None, NonNeg, Pos, Unit };
+
+struct Flag {
+  const char* name;
+  Cap cap;
+  std::variant<bool*, std::string*, std::uint64_t*, int*, double*> dst;
+  Range range = Range::None;
+  const char* rule = "";  ///< the range's "must be ..." error text
+  bool seen = false;
+};
+
+bool granted(Cap c, const BenchCaps& caps) {
+  switch (c) {
+    case Cap::Stream: return caps.stream;
+    case Cap::Serve: return caps.serve;
+    case Cap::Robust: return caps.robust;
+    case Cap::Partition: return caps.partition;
+    default: return true;
+  }
+}
+
+/// Phrased as positive accept conditions, so a NaN (which compares false
+/// against everything) could never slip through.
+bool in_range(double v, Range r) {
+  switch (r) {
+    case Range::NonNeg: return v >= 0.0;
+    case Range::Pos: return v > 0.0;
+    case Range::Unit: return v >= 0.0 && v <= 1.0;
+    default: return true;
+  }
+}
+
+/// The one checked parse of every numeric flag: the whole token must be a
+/// number of the field's type (unsigned types take no sign), the value must
+/// fit the field before anything is stored, and doubles must be finite.
+template <class T>
+bool parse_number(const char* s, T& out) {
+  T v{};
+  const char* end = s + std::strlen(s);
+  const auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end) return false;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+/// What parse_number<T> accepts, for its error message.
+template <class T>
+constexpr const char* kExpected =
+    std::is_floating_point_v<T> ? "a finite number"
+    : std::is_signed_v<T>       ? "an integer in int range"
+                                : "an unsigned 64-bit integer";
+
+}  // namespace
+
 std::string BenchArgs::try_parse(int argc, char** argv, BenchArgs& out,
                                  const BenchCaps& caps) {
   BenchArgs a;
-  bool saw_batch_size = false;
-  bool saw_query_mix = false;
-  bool saw_sessions = false;
-  bool saw_arrival_rate = false;
-  bool saw_skew = false;
-  bool saw_batch_window = false;
-  bool saw_deadline = false;
-  bool saw_retry_budget = false;
-  bool saw_brownout = false;
-  bool saw_scrub_interval = false;
-  bool saw_certify = false;
-  bool saw_mem_flips = false;
-  bool saw_partition = false;
-  std::string err;
-  for (int i = 1; i < argc && err.empty(); ++i) {
-    const auto is = [&](const char* flag) {
-      return std::strcmp(argv[i], flag) == 0;
-    };
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        err = std::string("missing value for ") + argv[i];
-        return "";
-      }
-      return argv[++i];
-    };
-    if (is("--n"))
-      a.n = std::strtoull(next(), nullptr, 10);
-    else if (is("--m"))
-      a.m = std::strtoull(next(), nullptr, 10);
-    else if (is("--nodes"))
-      a.nodes = std::atoi(next());
-    else if (is("--threads"))
-      a.threads = std::atoi(next());
-    else if (is("--tprime"))
-      a.tprime = std::atoi(next());
-    else if (is("--seed"))
-      a.seed = std::strtoull(next(), nullptr, 10);
-    else if (is("--scale"))
-      a.scale = std::atof(next());
-    else if (is("--csv"))
-      a.csv = true;
-    else if (is("--json"))
-      a.json_path = next();
-    else if (is("--trace"))
-      a.trace_path = next();
-    else if (is("--faults"))
-      a.faults = next();
-    else if (is("--fault-seed"))
-      a.fault_seed = std::strtoull(next(), nullptr, 10);
-    else if (is("--digest"))
-      a.digest = true;
-    else if (is("--stream"))
-      a.stream = true;
-    else if (is("--batch-size")) {
-      a.batch_size = std::strtoull(next(), nullptr, 10);
-      saw_batch_size = true;
-    } else if (is("--query-mix")) {
-      a.query_mix = std::atof(next());
-      saw_query_mix = true;
-    } else if (is("--sessions")) {
-      a.sessions = std::atoi(next());
-      saw_sessions = true;
-    } else if (is("--arrival-rate")) {
-      a.arrival_rate = std::atof(next());
-      saw_arrival_rate = true;
-    } else if (is("--skew")) {
-      a.skew = std::atof(next());
-      saw_skew = true;
-    } else if (is("--batch-window-ns")) {
-      a.batch_window_ns = std::atof(next());
-      saw_batch_window = true;
-    } else if (is("--deadline-ns")) {
-      a.deadline_ns = std::atof(next());
-      saw_deadline = true;
-    } else if (is("--retry-budget")) {
-      a.retry_budget = std::atof(next());
-      saw_retry_budget = true;
-    } else if (is("--brownout")) {
-      a.brownout = std::atoi(next());
-      saw_brownout = true;
-    } else if (is("--scrub-interval")) {
-      a.scrub_interval = std::atoi(next());
-      saw_scrub_interval = true;
-    } else if (is("--certify")) {
-      a.certify = std::atoi(next());
-      saw_certify = true;
-    } else if (is("--mem-flips")) {
-      a.mem_flips = std::atoi(next());
-      saw_mem_flips = true;
-    } else if (is("--partition")) {
-      a.partition = next();
-      saw_partition = true;
-    } else if (is("--help") || is("-h")) {
+  const char* const kDefault = "must be >= 0 (0 = bench default)";
+  Flag flags[] = {
+      {"--n", Cap::Any, &a.n},
+      {"--m", Cap::Any, &a.m},
+      {"--nodes", Cap::Any, &a.nodes, Range::NonNeg, kDefault},
+      {"--threads", Cap::Any, &a.threads, Range::NonNeg, kDefault},
+      {"--tprime", Cap::Any, &a.tprime, Range::NonNeg, kDefault},
+      {"--seed", Cap::Any, &a.seed},
+      {"--scale", Cap::Any, &a.scale, Range::Pos, "must be finite and > 0"},
+      {"--csv", Cap::Any, &a.csv},
+      {"--json", Cap::Any, &a.json_path},
+      {"--trace", Cap::Any, &a.trace_path},
+      {"--faults", Cap::Any, &a.faults},
+      {"--fault-seed", Cap::Any, &a.fault_seed},
+      {"--digest", Cap::Any, &a.digest},
+      {"--stream", Cap::Stream, &a.stream},
+      {"--batch-size", Cap::Stream, &a.batch_size, Range::Pos,
+       "must be > 0 (a batch has to carry updates)"},
+      {"--query-mix", Cap::Stream, &a.query_mix, Range::Unit,
+       "must be in [0, 1]"},
+      {"--sessions", Cap::Serve, &a.sessions, Range::Pos,
+       "must be > 0 (someone has to issue queries)"},
+      {"--arrival-rate", Cap::Serve, &a.arrival_rate, Range::Pos,
+       "must be finite and > 0 (requests per modeled second)"},
+      {"--skew", Cap::Serve, &a.skew, Range::NonNeg,
+       "must be finite and >= 0 (Zipf exponent; 0 = uniform)"},
+      {"--batch-window-ns", Cap::Serve, &a.batch_window_ns, Range::NonNeg,
+       "must be finite and >= 0 (0 = flush per request)"},
+      {"--deadline-ns", Cap::Serve, &a.deadline_ns, Range::Pos,
+       "must be finite and > 0 (mean request deadline)"},
+      {"--retry-budget", Cap::Serve, &a.retry_budget, Range::NonNeg,
+       "must be finite and >= 0 (0 = never retry)"},
+      {"--brownout", Cap::Serve, &a.brownout, Range::Unit, "must be 0 or 1"},
+      {"--scrub-interval", Cap::Robust, &a.scrub_interval, Range::NonNeg,
+       "must be >= 0 (0 = off)"},
+      {"--certify", Cap::Robust, &a.certify, Range::Unit, "must be 0 or 1"},
+      {"--mem-flips", Cap::Robust, &a.mem_flips, Range::NonNeg,
+       "must be >= 0 (0 = no injection)"},
+      {"--partition", Cap::Partition, &a.partition},
+  };
+  const auto find = [&](const char* name) -> Flag* {
+    for (Flag& f : flags)
+      if (std::strcmp(f.name, name) == 0) return &f;
+    return nullptr;
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "flags: --n N --m M --nodes P --threads T --tprime T' "
           "--seed S --scale F --csv --json PATH --trace PATH "
@@ -122,84 +141,44 @@ std::string BenchArgs::try_parse(int argc, char** argv, BenchArgs& out,
               ? " --partition block|cyclic|block_cyclic:K|degree"
               : "");
       std::exit(0);
-    } else {
-      err = std::string("unknown flag ") + argv[i] + " (try --help)";
     }
+    Flag* f = find(argv[i]);
+    if (f == nullptr)
+      return std::string("unknown flag ") + argv[i] + " (try --help)";
+    // Reject flags the bench cannot honour instead of silently ignoring
+    // them.
+    const std::string name = f->name;
+    if (!granted(f->cap, caps))
+      return name + " is not supported by this bench";
+    f->seen = true;
+    std::string err;
+    std::visit(
+        [&](auto* dst) {
+          using T = std::remove_pointer_t<decltype(dst)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            *dst = true;
+          } else if (i + 1 >= argc) {
+            err = "missing value for " + name;
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            *dst = argv[++i];
+          } else if (!parse_number(argv[++i], *dst)) {
+            err = "invalid value '" + std::string(argv[i]) + "' for " + name +
+                  " (expected " + kExpected<T> + ")";
+          } else if (!in_range(static_cast<double>(*dst), f->range)) {
+            err = name + " " + f->rule;
+          }
+        },
+        f->dst);
+    if (!err.empty()) return err;
   }
-  if (!err.empty()) return err;
-
-  // Streaming flags: reject contradictory combinations up front instead of
-  // silently ignoring them.
-  if (!caps.stream) {
-    if (a.stream) return "--stream is not supported by this bench";
-    if (saw_batch_size)
-      return "--batch-size is not supported by this bench";
-    if (saw_query_mix)
-      return "--query-mix is not supported by this bench";
-  }
-  if (saw_batch_size && !a.stream)
+  if (find("--batch-size")->seen && !a.stream)
     return "--batch-size requires --stream";
-  if (saw_query_mix && !a.stream)
+  if (find("--query-mix")->seen && !a.stream)
     return "--query-mix requires --stream";
-  if (saw_batch_size && a.batch_size == 0)
-    return "--batch-size must be > 0 (a batch has to carry updates)";
-  if (saw_query_mix && (a.query_mix < 0.0 || a.query_mix > 1.0))
-    return "--query-mix must be in [0, 1]";
 
-  // Serving flags: same policy — non-serving benches reject them loudly,
-  // serving benches validate ranges up front.
-  if (!caps.serve) {
-    if (saw_sessions) return "--sessions is not supported by this bench";
-    if (saw_arrival_rate)
-      return "--arrival-rate is not supported by this bench";
-    if (saw_skew) return "--skew is not supported by this bench";
-    if (saw_batch_window)
-      return "--batch-window-ns is not supported by this bench";
-    if (saw_deadline) return "--deadline-ns is not supported by this bench";
-    if (saw_retry_budget)
-      return "--retry-budget is not supported by this bench";
-    if (saw_brownout) return "--brownout is not supported by this bench";
-  }
-  // Range checks are phrased as positive accept conditions so NaN (which
-  // compares false against everything) falls through to the rejection.
-  if (saw_sessions && a.sessions <= 0)
-    return "--sessions must be > 0 (someone has to issue queries)";
-  if (saw_arrival_rate && !(std::isfinite(a.arrival_rate) && a.arrival_rate > 0.0))
-    return "--arrival-rate must be finite and > 0 (requests per modeled second)";
-  if (saw_skew && !(std::isfinite(a.skew) && a.skew >= 0.0))
-    return "--skew must be finite and >= 0 (Zipf exponent; 0 = uniform)";
-  if (saw_batch_window &&
-      !(std::isfinite(a.batch_window_ns) && a.batch_window_ns >= 0.0))
-    return "--batch-window-ns must be finite and >= 0 (0 = flush per request)";
-  if (saw_deadline && !(std::isfinite(a.deadline_ns) && a.deadline_ns > 0.0))
-    return "--deadline-ns must be finite and > 0 (mean request deadline)";
-  if (saw_retry_budget &&
-      !(std::isfinite(a.retry_budget) && a.retry_budget >= 0.0))
-    return "--retry-budget must be finite and >= 0 (0 = never retry)";
-  if (saw_brownout && a.brownout != 0 && a.brownout != 1)
-    return "--brownout must be 0 or 1";
-
-  // Robustness flags: same policy again — reject on non-robust benches,
-  // validate ranges eagerly.
-  if (!caps.robust) {
-    if (saw_scrub_interval)
-      return "--scrub-interval is not supported by this bench";
-    if (saw_certify) return "--certify is not supported by this bench";
-    if (saw_mem_flips) return "--mem-flips is not supported by this bench";
-  }
-  if (saw_scrub_interval && a.scrub_interval < 0)
-    return "--scrub-interval must be >= 0 (0 = off)";
-  if (saw_certify && a.certify != 0 && a.certify != 1)
-    return "--certify must be 0 or 1";
-  if (saw_mem_flips && a.mem_flips < 0)
-    return "--mem-flips must be >= 0 (0 = no injection)";
-
-  // Partition flag: reject on benches whose arrays are hard-wired to the
-  // block layout, and validate the scheme spelling eagerly (unknown
-  // schemes, zero/fractional/NaN chunks all fail here, not mid-run).
-  if (saw_partition && !caps.partition)
-    return "--partition is not supported by this bench";
-  if (saw_partition) {
+  // Partition flag: validate the scheme spelling eagerly (unknown schemes,
+  // zero/fractional/NaN chunks all fail here, not mid-run).
+  if (find("--partition")->seen) {
     partition::PartitionSpec spec;
     const std::string perr = partition::PartitionSpec::parse(a.partition, spec);
     if (!perr.empty()) return "invalid --partition: " + perr;

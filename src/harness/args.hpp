@@ -24,6 +24,8 @@ struct BenchCaps {
 ///
 ///   --n <vertices>    --m <edges>   --nodes <p>   --threads <t>
 ///   --tprime <t'>     --seed <s>    --scale <f>   (multiplies n and m)
+///                     (--nodes/--threads/--tprime >= 0, 0 = bench default;
+///                      --scale finite and > 0)
 ///   --csv             (emit CSV instead of aligned tables)
 ///   --json <path>     (write a machine-readable BENCH_*.json report)
 ///   --trace <path>    (write a Chrome/Perfetto trace.json of the run)
@@ -70,6 +72,9 @@ struct BenchCaps {
 ///                          shared arrays: block | cyclic |
 ///                          block_cyclic:<chunk> | degree;
 ///                          see docs/PARTITIONING.md)
+///
+/// Every numeric value must be the whole token, fit its field (unsigned
+/// fields take no sign) and, for fractional flags, be finite.
 struct BenchArgs {
   std::uint64_t n = 0;  ///< 0 = bench default
   std::uint64_t m = 0;
@@ -108,8 +113,10 @@ struct BenchArgs {
   /// try_parse that prints the error to stderr and exits(2) on failure.
   static BenchArgs parse(int argc, char** argv, const BenchCaps& caps = {});
 
+  /// base * scale, saturating: a huge --scale must not overflow the cast.
   std::uint64_t scaled(std::uint64_t base) const {
-    return static_cast<std::uint64_t>(static_cast<double>(base) * scale);
+    const double v = static_cast<double>(base) * scale;
+    return v < 0x1p64 ? static_cast<std::uint64_t>(v) : UINT64_MAX;
   }
 };
 

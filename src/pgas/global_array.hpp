@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "analysis/access_checker.hpp"
 #include "machine/phase_stats.hpp"
 #include "partition/partitioning.hpp"
-#include "pgas/digest.hpp"
 #include "pgas/runtime.hpp"
 
 namespace pgraph::pgas {
@@ -31,8 +29,8 @@ namespace pgraph::pgas {
 /// identity layouts (block, degree-aware — contiguous owner ranges) the
 /// storage slot of element i is i itself, bit-identical to the historical
 /// block layout; otherwise slot_of(i) permutes through the policy.
-/// Replica mirrors, scrub checksums and digests all walk storage order, so
-/// they are partition-agnostic by construction.
+/// The array's Replica (buddy mirror, scrub checksums, state digest) walks
+/// storage order, so it is partition-agnostic by construction.
 ///
 /// Access paths and their costs:
 ///  - get/put: fine-grained single-element access.  Charged as a remote
@@ -46,7 +44,7 @@ namespace pgraph::pgas {
 ///    verification; uninstrumented (callers charge via ThreadCtx, which is
 ///    what the `localcpy` optimization controls).
 template <class T>
-class GlobalArray final : public ReplicaSite {
+class GlobalArray {
   static_assert(std::is_trivially_copyable_v<T>);
 
  public:
@@ -59,18 +57,16 @@ class GlobalArray final : public ReplicaSite {
       : rt_(&rt),
         uid_(rt.new_array_uid()),
         n_(n),
-        nthreads_(static_cast<std::size_t>(rt.topo().total_threads())),
         part_(std::move(part)),
-        data_(n) {
+        data_(n),
+        replica_(rt.replicas(), reinterpret_cast<unsigned char*>(data_.data()),
+                 sizeof(T), part_) {
     assert(part_.size() == n_ &&
-           part_.num_threads() == static_cast<int>(nthreads_));
+           part_.num_threads() == rt.topo().total_threads());
 #ifdef PGRAPH_CHECK_ACCESS
     shadow_ = analysis::AccessChecker::instance().register_array(n, sizeof(T));
 #endif
-    rt_->register_replica_site(this);
   }
-
-  ~GlobalArray() override { rt_->unregister_replica_site(this); }
 
   GlobalArray(const GlobalArray&) = delete;
   GlobalArray& operator=(const GlobalArray&) = delete;
@@ -293,150 +289,12 @@ class GlobalArray final : public ReplicaSite {
            sizeof(T);
   }
 
-  /// --- ReplicaSite (buddy replication, docs/ROBUSTNESS.md) --------------
-  /// The mirror is a lazily allocated second buffer; a snapshot copies one
-  /// thread's block into it and a restore copies it back (the promotion a
-  /// shrink performs).  Cost is charged by the callers; untouched mirrors
-  /// cost nothing, preserving zero-loss invariance.
-  std::size_t replica_thread_bytes(int thr) const override {
-    return local_size(thr) * sizeof(T);
-  }
-  bool replica_snapshot_thread(int thr) override {
-    // Verify before sealing: a fault landing between the scrub compare
-    // and this snapshot must not be copied into the repair source.  The
-    // old mirror (a coherent earlier seal) stays intact on refusal.
-    if (!partition_clean(thr)) return false;
-    {
-      // Threads snapshot disjoint blocks concurrently; only the one-time
-      // allocation needs the lock.
-      std::lock_guard<std::mutex> lock(mirror_mu_);
-      if (mirror_.size() != n_) mirror_.resize(n_);
-    }
-    const std::size_t b = block_begin(thr);
-    std::memcpy(mirror_.data() + b, data_.data() + b,
-                local_size(thr) * sizeof(T));
-    // Seal the mirror: the checksum rides the snapshot stream (the bytes
-    // are already in cache), so it adds no modeled cost — and promotion
-    // validates against it before ever trusting the mirror again.
-    msum_[static_cast<std::size_t>(thr)] =
-        chunk_digest(b, mirror_.data() + b, sizeof(T), local_size(thr));
-    msum_valid_[static_cast<std::size_t>(thr)] = 1;
-    return true;
-  }
-  void replica_restore_thread(int thr) override {
-    if (mirror_.size() != n_) return;  // never snapshotted: nothing to do
-    const std::size_t b = block_begin(thr);
-    std::memcpy(data_.data() + b, mirror_.data() + b,
-                local_size(thr) * sizeof(T));
-    // The partition now equals the sealed mirror; keep a live baseline in
-    // sync so the next scrub pass does not flag the restore as corruption.
-    if (psum_valid_[static_cast<std::size_t>(thr)] != 0 &&
-        msum_valid_[static_cast<std::size_t>(thr)] != 0)
-      psum_[static_cast<std::size_t>(thr)] =
-          msum_[static_cast<std::size_t>(thr)];
-  }
-  /// Order-independent digest of the committed element state: the sum of
-  /// per-element hashes keyed by index, so any future parallel computation
-  /// (or a different traversal order) yields the same value.  Completion
-  /// step only — all SPMD threads are parked, so plain reads are safe.
-  std::uint64_t state_digest() const override {
-    std::uint64_t h = 0;
-    for (std::size_t i = 0; i < n_; ++i)
-      h += element_digest(i, &data_[i], sizeof(T));
-    return mix64(h ^ n_);
-  }
-
-  /// --- at-rest integrity (scrub protocol, docs/ROBUSTNESS.md) -----------
-  /// Opt this array into the scrub protocol.  The contract: between scrub
-  /// passes, every write to a scrubbed partition either goes through a
-  /// tracked commit point (integrity_note, the SetD/SetDMin apply loops)
-  /// or is followed by a re-baseline (core::RecoveryLoop's checkpoint
-  /// rollback).  Untracked writes read as corruption — by design.
-  /// Host-side only (races with SPMD scrub passes otherwise).
-  void set_scrubbed(bool on) { scrubbed_ = on; }
-  bool scrubbed() const { return scrubbed_; }
-
-  /// O(1) checksum maintenance at a tracked commit point: element `i`
-  /// (global index, owned by thread `thr`) transitioned oldv -> newv.
-  /// No-op until a scrub pass baselined the partition.  Owner-thread only,
-  /// like the apply loops that call it.  Deltas are keyed by STORAGE slot
-  /// so they cancel against the chunk_digest re-walks, which run in
-  /// storage order (identical to the global index under identity layouts).
+  /// Buddy mirror, scrub checksums and state digest (docs/ROBUSTNESS.md).
+  Replica& replica() { return replica_; }
+  /// Tracked commit point of the scrub protocol: element `i` (global index,
+  /// owned by thread `thr`) went from `oldv` to `newv` (Replica::note).
   void integrity_note(int thr, std::size_t i, const T& oldv, const T& newv) {
-    if (psum_valid_[static_cast<std::size_t>(thr)] == 0) return;
-    psum_[static_cast<std::size_t>(thr)] +=
-        digest_delta(part_.slot_of(i), &oldv, &newv, sizeof(T));
-  }
-
-  /// True when thread `thr`'s partition bytes still match the maintained
-  /// checksum (vacuously true before a scrub baseline).  Side-effect free;
-  /// callers charge the re-walk.  Checkpointing loops verify with this in
-  /// the same barrier interval as the snapshot copy, so a fault landing on
-  /// the scrub pass's own barriers cannot slip into the rollback source.
-  bool partition_clean(int thr) const {
-    if (psum_valid_[static_cast<std::size_t>(thr)] == 0) return true;
-    const std::size_t b = block_begin(thr);
-    return chunk_digest(b, data_.data() + b, sizeof(T), local_size(thr)) ==
-           psum_[static_cast<std::size_t>(thr)];
-  }
-
-  std::span<unsigned char> partition_bytes(int thr) override {
-    if (!scrubbed_) return {};  // undefended memory is not a flip target
-    return {reinterpret_cast<unsigned char*>(data_.data() + block_begin(thr)),
-            local_size(thr) * sizeof(T)};
-  }
-  std::span<unsigned char> mirror_bytes(int thr) override {
-    if (mirror_.size() != n_) return {};
-    return {
-        reinterpret_cast<unsigned char*>(mirror_.data() + block_begin(thr)),
-        local_size(thr) * sizeof(T)};
-  }
-  bool mirror_checksum_ok(int thr) const override {
-    if (mirror_.size() != n_ ||
-        msum_valid_[static_cast<std::size_t>(thr)] == 0)
-      return true;  // nothing sealed yet: restore is a no-op anyway
-    const std::size_t b = block_begin(thr);
-    return chunk_digest(b, mirror_.data() + b, sizeof(T), local_size(thr)) ==
-           msum_[static_cast<std::size_t>(thr)];
-  }
-  ScrubState scrub_thread(int thr) override {
-    if (!scrubbed_) return ScrubState::Clean;
-    const std::size_t b = block_begin(thr);
-    const std::uint64_t sum =
-        chunk_digest(b, data_.data() + b, sizeof(T), local_size(thr));
-    auto& valid = psum_valid_[static_cast<std::size_t>(thr)];
-    auto& psum = psum_[static_cast<std::size_t>(thr)];
-    if (valid == 0) {
-      psum = sum;
-      valid = 1;
-      return ScrubState::Baselined;
-    }
-    return sum == psum ? ScrubState::Clean : ScrubState::Corrupt;
-  }
-  bool heal_thread(int thr) override {
-    if (mirror_.size() != n_ ||
-        msum_valid_[static_cast<std::size_t>(thr)] == 0 ||
-        !mirror_checksum_ok(thr))
-      return false;
-    const std::size_t b = block_begin(thr);
-    std::memcpy(data_.data() + b, mirror_.data() + b,
-                local_size(thr) * sizeof(T));
-    psum_[static_cast<std::size_t>(thr)] =
-        msum_[static_cast<std::size_t>(thr)];
-    psum_valid_[static_cast<std::size_t>(thr)] = 1;
-    return true;
-  }
-  bool integrity_tracking_thread(int thr) const override {
-    return psum_valid_[static_cast<std::size_t>(thr)] != 0;
-  }
-  void rebaseline_thread(int thr) override {
-    if (psum_valid_[static_cast<std::size_t>(thr)] == 0) return;
-    const std::size_t b = block_begin(thr);
-    psum_[static_cast<std::size_t>(thr)] =
-        chunk_digest(b, data_.data() + b, sizeof(T), local_size(thr));
-  }
-  void integrity_invalidate_thread(int thr) override {
-    psum_valid_[static_cast<std::size_t>(thr)] = 0;
+    replica_.note(thr, i, &oldv, &newv);
   }
 
  private:
@@ -578,22 +436,9 @@ class GlobalArray final : public ReplicaSite {
   Runtime* rt_;
   std::uint64_t uid_;
   std::size_t n_;
-  std::size_t nthreads_;
   partition::Partitioning part_;
   std::vector<T> data_;
-  std::vector<T> mirror_;  ///< buddy-replication mirror (lazy)
-  std::mutex mirror_mu_;
-  // At-rest integrity state (scrub protocol).  psum_[t] is owner-thread
-  // private between barriers; msum_[t] is written by thread t at snapshot
-  // and read across barriers (completion step, own heals) — barrier
-  // ordering suffices, no atomics needed.
-  bool scrubbed_ = false;
-  std::vector<std::uint64_t> psum_ = std::vector<std::uint64_t>(nthreads_);
-  std::vector<unsigned char> psum_valid_ =
-      std::vector<unsigned char>(nthreads_);
-  std::vector<std::uint64_t> msum_ = std::vector<std::uint64_t>(nthreads_);
-  std::vector<unsigned char> msum_valid_ =
-      std::vector<unsigned char>(nthreads_);
+  Replica replica_;
 #ifdef PGRAPH_CHECK_ACCESS
   std::shared_ptr<analysis::ArrayShadow> shadow_;
 #endif

@@ -9,7 +9,6 @@
 
 #include "analysis/access_checker.hpp"
 #include "analysis/conformance.hpp"
-#include "pgas/digest.hpp"
 #include "pgas/executor.hpp"
 
 namespace pgraph::pgas {
@@ -334,19 +333,6 @@ double Runtime::drain_bus_ns(double* out) {
   return static_cast<double>(mx);
 }
 
-std::uint64_t Runtime::compute_state_digest() const {
-  // Sites register host-side and the set is stable while run() executes;
-  // the lock only fences against host-side (un)registration.  Sites are
-  // combined in registration order, which is deterministic (arrays are
-  // constructed single-threaded), and each site's own digest is
-  // order-independent over its elements.
-  std::uint64_t d = 0;
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  for (const ReplicaSite* site : replica_sites_)
-    d = mix64(d ^ site->state_digest());
-  return d;
-}
-
 bool Runtime::tracing() const { return sink_ != nullptr; }
 
 void Runtime::trace_scope(const char* name, double t0_ns) {
@@ -374,18 +360,6 @@ void Runtime::set_fault_injector(fault::FaultInjector* inj) {
   corrupt_index_.store(false, std::memory_order_relaxed);
   trace_prev_faults_ =
       inj != nullptr ? inj->counters() : fault::FaultCounters{};
-}
-
-void Runtime::register_replica_site(ReplicaSite* site) {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  replica_sites_.push_back(site);
-  replicas_valid_.store(false, std::memory_order_release);
-}
-
-void Runtime::unregister_replica_site(ReplicaSite* site) {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  std::erase(replica_sites_, site);
-  replicas_valid_.store(false, std::memory_order_release);
 }
 
 void Runtime::set_trace_sink(TraceSink* sink) {
@@ -475,51 +449,25 @@ bool Runtime::try_shrink_after_exhaustion(
   }
   const int buddy = topo_.prev_live_node(lost);
   if (buddy < 0) return false;
-  std::size_t promoted = 0;
-  {
-    std::lock_guard<std::mutex> lock(replica_mu_);
-    // Without valid mirrors there is nothing to promote; refuse rather
-    // than resume on stale data (the run fails with RetryExhausted).
-    if (!replica_sites_.empty() &&
-        !replicas_valid_.load(std::memory_order_acquire))
-      return false;
-    // Validate every mirror checksum before touching anything: a mirror
-    // that rotted since its snapshot must never be promoted (the bytes
-    // would silently poison the survivors).  The re-walk is charged below
-    // as a streamed read of the candidate bytes; failure surfaces as a
-    // collective FaultError{MemoryCorrupt} instead of RetryExhausted.
-    std::size_t verify_bytes = 0;
-    bool poisoned = false;
-    for (int t = 0; t < topo_.total_threads(); ++t) {
-      if (topo_.node_of(t) != lost) continue;
-      for (ReplicaSite* site : replica_sites_) {
-        verify_bytes += site->replica_thread_bytes(t);
-        if (!site->mirror_checksum_ok(t)) poisoned = true;
-      }
-    }
-    exch_dur += mem_model_.seq_ns(verify_bytes);
-    if (poisoned) {
-      mirror_poisoned_.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    // Promote the buddy's mirrors: the dead node's partitions reappear as
-    // the checkpoint-time copies the buddy holds.  Threads are parked in
-    // the barrier, so the restore is ordered against all of them.
-    for (int t = 0; t < topo_.total_threads(); ++t) {
-      if (topo_.node_of(t) != lost) continue;
-      for (ReplicaSite* site : replica_sites_) {
-        site->replica_restore_thread(t);
-        promoted += site->replica_thread_bytes(t);
-      }
-    }
+  // Without valid mirrors there is nothing to promote; refuse rather than
+  // resume on stale data (the run fails with RetryExhausted).
+  if (!replicas_.promotable()) return false;
+  // The mirror checksum re-walk that precedes any restore is charged as a
+  // streamed read of the candidate bytes; a poisoned mirror surfaces as a
+  // collective FaultError{MemoryCorrupt} instead of RetryExhausted.
+  const ReplicaSet::Promotion p = replicas_.promote(topo_, lost);
+  exch_dur += mem_model_.seq_ns(p.bytes);
+  if (p.poisoned) {
+    mirror_poisoned_.store(true, std::memory_order_relaxed);
+    return false;
   }
   // Promotion cost: a streamed read of the mirror plus a write of the
   // block, on the buddy.  It extends this barrier's exchange term and
   // occupies the buddy's memory bus.
-  if (promoted > 0) {
-    exch_dur += mem_model_.seq_ns(2 * promoted);
+  if (p.bytes > 0) {
+    exch_dur += mem_model_.seq_ns(2 * p.bytes);
     bus_ns_[static_cast<std::size_t>(buddy)] += static_cast<std::uint64_t>(
-        static_cast<double>(2 * promoted) * params_.mem_bus_inv_bw_ns_per_byte);
+        static_cast<double>(2 * p.bytes) * params_.mem_bus_inv_bw_ns_per_byte);
   }
   // The buddy adopts the dead node's threads: every affinity query,
   // exchange route and collective target id now resolves through the
@@ -527,7 +475,7 @@ bool Runtime::try_shrink_after_exhaustion(
   // all of them); live node count drops by one.
   topo_.remap_node(lost, buddy);
   thread_node_ = topo_.thread_node_map();
-  fault_->count(&fault::FaultCounters::promoted_bytes, promoted);
+  fault_->count(&fault::FaultCounters::promoted_bytes, p.bytes);
   fault_->count(&fault::FaultCounters::loss_events);
   loss_throw_epoch_ = epoch_;
   return true;
@@ -536,49 +484,6 @@ bool Runtime::try_shrink_after_exhaustion(
 bool Runtime::mem_guard_active() const {
   return fault_ != nullptr && fault_->armed() &&
          fault_->config().mem_flips_enabled();
-}
-
-void Runtime::apply_mem_flips() {
-  const fault::FaultConfig& cfg = fault_->config();
-  // Enumerate the flippable byte ranges: scrub-tracked partitions, or the
-  // buddy mirrors when the plan targets them.  Completion step: threads
-  // are parked, so plain writes are ordered against all of them.
-  struct Target {
-    unsigned char* p;
-    std::size_t len;
-  };
-  std::vector<Target> targets;
-  std::size_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(replica_mu_);
-    for (ReplicaSite* site : replica_sites_) {
-      for (int t = 0; t < topo_.total_threads(); ++t) {
-        const std::span<unsigned char> sp = cfg.mem_flip_mirror
-                                                ? site->mirror_bytes(t)
-                                                : site->partition_bytes(t);
-        if (sp.empty()) continue;
-        targets.push_back({sp.data(), sp.size()});
-        total += sp.size();
-      }
-    }
-  }
-  if (total == 0) return;
-  std::uint64_t flipped = 0;
-  for (int k = 0; k < cfg.mem_flips; ++k) {
-    // Two independent sub-draws per flip: the victim byte (uniform over
-    // every resident byte) and the bit within it.
-    std::uint64_t off = fault_->mem_flip_word(epoch_, k, 0) % total;
-    const int bit = static_cast<int>(fault_->mem_flip_word(epoch_, k, 1) & 7);
-    for (const Target& tg : targets) {
-      if (off < tg.len) {
-        tg.p[off] ^= static_cast<unsigned char>(1u << bit);
-        ++flipped;
-        break;
-      }
-      off -= tg.len;
-    }
-  }
-  if (flipped > 0) fault_->count(&fault::FaultCounters::mem_flips, flipped);
 }
 
 void Runtime::on_barrier() {
@@ -791,7 +696,7 @@ void Runtime::on_barrier() {
   if (fault_ != nullptr && fault_->armed() &&
       fault_->config().mem_flips_enabled() &&
       epoch_ == fault_->config().mem_flip_at)
-    apply_mem_flips();
+    replicas_.apply_flips(*fault_, epoch_);
   // A serve loop clamped an out-of-range request index this epoch: that
   // can only come from a flipped label escaping into a gather before the
   // scrubber ran.  Count it as a detection and raise a recovery event so
@@ -803,7 +708,7 @@ void Runtime::on_barrier() {
   }
   // Determinism digest of the committed GlobalArray state at this barrier
   // (observation only: never touches the modeled clocks).
-  if (digest_enabled_) last_digest_ = compute_state_digest();
+  if (digest_enabled_) last_digest_ = replicas_.digest();
   if (traced) {
     for (int i = 0; i < s; ++i)
       trace_stats_[static_cast<std::size_t>(i)] =

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "analysis/conformance.hpp"
@@ -18,6 +17,7 @@
 #include "machine/network_model.hpp"
 #include "machine/phase_stats.hpp"
 #include "partition/partitioning.hpp"
+#include "pgas/replica.hpp"
 #include "pgas/topology.hpp"
 #include "pgas/trace_hook.hpp"
 
@@ -25,88 +25,6 @@ namespace pgraph::pgas {
 
 class FiberExecutor;
 class Runtime;
-
-/// A data structure whose per-thread partitions can be mirrored on a buddy
-/// node and restored after a permanent node loss (GlobalArray implements
-/// this).  Snapshot/restore move real bytes; the *cost* of the movement is
-/// charged by the callers (pgas::replicate_to_buddy at checkpoints, the
-/// runtime's shrink protocol at promotion).
-class ReplicaSite {
- public:
-  virtual ~ReplicaSite() = default;
-  /// Bytes of thread `thr`'s partition (what a snapshot/restore moves).
-  virtual std::size_t replica_thread_bytes(int thr) const = 0;
-  /// Copy thread `thr`'s partition into the mirror and seal its checksum.
-  /// Returns false WITHOUT touching the old mirror when the partition no
-  /// longer matches its maintained scrub checksum — a fault that landed
-  /// after the scrub compare must never be sealed into the repair source.
-  virtual bool replica_snapshot_thread(int thr) = 0;
-  /// Restore thread `thr`'s partition from the mirror (no-op if no
-  /// snapshot was ever taken).
-  virtual void replica_restore_thread(int thr) = 0;
-  /// Order-independent hash of the site's committed state, for the
-  /// determinism digests (Runtime::set_digest_enabled).  Only called from
-  /// the barrier completion step (all SPMD threads parked), so plain reads
-  /// of the data are safe.  The default keeps sites without meaningful
-  /// state out of the digest.
-  virtual std::uint64_t state_digest() const { return 0; }
-
-  /// --- at-rest integrity (scrub protocol, docs/ROBUSTNESS.md) -----------
-  /// The defaults opt a site out of the whole protocol: no bytes to flip,
-  /// nothing to scrub, mirrors trusted as before.  GlobalArray implements
-  /// the real thing for arrays opted in with set_scrubbed(true).
-
-  enum class ScrubState : std::uint8_t {
-    Clean,      ///< checksum matched (or the site has nothing to verify)
-    Baselined,  ///< first pass: checksum recorded, nothing to compare yet
-    Corrupt,    ///< bytes changed outside any tracked commit point
-  };
-
-  /// Raw bytes of thread `thr`'s resident partition — the memory-fault
-  /// injector's bit-flip target.  Empty when the site is not scrub-tracked
-  /// (flips into undefended memory would be silently undetectable, which
-  /// is outside the threat model the test matrix certifies).
-  virtual std::span<unsigned char> partition_bytes(int thr) {
-    (void)thr;
-    return {};
-  }
-  /// Raw bytes of thread `thr`'s mirror slice (empty until snapshotted).
-  virtual std::span<unsigned char> mirror_bytes(int thr) {
-    (void)thr;
-    return {};
-  }
-  /// Verify thread `thr`'s mirror bytes against the checksum recorded at
-  /// the last snapshot.  Sites without mirror checksums report true (they
-  /// are trusted exactly as before the scrub protocol existed).
-  virtual bool mirror_checksum_ok(int thr) const {
-    (void)thr;
-    return true;
-  }
-  /// One scrub step over thread `thr`'s partition: the first call records
-  /// the baseline checksum, later calls re-walk the bytes and compare.
-  virtual ScrubState scrub_thread(int thr) {
-    (void)thr;
-    return ScrubState::Clean;
-  }
-  /// Heal thread `thr`'s partition from its mirror: validates the mirror
-  /// checksum, copies the block back, re-baselines.  False when no
-  /// validated mirror is available (the caller falls back to rollback).
-  virtual bool heal_thread(int thr) {
-    (void)thr;
-    return false;
-  }
-  /// True iff thread `thr`'s partition has a live baseline checksum.
-  virtual bool integrity_tracking_thread(int thr) const {
-    (void)thr;
-    return false;
-  }
-  /// Recompute the baseline from current bytes (after an untracked bulk
-  /// restore, e.g. a checkpoint rollback).  No-op without a baseline.
-  virtual void rebaseline_thread(int thr) { (void)thr; }
-  /// Drop thread `thr`'s baseline so the next scrub records a fresh one
-  /// instead of comparing against state that is about to be restored.
-  virtual void integrity_invalidate_thread(int thr) { (void)thr; }
-};
 
 /// Per-thread execution context handed to every SPMD function.
 ///
@@ -329,31 +247,13 @@ class Runtime {
   void set_fault_injector(fault::FaultInjector* inj);
   fault::FaultInjector* fault_injector() const { return fault_; }
 
-  /// --- buddy replication (degraded mode) -------------------------------
-  /// GlobalArrays register themselves so the shrink protocol can promote
-  /// their mirrors.  Registration is free on the modeled clock; mirrors
-  /// are only materialized when a replication pass runs.
-  void register_replica_site(ReplicaSite* site);
-  void unregister_replica_site(ReplicaSite* site);
-  /// Snapshot of the registered sites (replication passes iterate this
-  /// from SPMD threads; the set is stable while run() executes because
-  /// arrays are constructed host-side).
-  std::vector<ReplicaSite*> replica_sites() const {
-    std::lock_guard<std::mutex> lock(replica_mu_);
-    return replica_sites_;
-  }
-  /// True once a full replication pass covered the current set of sites
-  /// (reset whenever the set changes); the shrink protocol refuses to
-  /// promote stale or missing mirrors.
-  bool replicas_valid() const {
-    return replicas_valid_.load(std::memory_order_acquire);
-  }
-  void mark_replicas_valid() {
-    replicas_valid_.store(true, std::memory_order_release);
-  }
+  /// --- buddy replication and at-rest integrity (docs/ROBUSTNESS.md) ----
+  /// The Replica of every GlobalArray on this runtime, registered at
+  /// construction.  Registration is free on the modeled clock; mirrors are
+  /// only materialized when a replication pass runs.  The collective scrub
+  /// pass lives in core::RecoveryLoop.
+  ReplicaSet& replicas() { return replicas_; }
 
-  /// --- at-rest integrity (scrub protocol, docs/ROBUSTNESS.md) ----------
-  /// The collective scrub pass itself lives in core::RecoveryLoop.
   /// True while an armed mem-flip plan is attached: collectives then
   /// bounds-check corruption-derived request indices instead of asserting
   /// (a flipped high bit in a label becomes a wild gather index before the
@@ -371,11 +271,11 @@ class Runtime {
 
   /// --- determinism digests (docs/ANALYSIS.md) --------------------------
   /// When enabled, the barrier completion step hashes the committed state
-  /// of every registered ReplicaSite into an order-independent digest per
-  /// superstep, recorded in SuperstepRecord (trace/bench JSON) and
-  /// readable here.  Observation only: digests never touch the modeled
-  /// clocks, so enabling them cannot change modeled time.  Must not be
-  /// toggled while run() is executing.
+  /// of every registered array (ReplicaSet::digest) into an
+  /// order-independent digest per superstep, recorded in SuperstepRecord
+  /// (trace/bench JSON) and readable here.  Observation only: digests
+  /// never touch the modeled clocks, so enabling them cannot change
+  /// modeled time.  Must not be toggled while run() is executing.
   void set_digest_enabled(bool on) { digest_enabled_ = on; }
   bool digest_enabled() const { return digest_enabled_; }
   /// Digest computed at the most recent barrier (0 until one completes
@@ -444,14 +344,6 @@ class Runtime {
   bool try_shrink_after_exhaustion(
       const std::vector<std::pair<std::size_t, machine::ExchangeMsg>>& retry,
       double& exch_dur);
-  /// Hash every registered ReplicaSite's committed state (completion step
-  /// only; threads parked).
-  std::uint64_t compute_state_digest() const;
-  /// Apply the fault plan's seeded memory bit flips to resident partitions
-  /// or mirrors (completion step of epoch mem_flip_at; threads parked).
-  /// Silent by construction: no cost, no checksum update — detection is
-  /// the scrubber's job.
-  void apply_mem_flips();
   /// Add every thread's tally to the network and bus models and zero it.
   /// Runs where no SPMD thread is running: at the start of the completion
   /// step, at the end of run(), and in reset_costs().
@@ -492,9 +384,7 @@ class Runtime {
   fault::FaultCounters trace_prev_faults_;
 
   // --- degraded mode (permanent node loss) ------------------------------
-  mutable std::mutex replica_mu_;
-  std::vector<ReplicaSite*> replica_sites_;
-  std::atomic<bool> replicas_valid_{false};
+  ReplicaSet replicas_;
   /// Epoch whose completion step performed a shrink; the threads returning
   /// from that exchange barrier (epoch_ == loss_throw_epoch_ + 1) all
   /// throw FaultError{PermanentLoss} so checkpointing algorithms roll

@@ -104,11 +104,12 @@ void SuperstepTracer::write_chrome_trace(std::ostream& os) const {
                << ",\"fine_msgs\":" << st.fine_msgs_delta
                << ",\"violations\":" << st.violations_delta;
     // Fault-injection args only when the superstep saw any, so fault-free
-    // traces stay byte-identical.  `fault_drops` counts outage drops too.
+    // traces stay byte-identical.  `fault_drops` counts outage drops too;
+    // an ack-timeout wait alone (loss drops with no retry left) counts.
     const fault::FaultCounters& f = st.fault_delta;
     const std::uint64_t drops = f.drops + f.outage_drops;
     if (drops != 0 || f.retransmits != 0 || f.corruptions != 0 ||
-        f.rollbacks != 0)
+        f.rollbacks != 0 || f.retry_wait_ns != 0)
       ev.out() << ",\"fault_drops\":" << drops
                << ",\"fault_retransmits\":" << f.retransmits
                << ",\"fault_corruptions\":" << f.corruptions

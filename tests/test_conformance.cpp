@@ -113,10 +113,10 @@ TEST(DeterminismDigest, IndexKeyedSoPermutedValuesDiffer) {
   pg::Runtime rt(pg::Topology::cluster(1, 2), m::CostParams::hps_cluster());
   pg::GlobalArray<std::uint64_t> d(rt, 8);
   for (std::size_t i = 0; i < 8; ++i) d.raw(i) = i;
-  const std::uint64_t before = d.state_digest();
+  const std::uint64_t before = d.replica().digest();
   d.raw(3) = 4;
   d.raw(4) = 3;  // same multiset of values, different placement
-  EXPECT_NE(d.state_digest(), before);
+  EXPECT_NE(d.replica().digest(), before);
 }
 
 // --- conformance verifier (check builds only) -----------------------------

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <stdexcept>
+#include <vector>
 
 #include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
@@ -23,6 +25,37 @@ TEST(GlobalArray, BlockDistribution) {
   EXPECT_EQ(a.block_end(3), 10u);
   EXPECT_EQ(a.local_size(3), 1u);
   EXPECT_EQ(a.local_size(1), 3u);
+}
+
+TEST(GlobalArray, RegistersItsReplicaHostSideOnly) {
+  pg::Runtime rt(pg::Topology::cluster(2, 2),
+                 m::CostParams::hps_cluster());
+  const auto registered = [&] {
+    return std::vector<const pg::Replica*>(rt.replicas().begin(),
+                                           rt.replicas().end());
+  };
+  pg::GlobalArray<std::uint64_t> a(rt, 8);
+  {
+    pg::GlobalArray<std::uint32_t> b(rt, 5);
+    // Construction order: the digest and the flip draws depend on it.
+    EXPECT_EQ(registered(),
+              (std::vector<const pg::Replica*>{&a.replica(), &b.replica()}));
+  }
+  EXPECT_EQ(registered(), std::vector<const pg::Replica*>{&a.replica()});
+  // SPMD code iterates the registry in place, so the runtime's own SPMD
+  // threads may not register.
+  EXPECT_THROW(rt.run([&](pg::ThreadCtx&) {
+                 pg::GlobalArray<std::uint64_t> c(rt, 4);
+               }),
+               std::logic_error);
+  EXPECT_EQ(registered(), std::vector<const pg::Replica*>{&a.replica()});
+  // Another runtime's SPMD thread is host side for this one.
+  pg::Runtime other(pg::Topology::cluster(1, 2),
+                    m::CostParams::hps_cluster());
+  other.run([&](pg::ThreadCtx& ctx) {
+    if (ctx.id() == 0) pg::GlobalArray<std::uint64_t> c(rt, 4);
+  });
+  EXPECT_EQ(registered(), std::vector<const pg::Replica*>{&a.replica()});
 }
 
 TEST(GlobalArray, ExactDivision) {

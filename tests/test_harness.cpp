@@ -1,7 +1,14 @@
 // Table/CSV reporters and the bench CLI parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/args.hpp"
 #include "harness/table.hpp"
@@ -389,4 +396,185 @@ TEST(BenchArgsPartition, BadSchemesRejectedAtParseTime) {
               std::string::npos)
         << "'" << bad << "' was accepted";
   }
+}
+
+// --- numeric flag parsing: every value goes through one checked parse ----
+
+namespace {
+
+const h::BenchCaps kAllCaps{
+    .stream = true, .serve = true, .robust = true, .partition = true};
+
+/// try_parse over argv tokens (argv[0] prepended); "" = accepted.
+std::string vparse(std::vector<std::string> toks, h::BenchArgs& out,
+                   h::BenchCaps caps = kAllCaps) {
+  toks.insert(toks.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& t : toks) argv.push_back(t.data());
+  return h::BenchArgs::try_parse(static_cast<int>(argv.size()), argv.data(),
+                                 out, caps);
+}
+
+/// An unchecked parse (atoi, strtoull, atof) stores a value for these
+/// tokens; the checked one must return an error that names `flag`.
+void expect_rejected(std::vector<std::string> toks, const std::string& flag) {
+  h::BenchArgs a;
+  const std::string err = vparse(std::move(toks), a);
+  EXPECT_NE(err.find(flag), std::string::npos) << "error: '" << err << "'";
+}
+
+}  // namespace
+
+TEST(BenchArgsFuzz, NodesWithTrailingGarbage) {
+  expect_rejected({"--nodes", "4x"}, "--nodes");  // atoi: 4
+}
+
+TEST(BenchArgsFuzz, ThreadsNotANumber) {
+  expect_rejected({"--threads", "abc"}, "--threads");  // atoi: 0
+}
+
+TEST(BenchArgsFuzz, SessionsFraction) {
+  expect_rejected({"--sessions", "2.5"}, "--sessions");  // atoi: 2
+}
+
+TEST(BenchArgsFuzz, SeedInExponentForm) {
+  expect_rejected({"--seed", "1e3"}, "--seed");  // strtoull: 1
+}
+
+TEST(BenchArgsFuzz, CertifyNan) {
+  expect_rejected({"--certify", "nan"}, "--certify");  // atoi: 0
+}
+
+TEST(BenchArgsFuzz, QueryMixWithTrailingGarbage) {
+  expect_rejected({"--stream", "--query-mix", "0.5abc"}, "--query-mix");
+}
+
+TEST(BenchArgsFuzz, FaultSeedEmpty) {
+  expect_rejected({"--fault-seed", ""}, "--fault-seed");  // strtoull: 0
+}
+
+TEST(BenchArgsFuzz, UnsignedNegative) {
+  expect_rejected({"--n", "-1"}, "--n");  // strtoull: 2^64 - 1
+}
+
+TEST(BenchArgsFuzz, UnsignedOverflow) {
+  // strtoull: 2^64 - 1
+  expect_rejected({"--m", "18446744073709551616"}, "--m");
+}
+
+TEST(BenchArgsFuzz, IntOverflowWrapped) {
+  expect_rejected({"--mem-flips", "4294967297"}, "--mem-flips");  // atoi: 1
+  expect_rejected({"--scrub-interval", "99999999999"}, "--scrub-interval");
+}
+
+TEST(BenchArgsFuzz, NegativeTopology) {
+  expect_rejected({"--nodes", "-2"}, "--nodes");
+  expect_rejected({"--tprime", "-3"}, "--tprime");
+}
+
+TEST(BenchArgsFuzz, ScaleNotFinitePositive) {
+  // scaled() casts base * scale to an integer: undefined for NaN and
+  // negatives.
+  for (const char* bad : {"nan", "-1", "0", "inf"}) {
+    SCOPED_TRACE(bad);
+    expect_rejected({"--scale", bad}, "--scale");
+  }
+}
+
+TEST(BenchArgsFuzz, SeededMutationsErrorOrMeetRanges) {
+  // Valid flag sets from run_checks.sh, EXPERIMENTS.md and the tests.
+  const std::vector<std::vector<std::string>> valid = {
+      {"--n", "2048", "--m", "8192", "--nodes", "4", "--threads", "4",
+       "--seed", "1", "--json", "out.json", "--trace", "trace.json"},
+      {"--n", "2000", "--m", "8000", "--nodes", "4", "--threads", "2",
+       "--stream", "--batch-size", "200", "--query-mix", "0.25", "--digest"},
+      {"--n", "1500", "--nodes", "4", "--threads", "2", "--seed", "1",
+       "--sessions", "4", "--scale", "0.5", "--arrival-rate", "2.5e5",
+       "--skew", "0.8", "--batch-window-ns", "2000"},
+      {"--deadline-ns", "250000", "--retry-budget", "3", "--brownout", "1",
+       "--faults", "drop=0", "--fault-seed", "3", "--csv"},
+      {"--seed", "21", "--scrub-interval", "4", "--certify", "1",
+       "--mem-flips", "3", "--faults", "mem_flip_at=12", "--partition",
+       "block_cyclic:4"},
+      {"--tprime", "16", "--scale", "2.5", "--partition", "degree"},
+  };
+  const char* const splices[] = {"nan", "inf", "-1", "1.5", "1e30",
+                                 "18446744073709551616", "4x", ""};
+  std::mt19937_64 rng(20261018);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<std::string> toks = valid[pick(valid.size())];
+    const int ops = 1 + static_cast<int>(pick(3));
+    for (int k = 0; k < ops; ++k) {
+      switch (pick(3)) {
+        case 0:  // splice a bad token over any token, flags included
+          toks[pick(toks.size())] = splices[pick(std::size(splices))];
+          break;
+        case 1: {  // truncate a token
+          std::string& t = toks[pick(toks.size())];
+          t.resize(pick(t.size() + 1));
+          break;
+        }
+        default: {  // repeat one flag (and its value) of a valid set
+          const auto& src = valid[pick(valid.size())];
+          std::size_t at = pick(src.size());
+          while (at > 0 && src[at].rfind("--", 0) != 0) --at;
+          toks.push_back(src[at]);
+          if (at + 1 < src.size() && src[at + 1].rfind("--", 0) != 0)
+            toks.push_back(src[at + 1]);
+          break;
+        }
+      }
+    }
+    // Truncation cannot spell --help or -h (which exit), but make sure.
+    if (std::find(toks.begin(), toks.end(), "-h") != toks.end() ||
+        std::find(toks.begin(), toks.end(), "--help") != toks.end())
+      continue;
+    std::string shown;
+    for (const std::string& t : toks) shown += " '" + t + "'";
+    SCOPED_TRACE(shown);
+    h::BenchArgs a;
+    const std::string err = vparse(toks, a);
+    if (!err.empty()) {
+      ++rejected;
+      // Every error names the flag at fault (an unknown one included).
+      bool named = err.rfind("unknown flag ", 0) == 0;
+      for (const std::string& t : toks)
+        if (t.rfind("--", 0) == 0 && t.size() > 2 &&
+            err.find(t) != std::string::npos)
+          named = true;
+      EXPECT_TRUE(named) << "error names no flag: " << err;
+      continue;
+    }
+    ++accepted;
+    // Accepted: every field within its documented range (sentinels
+    // included), and scaled() defined for any base.
+    EXPECT_GE(a.nodes, 0);
+    EXPECT_GE(a.threads, 0);
+    EXPECT_GE(a.tprime, 0);
+    EXPECT_TRUE(std::isfinite(a.scale) && a.scale > 0.0);
+    (void)a.scaled(std::numeric_limits<std::uint64_t>::max());
+    EXPECT_TRUE(a.query_mix >= 0.0 && a.query_mix <= 1.0);
+    EXPECT_GE(a.sessions, 0);
+    EXPECT_TRUE(std::isfinite(a.arrival_rate) && a.arrival_rate >= 0.0);
+    EXPECT_TRUE(a.skew == -1.0 || (std::isfinite(a.skew) && a.skew >= 0.0));
+    EXPECT_TRUE(a.batch_window_ns == -1.0 ||
+                (std::isfinite(a.batch_window_ns) && a.batch_window_ns >= 0.0));
+    EXPECT_TRUE(std::isfinite(a.deadline_ns) && a.deadline_ns >= 0.0);
+    EXPECT_TRUE(a.retry_budget == -1.0 ||
+                (std::isfinite(a.retry_budget) && a.retry_budget >= 0.0));
+    EXPECT_TRUE(a.brownout >= -1 && a.brownout <= 1);
+    EXPECT_GE(a.scrub_interval, -1);
+    EXPECT_TRUE(a.certify >= -1 && a.certify <= 1);
+    EXPECT_GE(a.mem_flips, -1);
+    if (a.batch_size > 0 || a.query_mix > 0.0) {
+      EXPECT_TRUE(a.stream);
+    }
+  }
+  // The mix exercises both outcomes.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
 }

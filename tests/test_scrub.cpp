@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/cc_coalesced.hpp"
@@ -350,6 +352,55 @@ TEST(ScrubRuntime, PoisonedMirrorRefusesPromotion) {
   EXPECT_EQ(c.promoted_bytes, 0u);  // nothing rotten was promoted
   // The dead node stays dead: no shrink happened.
   EXPECT_EQ(rt.topo().live_node_count(), 4);
+}
+
+TEST(ScrubRuntime, MirrorFlipRefusalIsPinnedPerSeed) {
+  // Pins where a one-bit mirror flip lands.  Two replicated arrays of
+  // different sizes make the order in which the flip targets are
+  // enumerated (array by array, each thread's slice in id order)
+  // observable: for each fault seed exactly one lost node holds the
+  // flipped slice and refuses promotion with MemoryCorrupt, and every
+  // other node promotes.  A thread-major enumeration moves seed 3's
+  // refusal to node 3.
+  constexpr int kRefusingNode[4] = {1, 0, 2, 0};  // seeds 1..4
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (int lost = 0; lost < 4; ++lost) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", lost node " +
+                   std::to_string(lost));
+      flt::FaultInjector inj(flt::FaultConfig::parse(
+          "loss_at=9,loss_node=" + std::to_string(lost) +
+              ",mem_flip_at=5,mem_flips=1,mem_flip_mirror=1",
+          seed));
+      pg::Runtime rt = make_rt();
+      rt.set_fault_injector(&inj);
+      pg::GlobalArray<std::uint64_t> a(rt, 256);
+      pg::GlobalArray<std::uint64_t> b(rt, 96);
+      std::optional<flt::FaultKind> kind;
+      try {
+        rt.run([&](pg::ThreadCtx& ctx) {
+          const int me = ctx.id();
+          for (auto* arr : {&a, &b}) {
+            auto blk = arr->local_span(me);
+            for (std::size_t i = 0; i < blk.size(); ++i) blk[i] = i;
+          }
+          ctx.barrier();
+          pg::replicate_to_buddy(ctx);
+          for (int r = 0; r < 10; ++r) cross_node_round(ctx, 1024);
+        });
+      } catch (const flt::FaultError& e) {
+        kind = e.kind();
+      }
+      ASSERT_TRUE(kind.has_value());
+      EXPECT_EQ(inj.counters().mem_flips, 1u);
+      if (lost == kRefusingNode[seed - 1]) {
+        EXPECT_EQ(*kind, flt::FaultKind::MemoryCorrupt);
+        EXPECT_EQ(inj.counters().promoted_bytes, 0u);
+      } else {
+        EXPECT_EQ(*kind, flt::FaultKind::PermanentLoss);
+        EXPECT_GT(inj.counters().promoted_bytes, 0u);
+      }
+    }
+  }
 }
 
 TEST(ScrubRuntime, CleanMirrorStillPromotesUnderFlipPlan) {
