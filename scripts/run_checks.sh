@@ -26,8 +26,10 @@
 #            sched (FastDiv's 128-bit multiply and its wild-index fallback),
 #            machine (tally fold), scrub (the replica module's mirror-flip
 #            refusal at promotion, flip-detect-heal under sv and MST, and
-#            the digest properties) and harness (the BenchArgsFuzz flag
-#            parser mutation tests and scaled()) test binaries under it
+#            the digest properties), harness (the BenchArgsFuzz flag
+#            parser mutation tests and scaled()) and graph_util (the Io
+#            reader tests and the GraphIoFuzz DIMACS/binary mutations)
+#            test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
 #            (scripts/baselines/BENCH_smoke.json; skipped without python3),
 #            after a self-test that perturbed copies fail the gate
@@ -153,16 +155,17 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
         --target test_collectives --target test_fault --target test_stream \
         --target test_runtime --target test_sched --target test_machine \
-        --target test_scrub --target test_harness
+        --target test_scrub --target test_harness --target test_graph_util
       # The next two groups are test_sched's and test_machine's suites;
-      # Scrub and BenchArgs cover test_scrub and test_harness's parser.
+      # Scrub and BenchArgs cover test_scrub and test_harness's parser,
+      # Io and GraphIoFuzz test_graph_util's graph readers.
       ctest --preset ubsan \
-        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs)' \
+        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz)' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)

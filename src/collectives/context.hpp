@@ -96,12 +96,6 @@ struct CollWorkspace : KeyCache {
                                      ///< GetD, filled by owners; requester's
                                      ///< own batches in SetD, read by owners)
 
-  // Scratch for the output-blocked permute phase (Algorithm 1 applied to
-  // the permute as well: eq. 5 pays ~n misses instead of m).
-  std::vector<std::size_t> perm_off;
-  std::vector<std::uint32_t> perm_rank;
-  std::vector<T> perm_val;
-
   // Line-granular first-touch bitmap over the owner's block, used during
   // the serve/apply phase to charge compulsory misses exactly once and
   // reuse accesses at their (often cached) cost — duplicated requests,

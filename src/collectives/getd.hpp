@@ -137,33 +137,21 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
 
   // --- permute (requester side) -------------------------------------------
   pgas::TraceScope ts_permute(ctx, "getd.permute");
-  // With virtual threads enabled the permute is output-blocked (one more
-  // level of Algorithm 1, matching the paper's eq. 5 which pays ~n misses
-  // instead of m): group the (rank, value) pairs by cache-sized output
-  // block with a counting sort — sequential traffic — then scatter within
-  // each cache-resident block.  Otherwise scatter directly (store-buffered
-  // write misses over the whole output).
+  // The host restores request order with one scatter: its caches hold the
+  // whole output.  The charges price the paper machine's permute.  With
+  // virtual threads enabled and an output larger than the modeled cache
+  // it is output-blocked (one more level of Algorithm 1, the paper's
+  // eq. 5, which pays ~n misses instead of m): a counting sort of the
+  // (rank, value) pairs by cache-sized output block, then scatters within
+  // each cache-resident block.  Otherwise it scatters directly
+  // (store-buffered write misses over the whole output).
+  for (std::size_t k = 0; k < kept; ++k) out[ws.rank[k]] = ws.reply[k];
   const std::size_t cache = ctx.mem().params().cache_bytes;
   const std::size_t out_bytes = m * sizeof(T);
   if (tprime > 1 && out_bytes > cache && kept > 512) {
     const std::size_t blk_elems =
         std::max<std::size_t>(1, cache / (2 * sizeof(T)));
-    const sched::FastDiv blk_div(blk_elems);
     const std::size_t nb = (m + blk_elems - 1) / blk_elems;
-    ws.perm_off.assign(nb + 1, 0);
-    for (std::size_t k = 0; k < kept; ++k)
-      ++ws.perm_off[blk_div.div(ws.rank[k]) + 1];
-    for (std::size_t b = 0; b < nb; ++b) ws.perm_off[b + 1] += ws.perm_off[b];
-    ws.perm_rank.resize(kept);
-    ws.perm_val.resize(kept);
-    ws.cursor.assign(ws.perm_off.begin(), ws.perm_off.end() - 1);
-    for (std::size_t k = 0; k < kept; ++k) {
-      const std::size_t pos = ws.cursor[blk_div.div(ws.rank[k])]++;
-      ws.perm_rank[pos] = ws.rank[k];
-      ws.perm_val[pos] = ws.reply[k];
-    }
-    for (std::size_t j = 0; j < kept; ++j)
-      out[ws.perm_rank[j]] = ws.perm_val[j];
     // Two streamed passes over the pairs plus cache-resident scatters.
     ctx.mem_seq(2 * kept * (sizeof(std::uint32_t) + sizeof(T)),
                 Cat::Irregular);
@@ -172,7 +160,6 @@ void getd(pgas::ThreadCtx& ctx, pgas::GlobalArray<T>& D,
     ctx.mem_random_write(kept, blk_elems * sizeof(T), sizeof(T),
                          Cat::Irregular);
   } else {
-    for (std::size_t k = 0; k < kept; ++k) out[ws.rank[k]] = ws.reply[k];
     ctx.mem_seq(kept * sizeof(T), Cat::Irregular);
     ctx.mem_random_write(kept, out_bytes, sizeof(T), Cat::Irregular);
   }

@@ -1,12 +1,17 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <vector>
 
 namespace pgraph::graph {
 
@@ -30,48 +35,75 @@ void write_dimacs(std::ostream& os, const WEdgeList& el) {
 
 namespace {
 
+// A header's edge count is a claim until the edges arrive: reserve at most
+// this many up front and let the vector grow past it.
+constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 20;
+
+[[noreturn]] void dimacs_error(std::size_t line_no, const std::string& what) {
+  throw std::runtime_error("dimacs line " + std::to_string(line_no) + ": " +
+                           what);
+}
+
+// The whole token as an unsigned decimal: no sign, fraction or exponent,
+// nothing left over, and a value below 2^64.
+std::uint64_t parse_unsigned(const std::string& tok, std::size_t line_no,
+                             const char* field) {
+  std::uint64_t v = 0;
+  const char* const end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc{} || ptr != end)
+    dimacs_error(line_no, std::string("bad ") + field + " '" + tok +
+                              "' (want an unsigned integer below 2^64)");
+  return v;
+}
+
 template <class EL, bool Weighted>
 EL read_dimacs_impl(std::istream& is) {
   EL el;
   std::string line;
+  std::vector<std::string> tok;
+  std::size_t line_no = 0;
   bool have_header = false;
-  std::size_t expect_m = 0;
+  std::uint64_t expect_m = 0;
   while (std::getline(is, line)) {
+    ++line_no;
     if (line.empty() || line[0] == 'c') continue;
     std::istringstream ls(line);
-    char kind = 0;
-    ls >> kind;
-    if (kind == 'p') {
-      std::string fmt;
-      std::size_t n = 0, m = 0;
-      ls >> fmt >> n >> m;
-      if (!ls) throw std::runtime_error("dimacs: malformed problem line");
-      el.n = n;
-      expect_m = m;
-      el.edges.reserve(m);
+    tok.assign(std::istream_iterator<std::string>(ls), {});
+    const std::string kind = tok.empty() ? std::string() : tok[0];
+    if (kind == "p") {
+      if (have_header) dimacs_error(line_no, "second problem line");
+      if (tok.size() != 4)
+        dimacs_error(line_no, "problem line wants 'p <format> <n> <m>'");
+      el.n = parse_unsigned(tok[2], line_no, "vertex count");
+      expect_m = parse_unsigned(tok[3], line_no, "edge count");
+      el.edges.reserve(std::min(expect_m, kMaxReserve));
       have_header = true;
-    } else if (kind == 'e') {
-      if (!have_header) throw std::runtime_error("dimacs: edge before header");
-      std::uint64_t u = 0, v = 0, w = 0;
+    } else if (kind == "e") {
+      if (!have_header) dimacs_error(line_no, "edge before the problem line");
+      if (tok.size() != (Weighted ? 4u : 3u))
+        dimacs_error(line_no, Weighted ? "edge line wants 'e <u> <v> <w>'"
+                                       : "edge line wants 'e <u> <v>'");
+      const std::uint64_t u = parse_unsigned(tok[1], line_no, "vertex id");
+      const std::uint64_t v = parse_unsigned(tok[2], line_no, "vertex id");
+      if (u == 0 || v == 0 || u > el.n || v > el.n)
+        dimacs_error(line_no, "vertex id outside [1, " +
+                                  std::to_string(el.n) + "]");
       if constexpr (Weighted) {
-        ls >> u >> v >> w;
-      } else {
-        ls >> u >> v;
-      }
-      if (!ls || u == 0 || v == 0 || u > el.n || v > el.n)
-        throw std::runtime_error("dimacs: malformed edge line");
-      if constexpr (Weighted) {
-        el.edges.push_back({u - 1, v - 1, w});
+        el.edges.push_back(
+            {u - 1, v - 1, parse_unsigned(tok[3], line_no, "weight")});
       } else {
         el.edges.push_back({u - 1, v - 1});
       }
     } else {
-      throw std::runtime_error("dimacs: unknown line kind");
+      dimacs_error(line_no, "unknown line kind '" + kind + "'");
     }
   }
   if (!have_header) throw std::runtime_error("dimacs: missing problem line");
   if (el.edges.size() != expect_m)
-    throw std::runtime_error("dimacs: edge count mismatch");
+    throw std::runtime_error("dimacs: problem line says " +
+                             std::to_string(expect_m) + " edges, found " +
+                             std::to_string(el.edges.size()));
   return el;
 }
 
@@ -106,12 +138,26 @@ WEdgeList read_binary(const std::string& path) {
   is.read(reinterpret_cast<char*>(&m), sizeof(m));
   if (!is || magic != kBinMagic)
     throw std::runtime_error("read_binary: bad header in " + path);
+  // Check the count against the bytes that follow before allocating.
+  const std::streampos body = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto left = static_cast<std::uint64_t>(is.tellg() - body);
+  is.seekg(body);
+  if (!is || left % sizeof(WEdge) != 0 || m != left / sizeof(WEdge))
+    throw std::runtime_error("read_binary: header says " + std::to_string(m) +
+                             " edges but " + std::to_string(left) +
+                             " bytes follow in " + path);
   WEdgeList el;
   el.n = n;
   el.edges.resize(m);
   is.read(reinterpret_cast<char*>(el.edges.data()),
           static_cast<std::streamsize>(m * sizeof(WEdge)));
   if (!is) throw std::runtime_error("read_binary: truncated file " + path);
+  for (std::size_t k = 0; k < el.edges.size(); ++k)
+    if (el.edges[k].u >= n || el.edges[k].v >= n)
+      throw std::runtime_error("read_binary: edge " + std::to_string(k) +
+                               " has an endpoint >= n = " + std::to_string(n) +
+                               " in " + path);
   return el;
 }
 

@@ -121,6 +121,15 @@ void SuperstepTracer::write_chrome_trace(std::ostream& os) const {
       ev.out() << ",\"fault_loss_drops\":" << f.loss_drops
                << ",\"fault_shrinks\":" << f.loss_events
                << ",\"live_nodes\":" << st.live_nodes;
+    // At-rest marks: where a flip landed and where a scrub caught or
+    // healed it.  Scrub passes alone do not trigger them, so flip-free
+    // traces stay byte-identical with scrubbing on or off.
+    if (f.mem_flips != 0 || f.scrub_detected != 0 || f.scrub_heals != 0 ||
+        f.scrub_events != 0)
+      ev.out() << ",\"fault_mem_flips\":" << f.mem_flips
+               << ",\"fault_scrub_detected\":" << f.scrub_detected
+               << ",\"fault_scrub_heals\":" << f.scrub_heals
+               << ",\"fault_scrub_events\":" << f.scrub_events;
     // Determinism digest: only when the run recorded one (--digest), so
     // digest-off traces stay byte-identical.
     if (st.has_digest) {

@@ -2,6 +2,7 @@
 // ground truth, across topologies and optimization configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -83,6 +84,12 @@ struct CcOptCase {
   core::CcOptions opt;
   const char* name;
 };
+
+// Names the case in the test id (gtest otherwise prints the struct's bytes,
+// pointer included, so the id would change from build to build).
+std::ostream& operator<<(std::ostream& os, const CcOptCase& c) {
+  return os << c.name;
+}
 
 class CcOptionSweep : public ::testing::TestWithParam<CcOptCase> {};
 

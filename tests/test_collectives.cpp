@@ -3,8 +3,12 @@
 // optimizations rely on.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
@@ -311,6 +315,88 @@ TEST(CollectiveCosts, TprimeReducesOwnerGatherCopyTime) {
     return rt.critical_stats().get(m::Cat::Copy);
   };
   EXPECT_GT(copy_with(1), 1.5 * copy_with(64));
+}
+
+// GetD's output-blocked permute: with t' > 1 and an output larger than the
+// modeled cache, the host scatters replies directly while the charges price
+// the paper machine's blocked permute (eq. 5).  The values must come back in
+// request order, and every category's critical modeled ns and the network
+// counters are pinned exactly, so a charge the branch drops or reorders
+// fails here.  After an intended model change, replace the rows with the
+// ones the failure messages print.
+TEST(CollectiveCosts, GetDBlockedPermuteValuesAndChargesExact) {
+  struct Row {
+    std::array<double, m::kNumCats> cat_ns;
+    std::uint64_t messages, bytes, fine_messages;
+  };
+  const auto row_text = [](const Row& r) {
+    std::string s = "{{";
+    for (std::size_t i = 0; i < r.cat_ns.size(); ++i) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%s%.17g", i ? ", " : "", r.cat_ns[i]);
+      s += buf;
+    }
+    return s + "}, " + std::to_string(r.messages) + ", " +
+           std::to_string(r.bytes) + ", " + std::to_string(r.fine_messages) +
+           "}";
+  };
+  const std::size_t n = 1 << 14;
+  const auto run_with = [&](bool known) {
+    m::CostParams p = m::CostParams::hps_cluster();
+    // 2^14 words over 8 threads: 16 KiB blocks, so the automatic t' = 4,
+    // and ~2,048 requests (16 KiB of output) per thread exceed the cache.
+    p.cache_bytes = 4096;
+    pg::Runtime rt(pg::Topology::cluster(4, 2), p);
+    pg::GlobalArray<std::uint64_t> d(rt, n);
+    for (std::size_t i = 0; i < n; ++i) d.raw(i) = 1000 + i * 3;
+    d.raw(0) = 0;  // offload contract: D[0] == 0
+    c::CollectiveContext cc(rt);
+    std::vector<std::size_t> bad(8, 0);
+    rt.run([&](pg::ThreadCtx& ctx) {
+      Xoshiro256 rng(700 + ctx.id());
+      const std::size_t mreq = 2048 + 8 * static_cast<std::size_t>(ctx.id());
+      std::vector<std::uint64_t> idx(mreq), out(mreq, ~0ull);
+      for (auto& x : idx) {
+        const std::uint64_t r = rng.next_below(8);
+        // One in eight asks for index 0, one in eight for one of 64 hot
+        // indices (duplicates within and across threads), the rest spread.
+        x = r == 0 ? 0 : r == 1 ? rng.next_below(64) * 97 : rng.next_below(n);
+      }
+      c::CollWorkspace<std::uint64_t> ws;
+      c::getd(ctx, d, idx, std::span<std::uint64_t>(out),
+              c::CollectiveOptions::optimized(), cc, ws,
+              known ? std::optional(c::KnownElement{0, 0}) : std::nullopt);
+      // Closed form of the fill: d.raw(idx[i]) in here would be an
+      // affinity violation.
+      for (std::size_t i = 0; i < mreq; ++i)
+        if (out[i] != (idx[i] == 0 ? 0 : 1000 + idx[i] * 3))
+          ++bad[static_cast<std::size_t>(ctx.id())];
+    });
+    EXPECT_EQ(bad, std::vector<std::size_t>(8, 0)) << "known=" << known;
+    Row r{};
+    const m::PhaseStats crit = rt.critical_stats();
+    for (std::size_t i = 0; i < m::kNumCats; ++i)
+      r.cat_ns[i] = crit.get(static_cast<m::Cat>(i));
+    r.messages = rt.net().total_messages();
+    r.bytes = rt.net().total_bytes();
+    r.fine_messages = rt.net().fine_messages();
+    return r;
+  };
+  // Cat order: Comm, Sort, Copy, Irregular, Setup, Work, Scrub.
+  const Row want[] = {  // with KnownElement{0, 0}, then without
+      {{65418, 13236, 50659, 21105, 12650, 6312, 0}, 192, 178384, 96},
+      {{94652, 13236, 65373, 23866, 12650, 6312, 0}, 192, 203584, 96},
+  };
+  for (const bool known : {true, false}) {
+    const Row got = run_with(known);
+    const Row& w = want[known ? 0 : 1];
+    SCOPED_TRACE("known=" + std::to_string(known) + " -> " + row_text(got));
+    for (std::size_t i = 0; i < m::kNumCats; ++i)
+      EXPECT_EQ(got.cat_ns[i], w.cat_ns[i]) << m::kCatNames[i];
+    EXPECT_EQ(got.messages, w.messages);
+    EXPECT_EQ(got.bytes, w.bytes);
+    EXPECT_EQ(got.fine_messages, w.fine_messages);
+  }
 }
 
 

@@ -1181,25 +1181,31 @@ TEST(FaultCounterTable, EachRowCountsItsOwnField) {
 
 TEST(FaultTrace, VerdictArgsSumToInjectorTotals) {
   const auto el = g::random_graph(256, 1024, 21);
-  for (const char* spec :
-       {"drop=0.05,loss_at=24", "corrupt=0.5", "loss_at=24,retries=0"}) {
-    SCOPED_TRACE(spec);
-    flt::FaultInjector inj(flt::FaultConfig::parse(spec, /*seed=*/1));
+  // The last plan is FaultGolden's at-rest flip under scrubbing.
+  for (const GoldenPlan plan : {GoldenPlan{"drop=0.05,loss_at=24", 0},
+                                GoldenPlan{"corrupt=0.5", 0},
+                                GoldenPlan{"loss_at=24,retries=0", 0},
+                                GoldenPlan{"mem_flip_at=12,mem_flips=1", 1}}) {
+    SCOPED_TRACE(plan.spec);
+    flt::FaultInjector inj(flt::FaultConfig::parse(plan.spec, /*seed=*/1));
     pg::Runtime rt = make_rt();
     rt.set_fault_injector(&inj);
     tr::SuperstepTracer tracer;
     tracer.attach(rt);
-    core::cc_coalesced(rt, el, core::CcOptions{});
+    core::CcOptions o;
+    o.scrub_interval = plan.scrub_interval;
+    core::cc_coalesced(rt, el, o);
 
     std::ostringstream os;
     tracer.write_chrome_trace(os);
     tr::json::Value doc;
     std::string err;
     ASSERT_TRUE(tr::json::parse(os.str(), doc, &err)) << err;
-    const char* const keys[] = {"fault_drops",      "fault_retransmits",
-                                "fault_corruptions", "fault_rollbacks",
-                                "fault_wait_ns",     "fault_loss_drops",
-                                "fault_shrinks"};
+    const char* const keys[] = {
+        "fault_drops",       "fault_retransmits", "fault_corruptions",
+        "fault_rollbacks",   "fault_wait_ns",     "fault_loss_drops",
+        "fault_shrinks",     "fault_mem_flips",   "fault_scrub_detected",
+        "fault_scrub_heals", "fault_scrub_events"};
     std::vector<double> sum(std::size(keys), 0.0);
     std::uint64_t shrink_instants = 0;
     for (const auto& e : doc["traceEvents"].items()) {
@@ -1220,11 +1226,18 @@ TEST(FaultTrace, VerdictArgsSumToInjectorTotals) {
         static_cast<double>(c.rollbacks),
         static_cast<double>(c.retry_wait_ns),
         static_cast<double>(c.loss_drops),
-        static_cast<double>(c.loss_events)};
+        static_cast<double>(c.loss_events),
+        static_cast<double>(c.mem_flips),
+        static_cast<double>(c.scrub_detected),
+        static_cast<double>(c.scrub_heals),
+        static_cast<double>(c.scrub_events)};
     EXPECT_EQ(sum, want);
     EXPECT_EQ(shrink_instants, c.loss_events);
     // Each plan really moved its counters.
-    if (inj.config().max_retries > 0) {
+    if (inj.config().mem_flips_enabled()) {
+      EXPECT_GT(c.mem_flips, 0u);
+      EXPECT_GT(c.scrub_detected, 0u);
+    } else if (inj.config().max_retries > 0) {
       EXPECT_GT(c.retransmits, 0u);
       EXPECT_GT(c.drops + c.corruptions, 0u);
     } else {

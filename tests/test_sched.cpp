@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "graph/rng.hpp"
@@ -72,6 +73,14 @@ struct GatherCase {
   std::size_t n, mreq;
   std::vector<std::size_t> ws;
 };
+
+// Names the case in the test id, e.g. "n=1000,mreq=5000,W={8,8}" (gtest
+// otherwise prints the struct's bytes, heap pointers included).
+std::ostream& operator<<(std::ostream& os, const GatherCase& c) {
+  os << "n=" << c.n << ",mreq=" << c.mreq << ",W={";
+  for (std::size_t i = 0; i < c.ws.size(); ++i) os << (i ? "," : "") << c.ws[i];
+  return os << "}";
+}
 
 class ScheduledGatherP : public ::testing::TestWithParam<GatherCase> {};
 
