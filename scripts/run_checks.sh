@@ -27,9 +27,10 @@
 #            machine (tally fold), scrub (the replica module's mirror-flip
 #            refusal at promotion, flip-detect-heal under sv and MST, and
 #            the digest properties), harness (the BenchArgsFuzz flag
-#            parser mutation tests and scaled()) and graph_util (the Io
-#            reader tests and the GraphIoFuzz DIMACS/binary mutations)
-#            test binaries under it
+#            parser mutation tests and scaled()), graph_util (the Io
+#            reader tests and the GraphIoFuzz DIMACS/binary mutations) and
+#            partition (the PartitionSpec parser and its PartitionSpecFuzz
+#            mutations) test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
 #            (scripts/baselines/BENCH_smoke.json; skipped without python3),
 #            after a self-test that perturbed copies fail the gate
@@ -155,17 +156,19 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util/partition ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
         --target test_collectives --target test_fault --target test_stream \
         --target test_runtime --target test_sched --target test_machine \
-        --target test_scrub --target test_harness --target test_graph_util
+        --target test_scrub --target test_harness --target test_graph_util \
+        --target test_partition
       # The next two groups are test_sched's and test_machine's suites;
       # Scrub and BenchArgs cover test_scrub and test_harness's parser,
-      # Io and GraphIoFuzz test_graph_util's graph readers.
+      # Io and GraphIoFuzz test_graph_util's graph readers, PartitionSpec
+      # (and PartitionSpecFuzz) test_partition's spec parser.
       ctest --preset ubsan \
-        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz)' \
+        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz|PartitionSpec)' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)

@@ -6,6 +6,7 @@
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
+#include "core/edge_requests.hpp"
 #include "graph/csr.hpp"
 #include "pgas/coll.hpp"
 #include "pgas/global_array.hpp"
@@ -50,7 +51,6 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   rt.reset_costs();
 
   const std::size_t n = el.n;
-  const int s = rt.topo().total_threads();
   pgas::GlobalArray<std::uint64_t> dist(rt, n);
   coll::CollectiveContext cc(rt);
   std::atomic<int> levels{0};
@@ -66,13 +66,8 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
     }
     ctx.barrier();
 
-    const auto chunk = graph::edge_chunk(el.edges, s, me);
-    std::vector<std::uint64_t> eu(chunk.size()), ev(chunk.size());
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      eu[k] = chunk[k].u;
-      ev[k] = chunk[k].v;
-    }
-    ctx.mem_seq(chunk.size() * sizeof(graph::Edge), Cat::Work);
+    std::vector<std::uint64_t> eu, ev;
+    load_endpoints(ctx, el.edges, eu, ev);
 
     coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_set;
     std::vector<std::uint64_t> du, dv, gi, gv;
@@ -105,30 +100,12 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
 
       // Compact: an edge whose endpoints are both settled can never relax
       // anything again.
-      std::size_t kept = 0;
-      const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                           ws_u.keys.size() == eu.size() &&
-                           ws_v.keys.size() == ev.size();
-      for (std::size_t k = 0; k < eu.size(); ++k) {
-        if (du[k] != kBfsUnreached && dv[k] != kBfsUnreached) continue;
-        eu[kept] = eu[k];
-        ev[kept] = ev[k];
-        if (keys_ok) {
-          ws_u.keys[kept] = ws_u.keys[k];
-          ws_v.keys[kept] = ws_v.keys[k];
-        }
-        ++kept;
-      }
-      eu.resize(kept);
-      ev.resize(kept);
-      if (keys_ok) {
-        ws_u.keys.resize(kept);
-        ws_v.keys.resize(kept);
-      } else {
-        ws_u.invalidate_keys();
-        ws_v.invalidate_keys();
-      }
-      ctx.mem_seq(eu.size() * 16, Cat::Work);
+      compact_requests(
+          ctx,
+          [&](std::size_t k) {
+            return du[k] == kBfsUnreached || dv[k] == kBfsUnreached;
+          },
+          {&eu, &ev}, {&ws_u, &ws_v});
     }
     if (me == 0)
       levels.store(static_cast<int>(level), std::memory_order_relaxed);

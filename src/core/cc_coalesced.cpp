@@ -5,8 +5,8 @@
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
+#include "core/edge_requests.hpp"
 #include "core/pointer_jump.hpp"
-#include "core/recovery.hpp"
 #include "pgas/coll.hpp"
 #include "pgas/global_array.hpp"
 
@@ -30,9 +30,90 @@ struct CcRun {
       : d(rt, n, rt.make_partitioning(n)),
         cc(rt),
         loop(rt, d, kernel, max_iters, scrub_interval) {}
+
+  /// Host side, after the run that started at `t0`.
+  ParCCResult result(pgas::Runtime& rt,
+                     std::chrono::steady_clock::time_point t0) {
+    ParCCResult r;
+    d.read_all(r.labels);  // global order under any storage layout
+    for (std::size_t i = 0; i < r.labels.size(); ++i)
+      if (r.labels[i] == i) ++r.num_components;
+    r.iterations = loop.iterations();
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    r.costs = collect_costs(rt, wall);
+    return r;
+  }
 };
 
+// D[0] stays 0 under CC's larger-under-smaller hooking (offload target).
+constexpr coll::KnownElement kRootZero{0, 0};
+
 }  // namespace
+
+CcRounds::CcRounds(pgas::ThreadCtx& ctx, pgas::GlobalArray<std::uint64_t>& d,
+                   coll::CollectiveContext& cc,
+                   const std::vector<graph::Edge>& edges, const CcOptions& opt)
+    : ctx_(ctx), d_(d), cc_(cc), opt_(opt) {
+  load_endpoints(ctx, edges, eu_, ev_);
+}
+
+bool CcRounds::step() {
+  const coll::CollectiveOptions& copt = opt_.coll;
+  du_.resize(eu_.size());
+  dv_.resize(ev_.size());
+  {
+    pgas::TraceScope ts(ctx_, "cc.graft");
+    // --- read endpoint labels (coalesced; keys cacheable via `id`).
+    coll::getd(ctx_, d_, eu_, std::span<std::uint64_t>(du_), copt, cc_,
+               ws_u_, kRootZero);
+    coll::getd(ctx_, d_, ev_, std::span<std::uint64_t>(dv_), copt, cc_,
+               ws_v_, kRootZero);
+
+    // --- graft requests: hook the larger root under the smaller.
+    gi_.clear();
+    gv_.clear();
+    for (std::size_t k = 0; k < eu_.size(); ++k) {
+      if (du_[k] == dv_[k]) continue;
+      if (du_[k] < dv_[k]) {
+        gi_.push_back(dv_[k]);
+        gv_.push_back(du_[k]);
+      } else {
+        gi_.push_back(du_[k]);
+        gv_.push_back(dv_[k]);
+      }
+    }
+    ctx_.mem_seq(eu_.size() * 2 * sizeof(std::uint64_t), Cat::Work);
+    ctx_.compute(eu_.size() * 3, Cat::Work);
+  }
+
+  if (!pgas::allreduce_or(ctx_, !gi_.empty())) return false;
+
+  ws_set_.invalidate_keys();
+  // Arbitrary concurrent write, as in the paper's CC ("SetD implements
+  // arbitrary concurrent writes").  All targets are star roots and all
+  // proposals are smaller labels, so any winner preserves monotone
+  // convergence.
+  coll::setd(ctx_, d_, gi_, std::span<const std::uint64_t>(gv_), copt, cc_,
+             ws_set_);
+
+  // --- lock-step pointer jumping until rooted stars.  CC hooks larger
+  // labels under smaller ones, so D[0] == 0 forever and the offload
+  // optimization applies to the jump requests (the paper's hotspot).
+  {
+    pgas::TraceScope ts(ctx_, "cc.jump");
+    jump_to_stars(ctx_, d_, copt, cc_, ws_jump_, par_, grand_, kRootZero);
+  }
+
+  // --- compact: drop edges already inside one component, keeping the
+  // cached target keys aligned with the surviving requests.
+  if (opt_.compact)
+    compact_requests(
+        ctx_, [&](std::size_t k) { return du_[k] != dv_[k]; }, {&eu_, &ev_},
+        {&ws_u_, &ws_v_});
+  return true;
+}
 
 ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
                          const CcOptions& opt) {
@@ -44,114 +125,14 @@ ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
                             ? opt.max_iters
                             : 4 * (n < 2 ? 1 : std::bit_width(n)) + 64;
   CcRun run(rt, n, "cc_coalesced", max_iters, opt.scrub_interval);
-  const coll::CollectiveOptions& copt = opt.coll;
-  const coll::KnownElement known{0, 0};  // D[0] stays 0 (offload target)
 
   rt.run([&](pgas::ThreadCtx& ctx) {
-    const int s = ctx.nthreads();
-    const int me = ctx.id();
     init_labels(ctx, run.d);
-
-    // Private copies of this thread's edge chunk (u and v request arrays).
-    const auto chunk = graph::edge_chunk(el.edges, s, me);
-    std::vector<std::uint64_t> eu(chunk.size()), ev(chunk.size());
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      eu[k] = chunk[k].u;
-      ev[k] = chunk[k].v;
-    }
-    ctx.mem_seq(chunk.size() * sizeof(graph::Edge), Cat::Work);
-
-    coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_set, ws_jump;
-    std::vector<std::uint64_t> du, dv, gi, gv, par, grand;
-
-    // Checkpointed with the label block: the edge lists shrink under
-    // compaction, so a rollback must restore them too.
-    const RecoveryLoop::Private state{
-        .vectors = {&eu, &ev},
-        .key_caches = {&ws_u, &ws_v, &ws_set, &ws_jump}};
-    run.loop.run(ctx, state, [&] {
-      // --- read endpoint labels (coalesced; keys cacheable via `id`).
-      du.resize(eu.size());
-      dv.resize(ev.size());
-      coll::getd(ctx, run.d, eu, std::span<std::uint64_t>(du), copt,
-                 run.cc, ws_u, known);
-      coll::getd(ctx, run.d, ev, std::span<std::uint64_t>(dv), copt,
-                 run.cc, ws_v, known);
-
-      // --- graft requests: hook the larger root under the smaller.
-      gi.clear();
-      gv.clear();
-      for (std::size_t k = 0; k < eu.size(); ++k) {
-        if (du[k] == dv[k]) continue;
-        if (du[k] < dv[k]) {
-          gi.push_back(dv[k]);
-          gv.push_back(du[k]);
-        } else {
-          gi.push_back(du[k]);
-          gv.push_back(dv[k]);
-        }
-      }
-      ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
-      ctx.compute(eu.size() * 3, Cat::Work);
-
-      if (!pgas::allreduce_or(ctx, !gi.empty())) return false;
-
-      ws_set.invalidate_keys();
-      // Arbitrary concurrent write, as in the paper's CC ("SetD
-      // implements arbitrary concurrent writes").  All targets are star
-      // roots and all proposals are smaller labels, so any winner
-      // preserves monotone convergence.
-      coll::setd(ctx, run.d, gi, std::span<const std::uint64_t>(gv), copt,
-                 run.cc, ws_set);
-
-      // --- lock-step pointer jumping until rooted stars.  CC hooks
-      // larger labels under smaller ones, so D[0] == 0 forever and the
-      // offload optimization applies to the jump requests (the paper's
-      // hotspot).
-      jump_to_stars(ctx, run.d, copt, run.cc, ws_jump, par, grand, known);
-
-      // --- compact: drop edges already inside one component, keeping
-      // the cached target keys aligned with the surviving requests.
-      if (opt.compact) {
-        std::size_t kept = 0;
-        const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                             ws_u.keys.size() == eu.size() &&
-                             ws_v.keys.size() == ev.size();
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          eu[kept] = eu[k];
-          ev[kept] = ev[k];
-          if (keys_ok) {
-            ws_u.keys[kept] = ws_u.keys[k];
-            ws_v.keys[kept] = ws_v.keys[k];
-          }
-          ++kept;
-        }
-        eu.resize(kept);
-        ev.resize(kept);
-        if (keys_ok) {
-          ws_u.keys.resize(kept);
-          ws_v.keys.resize(kept);
-        } else {
-          ws_u.invalidate_keys();
-          ws_v.invalidate_keys();
-        }
-        ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
-      }
-      return true;
-    });
+    CcRounds rounds(ctx, run.d, run.cc, el.edges, opt);
+    run.loop.run(ctx, rounds.state(), [&] { return rounds.step(); });
   });
 
-  ParCCResult r;
-  run.d.read_all(r.labels);  // global order under any storage layout
-  for (std::size_t i = 0; i < n; ++i)
-    if (r.labels[i] == i) ++r.num_components;
-  r.iterations = run.loop.iterations();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
-  return r;
+  return run.result(rt, t0);
 }
 
 ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
@@ -172,17 +153,11 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
   // larger root, so D[0] is not constant.
 
   rt.run([&](pgas::ThreadCtx& ctx) {
-    const int s = ctx.nthreads();
     const int me = ctx.id();
     init_labels(ctx, run.d);
 
-    const auto chunk = graph::edge_chunk(el.edges, s, me);
-    std::vector<std::uint64_t> eu(chunk.size()), ev(chunk.size());
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      eu[k] = chunk[k].u;
-      ev[k] = chunk[k].v;
-    }
-    ctx.mem_seq(chunk.size() * sizeof(graph::Edge), Cat::Work);
+    std::vector<std::uint64_t> eu, ev;
+    load_endpoints(ctx, el.edges, eu, ev);
 
     coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_lab, ws_set;
     std::vector<std::uint64_t> du, dv, ddu, ddv, gi, gv, par, grand, stu,
@@ -325,34 +300,17 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
 
       // --- compact.
       if (opt.compact) {
-        std::size_t kept = 0;
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          eu[kept] = eu[k];
-          ev[kept] = ev[k];
-          ++kept;
-        }
-        eu.resize(kept);
-        ev.resize(kept);
+        compact_requests(
+            ctx, [&](std::size_t k) { return du[k] != dv[k]; }, {&eu, &ev});
         ws_u.invalidate_keys();
         ws_v.invalidate_keys();
-        ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
       }
 
       return pgas::allreduce_or(ctx, changed);
     });
   });
 
-  ParCCResult r;
-  run.d.read_all(r.labels);  // global order under any storage layout
-  for (std::size_t i = 0; i < n; ++i)
-    if (r.labels[i] == i) ++r.num_components;
-  r.iterations = run.loop.iterations();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
-  return r;
+  return run.result(rt, t0);
 }
 
 }  // namespace pgraph::core

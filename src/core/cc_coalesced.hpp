@@ -2,6 +2,7 @@
 
 #include "collectives/options.hpp"
 #include "core/par_common.hpp"
+#include "core/recovery.hpp"
 #include "graph/edge_list.hpp"
 #include "pgas/runtime.hpp"
 
@@ -33,6 +34,42 @@ struct CcOptions {
     o.compact = true;
     return o;
   }
+};
+
+/// One SPMD thread's side of CC's round (Section IV), shared by
+/// cc_coalesced and stream::cc_incremental: the thread's edge chunk as
+/// endpoint requests, their labels, the graft buffers and the collective
+/// workspaces.  Construct it on every thread of the run, after the label
+/// array holds its starting labels.
+class CcRounds {
+ public:
+  CcRounds(pgas::ThreadCtx& ctx, pgas::GlobalArray<std::uint64_t>& d,
+           coll::CollectiveContext& cc, const std::vector<graph::Edge>& edges,
+           const CcOptions& opt);
+  // RecoveryLoop holds pointers into it (state()).
+  CcRounds(const CcRounds&) = delete;
+  CcRounds& operator=(const CcRounds&) = delete;
+
+  /// One round: GetD both endpoint labels, SetD-graft the larger root
+  /// under the smaller, pointer-jump in lock step to rooted stars, then
+  /// (with opt.compact) drop edges whose endpoints already shared a
+  /// label.  Returns false, on every thread alike, once no edge hooks.
+  bool step();
+
+  /// What a rollback restores besides the label block: the request
+  /// columns shrink under compaction, and the key caches follow them.
+  RecoveryLoop::Private state() {
+    return {.vectors = {&eu_, &ev_},
+            .key_caches = {&ws_u_, &ws_v_, &ws_set_, &ws_jump_}};
+  }
+
+ private:
+  pgas::ThreadCtx& ctx_;
+  pgas::GlobalArray<std::uint64_t>& d_;
+  coll::CollectiveContext& cc_;
+  const CcOptions& opt_;
+  std::vector<std::uint64_t> eu_, ev_, du_, dv_, gi_, gv_, par_, grand_;
+  coll::CollWorkspace<std::uint64_t> ws_u_, ws_v_, ws_set_, ws_jump_;
 };
 
 /// CC rewritten with the GetD/SetD collectives (Section IV): grafting reads

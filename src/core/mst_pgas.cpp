@@ -7,6 +7,7 @@
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
+#include "core/edge_requests.hpp"
 #include "core/pointer_jump.hpp"
 #include "core/recovery.hpp"
 #include "pgas/coll.hpp"
@@ -188,36 +189,10 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
       jump_to_stars(ctx, d, copt, cc, ws_jump, par, grand);
 
       // --- step 6: compact.
-      if (opt.compact) {
-        const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                             ws_u.keys.size() == eu.size() &&
-                             ws_v.keys.size() == ev.size();
-        std::size_t kept = 0;
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          eu[kept] = eu[k];
-          ev[kept] = ev[k];
-          ew[kept] = ew[k];
-          eid[kept] = eid[k];
-          if (keys_ok) {
-            ws_u.keys[kept] = ws_u.keys[k];
-            ws_v.keys[kept] = ws_v.keys[k];
-          }
-          ++kept;
-        }
-        eu.resize(kept);
-        ev.resize(kept);
-        ew.resize(kept);
-        eid.resize(kept);
-        if (keys_ok) {
-          ws_u.keys.resize(kept);
-          ws_v.keys.resize(kept);
-        } else {
-          ws_u.invalidate_keys();
-          ws_v.invalidate_keys();
-        }
-        ctx.mem_seq(eu.size() * 4 * sizeof(std::uint64_t), Cat::Work);
-      }
+      if (opt.compact)
+        compact_requests(
+            ctx, [&](std::size_t k) { return du[k] != dv[k]; },
+            {&eu, &ev, &ew, &eid}, {&ws_u, &ws_v});
       return true;
     });
   });

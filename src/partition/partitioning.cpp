@@ -1,8 +1,9 @@
 #include "partition/partitioning.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
+#include <system_error>
 
 namespace pgraph::partition {
 
@@ -16,14 +17,12 @@ std::string PartitionSpec::parse(const std::string& text, PartitionSpec& out) {
     s.kind = PartitionKind::Degree;
   } else if (text.rfind("block_cyclic:", 0) == 0) {
     const std::string arg = text.substr(std::string("block_cyclic:").size());
-    // Accept conditions phrased positively so NaN / inf / junk ("nan",
-    // "1.5", "0", "-4", "1e99") all fall through to the rejection.
-    const char* begin = arg.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    const bool consumed = !arg.empty() && end == begin + arg.size();
-    if (!(consumed && std::isfinite(v) && v >= 1.0 && v <= 1e9 &&
-          v == std::floor(v)))
+    // The whole token must be decimal digits (from_chars takes no space,
+    // sign, hex prefix, exponent or point for an unsigned integer).
+    std::uint64_t v = 0;
+    const char* end = arg.data() + arg.size();
+    const auto [p, ec] = std::from_chars(arg.data(), end, v);
+    if (ec != std::errc() || p != end || v < 1 || v > 1'000'000'000)
       return "block_cyclic chunk must be an integer in [1, 1e9], got '" +
              arg + "'";
     s.kind = PartitionKind::BlockCyclic;

@@ -323,51 +323,39 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
       qb.scope = "serve.flush";
       qb.same_component = std::move(same_q);
       qb.component_size = std::move(size_q);
-      if (!ro.enabled) {
-        // Legacy path, byte-identical to the pre-resilience server: a
-        // FaultError escapes and tears the serving loop down.
-        const stream::QueryResult res = dg_.query(qb);
-        service_ns += res.costs.modeled_ns;
-        stats_.agg_ns += res.agg_ns;
-        stats_.keys_sent +=
-            qb.same_component.size() + qb.component_size.size();
-        ++stats_.epoch_batches;
-        for (const auto& [key, pos] : same_sched)
-          store.same[key] = res.same[pos];
-        for (const auto& [key, pos] : size_sched)
-          store.size[key] = res.size[pos];
-      } else {
-        for (;;) {
-          try {
-            const stream::QueryResult res = dg_.query(qb);
-            service_ns += res.costs.modeled_ns;
-            stats_.agg_ns += res.agg_ns;
-            stats_.keys_sent +=
-                qb.same_component.size() + qb.component_size.size();
-            ++stats_.epoch_batches;
-            for (const auto& [key, pos] : same_sched)
-              store.same[key] = res.same[pos];
-            for (const auto& [key, pos] : size_sched)
-              store.size[key] = res.size[pos];
-            poll_recovery(start_ns + service_ns, &service_ns);
-            break;
-          } catch (const fault::FaultError&) {
-            // Charge the failed attempt its honest cost (the runtime's
-            // clock covers the burned retry ladder and timeouts), then
-            // retry on the — possibly shrunken — topology while every
-            // member tenant's budget allows.
-            const double burned = dg_.runtime().modeled_time_ns();
-            service_ns += burned;
-            stats_.failed_ns += burned;
-            ++stats_.flush_failures;
-            poll_recovery(start_ns + service_ns, &service_ns);
-            if (spend_retry_tokens(w, members, start_ns + service_ns)) {
-              ++stats_.flush_retries;
-              continue;
-            }
-            ok = false;
-            break;
+      for (;;) {
+        try {
+          const stream::QueryResult res = dg_.query(qb);
+          service_ns += res.costs.modeled_ns;
+          stats_.agg_ns += res.agg_ns;
+          stats_.keys_sent +=
+              qb.same_component.size() + qb.component_size.size();
+          ++stats_.epoch_batches;
+          for (const auto& [key, pos] : same_sched)
+            store.same[key] = res.same[pos];
+          for (const auto& [key, pos] : size_sched)
+            store.size[key] = res.size[pos];
+          if (ro.enabled) poll_recovery(start_ns + service_ns, &service_ns);
+          break;
+        } catch (const fault::FaultError&) {
+          // Without resilience a FaultError escapes and tears the serving
+          // loop down, as the pre-resilience server did.
+          if (!ro.enabled) throw;
+          // Charge the failed attempt its honest cost (the runtime's
+          // clock covers the burned retry ladder and timeouts), then
+          // retry on the — possibly shrunken — topology while every
+          // member tenant's budget allows.
+          const double burned = dg_.runtime().modeled_time_ns();
+          service_ns += burned;
+          stats_.failed_ns += burned;
+          ++stats_.flush_failures;
+          poll_recovery(start_ns + service_ns, &service_ns);
+          if (spend_retry_tokens(w, members, start_ns + service_ns)) {
+            ++stats_.flush_retries;
+            continue;
           }
+          ok = false;
+          break;
         }
       }
     }

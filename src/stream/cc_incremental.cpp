@@ -3,18 +3,11 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <span>
 #include <stdexcept>
 
-#include "collectives/getd.hpp"
-#include "collectives/setd.hpp"
-#include "core/pointer_jump.hpp"
-#include "pgas/coll.hpp"
 #include "pgas/replica.hpp"
 
 namespace pgraph::stream {
-
-using machine::Cat;
 
 IncrementalResult cc_incremental(pgas::Runtime& rt,
                                  pgas::GlobalArray<std::uint64_t>& d,
@@ -28,105 +21,24 @@ IncrementalResult cc_incremental(pgas::Runtime& rt,
                             ? opt.max_iters
                             : 4 * (n < 2 ? 1 : std::bit_width(n)) + 64;
   coll::CollectiveContext cc(rt);
-  const coll::CollectiveOptions& copt = opt.coll;
-  // Canonical labels hook larger-under-smaller, so D[0] == 0 forever and
-  // the offload optimization stays valid, exactly as in cc_coalesced.
-  const coll::KnownElement known{0, 0};
 
   std::atomic<int> iterations{0};
   std::atomic<bool> overran{false};
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     pgas::TraceScope ts_pass(ctx, "stream.maintain");
-    const int s = ctx.nthreads();
-    const int me = ctx.id();
 
     // Pre-batch mirrors: a permanent loss mid-pass promotes these and the
     // caller rebuilds from the restored state (no-op without a loss plan).
     pgas::replicate_to_buddy(ctx);
 
-    const auto chunk = graph::edge_chunk(fresh, s, me);
-    std::vector<std::uint64_t> eu(chunk.size()), ev(chunk.size());
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      eu[k] = chunk[k].u;
-      ev[k] = chunk[k].v;
-    }
-    ctx.mem_seq(chunk.size() * sizeof(graph::Edge), Cat::Work);
-
-    coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_set, ws_jump;
-    std::vector<std::uint64_t> du, dv, gi, gv, par, grand;
-
+    // Canonical labels are CC's fixed point, so cc_coalesced's round
+    // applies unchanged, over the fresh edges only.
+    core::CcRounds rounds(ctx, d, cc, fresh, opt);
     int it = 0;
-    for (;; ++it) {
-      if (it >= max_iters) {
-        overran.store(true, std::memory_order_relaxed);
-        break;
-      }
-
-      du.resize(eu.size());
-      dv.resize(ev.size());
-      {
-        pgas::TraceScope ts(ctx, "stream.graft");
-        coll::getd(ctx, d, eu, std::span<std::uint64_t>(du), copt, cc, ws_u,
-                   known);
-        coll::getd(ctx, d, ev, std::span<std::uint64_t>(dv), copt, cc, ws_v,
-                   known);
-
-        gi.clear();
-        gv.clear();
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          if (du[k] < dv[k]) {
-            gi.push_back(dv[k]);
-            gv.push_back(du[k]);
-          } else {
-            gi.push_back(du[k]);
-            gv.push_back(dv[k]);
-          }
-        }
-        ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
-        ctx.compute(eu.size() * 3, Cat::Work);
-      }
-
-      if (!pgas::allreduce_or(ctx, !gi.empty())) break;
-
-      ws_set.invalidate_keys();
-      coll::setd(ctx, d, gi, std::span<const std::uint64_t>(gv), copt, cc,
-                 ws_set);
-
-      {
-        pgas::TraceScope ts(ctx, "stream.jump");
-        core::jump_to_stars(ctx, d, copt, cc, ws_jump, par, grand, known);
-      }
-
-      if (opt.compact) {
-        std::size_t kept = 0;
-        const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                             ws_u.keys.size() == eu.size() &&
-                             ws_v.keys.size() == ev.size();
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          eu[kept] = eu[k];
-          ev[kept] = ev[k];
-          if (keys_ok) {
-            ws_u.keys[kept] = ws_u.keys[k];
-            ws_v.keys[kept] = ws_v.keys[k];
-          }
-          ++kept;
-        }
-        eu.resize(kept);
-        ev.resize(kept);
-        if (keys_ok) {
-          ws_u.keys.resize(kept);
-          ws_v.keys.resize(kept);
-        } else {
-          ws_u.invalidate_keys();
-          ws_v.invalidate_keys();
-        }
-        ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
-      }
-    }
-    if (me == 0) iterations.store(it + 1, std::memory_order_relaxed);
+    while (it < max_iters && rounds.step()) ++it;
+    if (it == max_iters) overran.store(true, std::memory_order_relaxed);
+    if (ctx.id() == 0) iterations.store(it + 1, std::memory_order_relaxed);
   });
 
   if (overran.load())

@@ -24,11 +24,11 @@ struct IncrementalResult {
 /// Precondition: `d` holds the canonical CC labels of the pre-batch graph
 /// — every vertex labeled with the minimum vertex id of its component,
 /// i.e. exactly the fixed point `cc_coalesced` converges to.  The pass
-/// runs the same batched hook-and-shortcut loop as `cc_coalesced`
-/// (GetD endpoint labels, graft larger root under smaller via SetD,
-/// lock-step pointer jumping to rooted stars) but over ONLY the fresh
-/// edges: components untouched by the batch cost nothing beyond the
-/// degenerate-batch floor of the collectives.
+/// runs cc_coalesced's round itself (`core::CcRounds`: GetD endpoint
+/// labels, graft larger root under smaller via SetD, lock-step pointer
+/// jumping to rooted stars, compact) in a plain capped loop, but over ONLY
+/// the fresh edges: components untouched by the batch cost nothing beyond
+/// the degenerate-batch floor of the collectives.
 ///
 /// Bit-identity: the canonical min-id labeling of a graph is unique, and
 /// grafting the fresh edges into the old stars converges to the canonical
@@ -41,7 +41,8 @@ struct IncrementalResult {
 /// `opt.compact` drops fresh edges once their endpoints share a label.
 /// A buddy-replication pass runs first (no-op without a loss plan), so a
 /// permanent node loss mid-pass shrinks onto pre-batch mirrors and
-/// surfaces as FaultError{PermanentLoss} for the caller's rebuild path.
+/// surfaces as FaultError{PermanentLoss} for the caller's rebuild path;
+/// unlike cc_coalesced the pass does not checkpoint or roll back.
 ///
 /// Calls rt.reset_costs(); the returned costs cover only this pass.
 IncrementalResult cc_incremental(pgas::Runtime& rt,

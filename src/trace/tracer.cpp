@@ -103,8 +103,11 @@ void SuperstepTracer::on_superstep(const pgas::SuperstepRecord& rec) {
 #endif
 
   end_ns_ = std::max(end_ns_, st.verdict.t_final);
-  row_.add(st.verdict);
-  total_.add(st.verdict);
+  // Attribution sums durations on the runtime's own clock: shifted ends
+  // round at wherever earlier segments ended, so a row's attribution
+  // would depend on the rows before it.
+  row_.add(rec.verdict);
+  total_.add(rec.verdict);
   steps_.push_back(std::move(st));
 }
 

@@ -149,7 +149,9 @@ class SuperstepTracer final : public pgas::TraceSink {
   const std::vector<Annotation>& annotations() const { return notes_; }
 
   /// Attribution accumulated since the last take (bench rows call this
-  /// once per configuration), and over the whole recording.
+  /// once per configuration), and over the whole recording.  Durations
+  /// are taken on each runtime's own clock, so a row's attribution does
+  /// not depend on the rows recorded before it.
   Attribution take_row_attribution();
   const Attribution& total_attribution() const { return total_; }
 

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/cc_coalesced.hpp"
@@ -159,6 +161,134 @@ TEST(PartitionSpec, ParseRoundTripsAndRejectsGarbage) {
         "block_cyclic:-4", "block_cyclic:nan", "block_cyclic:1.5",
         "block_cyclic:x", "cyclic:4"})
     EXPECT_NE(part::PartitionSpec::parse(bad, sp), "") << "'" << bad << "'";
+}
+
+// --- spec parser fuzzing ---------------------------------------------------
+//
+// `block_cyclic:<k>` takes k as one whole unsigned decimal token in
+// [1, 1e9], like every numeric bench flag.
+
+namespace {
+
+const std::string kChunkError =
+    "block_cyclic chunk must be an integer in [1, 1e9], got '";
+
+/// True iff `t` is non-empty decimal digits with a value in [1, 1e9].
+bool decimal_chunk(const std::string& t, std::size_t* value) {
+  if (t.empty()) return false;
+  for (const char c : t)
+    if (c < '0' || c > '9') return false;
+  const std::size_t nz = t.find_first_not_of('0');
+  if (nz == std::string::npos || t.size() - nz > 10) return false;
+  *value = std::stoull(t.substr(nz));
+  return *value >= 1 && *value <= 1'000'000'000;
+}
+
+}  // namespace
+
+TEST(PartitionSpecFuzz, RejectsChunkSpellingsThatAreNotDecimal) {
+  struct Case {
+    const char* what;
+    const char* spec;
+  };
+  const Case bad[] = {
+      {"leading space", "block_cyclic: 4"},
+      {"leading tab", "block_cyclic:\t8"},
+      {"trailing space", "block_cyclic:4 "},
+      {"sign", "block_cyclic:+4"},
+      {"hex read as 16", "block_cyclic:0x10"},
+      {"hex float read as 8", "block_cyclic:0X1p3"},
+      {"exponent", "block_cyclic:4e0"},
+      {"exponent", "block_cyclic:1e9"},
+      {"decimal point", "block_cyclic:4.0"},
+  };
+  for (const Case& c : bad) {
+    SCOPED_TRACE(std::string(c.what) + ": '" + c.spec + "'");
+    part::PartitionSpec sp;
+    sp.chunk = 77;
+    const std::string arg = std::string(c.spec).substr(13);
+    EXPECT_EQ(part::PartitionSpec::parse(c.spec, sp), kChunkError + arg + "'");
+    EXPECT_EQ(sp.describe(), "block");  // untouched
+    EXPECT_EQ(sp.chunk, 77u);
+  }
+}
+
+TEST(PartitionSpecFuzz, ChunkRangeIsOneToOneBillion) {
+  part::PartitionSpec sp;
+  for (const char* ok : {"block_cyclic:1", "block_cyclic:1000000000",
+                         "block_cyclic:0016"}) {
+    SCOPED_TRACE(ok);
+    ASSERT_EQ(part::PartitionSpec::parse(ok, sp), "");
+    EXPECT_EQ(sp.kind, part::PartitionKind::BlockCyclic);
+  }
+  EXPECT_EQ(sp.chunk, 16u);
+  EXPECT_EQ(sp.describe(), "block_cyclic:16");
+  for (const char* bad :
+       {"block_cyclic:0", "block_cyclic:1000000001", "block_cyclic:-0",
+        "block_cyclic:18446744073709551616", "block_cyclic:4294967296"})
+    EXPECT_NE(part::PartitionSpec::parse(bad, sp), "") << bad;
+}
+
+TEST(PartitionSpecFuzz, SeededMutationsRejectOrRoundTrip) {
+  // Every spec the benches, tests, scripts and docs pass to --partition.
+  const std::vector<std::string> valid = {
+      "block",          "cyclic",         "degree",
+      "block_cyclic:16", "block_cyclic:8", "block_cyclic:4",
+      "block_cyclic:1", "block_cyclic:1000000000"};
+  const char* const splices[] = {"+",    " ",   "0x",  "e",
+                                 ".",    "-",   "nan", "inf",
+                                 "18446744073709551616", "1000000001",
+                                 "\t",   "7"};
+  std::mt19937_64 rng(20261019);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string spec = valid[pick(valid.size())];
+    const int ops = 1 + static_cast<int>(pick(3));
+    for (int k = 0; k < ops; ++k) {
+      switch (pick(4)) {
+        case 0:  // splice a token in anywhere
+          spec.insert(pick(spec.size() + 1), splices[pick(std::size(splices))]);
+          break;
+        case 1:  // replace the chunk (or what follows the scheme)
+          spec = "block_cyclic:" + std::string(splices[pick(std::size(splices))]) +
+                 (pick(2) ? "4" : "");
+          break;
+        case 2:  // truncate
+          spec.resize(pick(spec.size() + 1));
+          break;
+        default:  // flip one byte
+          if (!spec.empty())
+            spec[pick(spec.size())] = static_cast<char>(pick(256));
+          break;
+      }
+    }
+    SCOPED_TRACE("spec '" + spec + "'");
+    part::PartitionSpec sp;
+    const std::string err = part::PartitionSpec::parse(spec, sp);
+    if (!err.empty()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    if (sp.kind == part::PartitionKind::BlockCyclic) {
+      std::size_t value = 0;
+      ASSERT_EQ(spec.rfind("block_cyclic:", 0), 0u);
+      EXPECT_TRUE(decimal_chunk(spec.substr(13), &value));
+      EXPECT_EQ(sp.chunk, value);
+    } else {
+      EXPECT_TRUE(spec == "block" || spec == "cyclic" || spec == "degree");
+    }
+    part::PartitionSpec back;
+    ASSERT_EQ(part::PartitionSpec::parse(sp.describe(), back), "");
+    EXPECT_EQ(back.kind, sp.kind);
+    EXPECT_EQ(back.chunk, sp.chunk);
+  }
+  // Both outcomes are exercised, so neither branch is vacuous.
+  EXPECT_GT(accepted, 200u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(PartitionSpec, DegreeSpecBindsOnlyToMatchingSize) {

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "core/cc_coalesced.hpp"
@@ -74,7 +75,9 @@ void check_stream_bit_identity(const g::TemporalStream& ts,
   bool any_erase = false;
   for (const auto& u : ts.updates)
     any_erase |= u.kind == g::UpdateKind::Erase;
-  if (any_erase) EXPECT_GT(rebuilt, 0u);
+  if (any_erase) {
+    EXPECT_GT(rebuilt, 0u);
+  }
 }
 
 }  // namespace
@@ -133,6 +136,28 @@ TEST(StreamIncremental, MatchesFreshCcDirectly) {
   const auto want = fresh_cc(merged);
   const auto got = d.raw_all();
   EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want.labels);
+}
+
+TEST(StreamIncremental, IterationCapThrowsAndPassResumes) {
+  // A path of fresh edges over singleton labels hooks in its first round,
+  // so a cap of one round must surface the bound error (on every SPMD
+  // thread at once, so no hang); an uncapped pass over the labels the
+  // capped one left behind then settles on one component.
+  pg::Runtime rt = make_rt(2, 2);
+  pg::GlobalArray<std::uint64_t> d(rt, 64);
+  for (std::size_t i = 0; i < 64; ++i) d.raw(i) = i;
+  const g::EdgeList path = g::path_graph(64);
+  core::CcOptions capped;
+  capped.max_iters = 1;
+  try {
+    strm::cc_incremental(rt, d, path.edges, capped);
+    ADD_FAILURE() << "cc_incremental did not hit its iteration cap";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cc_incremental: exceeded iteration bound");
+  }
+  const auto inc = strm::cc_incremental(rt, d, path.edges, {});
+  EXPECT_GE(inc.iterations, 1);
+  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(d.raw(i), 0u) << i;
 }
 
 TEST(StreamQueries, AnswersMatchGroundTruth) {

@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "collectives/setd.hpp"
+#include "core/cc_coalesced.hpp"
+#include "graph/rng.hpp"
+#include "partition/partitioning.hpp"
 #include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
 #include "trace/bench_json.hpp"
@@ -24,6 +27,9 @@ namespace pg = pgraph::pgas;
 namespace m = pgraph::machine;
 namespace tr = pgraph::trace;
 namespace c = pgraph::coll;
+namespace g = pgraph::graph;
+namespace core = pgraph::core;
+namespace part = pgraph::partition;
 
 namespace {
 
@@ -440,6 +446,47 @@ TEST(Tracer, SegmentsFromConsecutiveRuntimesConcatenate) {
   tracer.detach();
 }
 
+TEST(Tracer, RowAttributionDoesNotDependOnEarlierRows) {
+  // part01's input (bench/part01_skew_scaling.cpp at its defaults): a
+  // power-law graph with its hubs at low ids, CC on the 4x2 cluster with
+  // the cache scaled to 4 KiB, one row per partition scheme.
+  g::EdgeList el;
+  el.n = 3000;
+  g::Xoshiro256 rng(1);
+  while (el.edges.size() < 4 * el.n) {
+    const double x = rng.next_double();
+    const auto u = static_cast<g::VertexId>(
+        static_cast<double>(el.n) * x * x * x * x);
+    const g::VertexId v = rng.next_below(el.n);
+    if (u != v && u < el.n) el.edges.push_back({u, v});
+  }
+  m::CostParams params = m::CostParams::hps_cluster();
+  params.cache_bytes = 4096;
+  const auto row = [&](tr::SuperstepTracer& tracer, const char* scheme) {
+    part::PartitionSpec spec;
+    EXPECT_EQ(part::PartitionSpec::parse(scheme, spec), "");
+    pg::Runtime rt(pg::Topology::cluster(4, 2), params);
+    rt.set_partition_spec(spec);
+    tracer.attach(rt);
+    core::cc_coalesced(rt, el, core::CcOptions::optimized());
+    tracer.detach();
+    return tracer.take_row_attribution();
+  };
+
+  tr::SuperstepTracer first;
+  const tr::Attribution want = row(first, "cyclic");
+  tr::SuperstepTracer second;
+  row(second, "block");
+  const tr::Attribution got = row(second, "cyclic");
+  EXPECT_EQ(got.supersteps, want.supersteps);
+  EXPECT_EQ(got.count, want.count);
+  for (std::size_t w = 0; w < pg::kNumBarrierWinners; ++w)
+    EXPECT_EQ(got.time_ns[w], want.time_ns[w]) << "winner " << w;
+  // The shifted timeline still concatenates for the Chrome export.
+  EXPECT_GT(second.supersteps().back().verdict.t_final,
+            first.supersteps().back().verdict.t_final);
+}
+
 TEST(Tracer, NoteInstantExportsDedicatedTrackOnlyWhenPresent) {
   const auto run_and_dump = [](bool annotate) {
     pg::Runtime rt(pg::Topology::cluster(1, 2), quiet_params());
@@ -480,8 +527,9 @@ TEST(Tracer, NoteInstantExportsDedicatedTrackOnlyWhenPresent) {
     EXPECT_TRUE(name == "serve.breaker_open t0" ||
                 name == "serve.brownout_enter")
         << name;
-    if (name == "serve.breaker_open t0")
+    if (name == "serve.breaker_open t0") {
       EXPECT_DOUBLE_EQ(e["ts"].as_number(), 2e6 / 1e3);  // us on the track
+    }
   }
   EXPECT_EQ(instants, 2);
 }
