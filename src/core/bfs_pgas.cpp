@@ -1,7 +1,6 @@
 #include "core/bfs_pgas.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
 
 #include "collectives/getd.hpp"
@@ -46,7 +45,6 @@ std::vector<std::uint64_t> bfs_sequential_dist(
 
 BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
                    std::uint64_t source, const coll::CollectiveOptions& opt) {
-  const auto t0 = std::chrono::steady_clock::now();
   if (source >= el.n) throw std::invalid_argument("bfs_pgas: bad source");
   rt.reset_costs();
 
@@ -114,10 +112,7 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   BfsResult r;
   r.dist.assign(dist.raw_all().begin(), dist.raw_all().end());
   r.levels = levels.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt);
   return r;
 }
 

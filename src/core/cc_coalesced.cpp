@@ -1,8 +1,5 @@
 #include "core/cc_coalesced.hpp"
 
-#include <bit>
-#include <chrono>
-
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
 #include "core/edge_requests.hpp"
@@ -31,18 +28,14 @@ struct CcRun {
         cc(rt),
         loop(rt, d, kernel, max_iters, scrub_interval) {}
 
-  /// Host side, after the run that started at `t0`.
-  ParCCResult result(pgas::Runtime& rt,
-                     std::chrono::steady_clock::time_point t0) {
+  /// Host side, after the run.
+  ParCCResult result(pgas::Runtime& rt) {
     ParCCResult r;
     d.read_all(r.labels);  // global order under any storage layout
     for (std::size_t i = 0; i < r.labels.size(); ++i)
       if (r.labels[i] == i) ++r.num_components;
     r.iterations = loop.iterations();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    r.costs = collect_costs(rt, wall);
+    r.costs = collect_costs(rt);
     return r;
   }
 };
@@ -117,14 +110,11 @@ bool CcRounds::step() {
 
 ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
                          const CcOptions& opt) {
-  const auto t0 = std::chrono::steady_clock::now();
   rt.reset_costs();
 
   const std::size_t n = el.n;
-  const int max_iters = opt.max_iters > 0
-                            ? opt.max_iters
-                            : 4 * (n < 2 ? 1 : std::bit_width(n)) + 64;
-  CcRun run(rt, n, "cc_coalesced", max_iters, opt.scrub_interval);
+  CcRun run(rt, n, "cc_coalesced", opt.round_cap(default_round_cap(n)),
+            opt.scrub_interval);
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     init_labels(ctx, run.d);
@@ -132,19 +122,17 @@ ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
     run.loop.run(ctx, rounds.state(), [&] { return rounds.step(); });
   });
 
-  return run.result(rt, t0);
+  return run.result(rt);
 }
 
 ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
                          const CcOptions& opt) {
-  const auto t0 = std::chrono::steady_clock::now();
   rt.reset_costs();
 
   const std::size_t n = el.n;
-  const int max_iters = opt.max_iters > 0
-                            ? opt.max_iters
-                            : 8 * (n < 2 ? 1 : std::bit_width(n)) + 128;
-  CcRun run(rt, n, "sv_coalesced", max_iters, opt.scrub_interval);
+  // SV takes more rounds than CC: twice CC's cap.
+  CcRun run(rt, n, "sv_coalesced", opt.round_cap(2 * default_round_cap(n)),
+            opt.scrub_interval);
   // Star flags MUST share D's layout: compute_stars walks stb[k]/blk[k]
   // in parallel assuming slot k of both slices is the same vertex.
   pgas::GlobalArray<std::uint64_t> st(rt, n, rt.make_partitioning(n));
@@ -310,7 +298,7 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
     });
   });
 
-  return run.result(rt, t0);
+  return run.result(rt);
 }
 
 }  // namespace pgraph::core

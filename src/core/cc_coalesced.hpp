@@ -1,40 +1,11 @@
 #pragma once
 
-#include "collectives/options.hpp"
 #include "core/par_common.hpp"
 #include "core/recovery.hpp"
 #include "graph/edge_list.hpp"
 #include "pgas/runtime.hpp"
 
 namespace pgraph::core {
-
-/// Options for the collective-based CC/SV implementations.
-struct CcOptions {
-  coll::CollectiveOptions coll = coll::CollectiveOptions::optimized();
-  /// Filter out edges whose endpoints already share a component
-  /// ("compact", Section V).
-  bool compact = true;
-  int max_iters = 0;  ///< 0 = auto bound
-  /// At-rest integrity (docs/ROBUSTNESS.md): scrub the label array's
-  /// resident partitions every k real loop trips (0 = off).  With
-  /// scrubbing on, fresh checkpoints and buddy mirrors are only taken on
-  /// scrub-validated trips, so corruption can never be sealed into the
-  /// very state a repair would restore from.
-  int scrub_interval = 0;
-
-  static CcOptions base() {
-    CcOptions o;
-    o.coll = coll::CollectiveOptions::base();
-    o.compact = false;
-    return o;
-  }
-  static CcOptions optimized(int tprime = 0) {
-    CcOptions o;
-    o.coll = coll::CollectiveOptions::optimized(tprime);
-    o.compact = true;
-    return o;
-  }
-};
 
 /// One SPMD thread's side of CC's round (Section IV), shared by
 /// cc_coalesced and stream::cc_incremental: the thread's edge chunk as

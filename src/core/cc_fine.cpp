@@ -1,8 +1,6 @@
 #include "core/cc_fine.hpp"
 
 #include <atomic>
-#include <bit>
-#include <chrono>
 #include <stdexcept>
 
 #include "collectives/crcw.hpp"
@@ -16,16 +14,13 @@ using machine::Cat;
 
 ParCCResult cc_fine_grained(pgas::Runtime& rt, const graph::EdgeList& el,
                             int max_iters) {
-  const auto t0 = std::chrono::steady_clock::now();
   rt.reset_costs();
 
   const std::size_t n = el.n;
-  if (max_iters <= 0)
-    max_iters = 4 * (n < 2 ? 1 : std::bit_width(n)) + 64;
+  if (max_iters <= 0) max_iters = default_round_cap(n);
 
   pgas::GlobalArray<std::uint64_t> d(rt, n);
   std::atomic<int> iterations{0};
-  std::atomic<bool> overran{false};
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int s = ctx.nthreads();
@@ -50,10 +45,9 @@ ParCCResult cc_fine_grained(pgas::Runtime& rt, const graph::EdgeList& el,
 
     int it = 0;
     for (;; ++it) {
-      if (it >= max_iters) {
-        overran.store(true, std::memory_order_relaxed);
-        break;
-      }
+      // Every thread reaches the cap on the same trip: a collective throw.
+      if (it >= max_iters)
+        throw std::runtime_error("cc_fine_grained: exceeded iteration bound");
 
       // --- graft: for each edge, hook the larger label under the smaller.
       bool grafted = false;
@@ -101,19 +95,13 @@ ParCCResult cc_fine_grained(pgas::Runtime& rt, const graph::EdgeList& el,
     if (me == 0) iterations.store(it + 1, std::memory_order_relaxed);
   });
 
-  if (overran.load())
-    throw std::runtime_error("cc_fine_grained: exceeded iteration bound");
-
   ParCCResult r;
   r.labels.assign(d.raw_all().begin(), d.raw_all().end());
   r.num_components = 0;
   for (std::size_t i = 0; i < n; ++i)
     if (r.labels[i] == i) ++r.num_components;
   r.iterations = iterations.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt);
   return r;
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 
 #include "collectives/getd.hpp"
@@ -70,7 +69,6 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
                            const std::vector<std::uint64_t>& succ,
                            const std::vector<std::uint64_t>* weights,
                            const coll::CollectiveOptions& opt) {
-  const auto t0 = std::chrono::steady_clock::now();
   rt.reset_costs();
   const std::size_t n = succ.size();
   const int max_rounds = 2 * (n < 2 ? 1 : std::bit_width(n)) + 16;
@@ -79,7 +77,6 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
   pgas::GlobalArray<std::uint64_t> rnk(rt, n);
   coll::CollectiveContext cc(rt);
   std::atomic<int> rounds{0};
-  std::atomic<bool> overran{false};
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int me = ctx.id();
@@ -102,10 +99,9 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
 
     int r = 0;
     for (;; ++r) {
-      if (r >= max_rounds) {
-        overran.store(true, std::memory_order_relaxed);
-        break;
-      }
+      // Every thread reaches the cap on the same trip: a collective throw.
+      if (r >= max_rounds)
+        throw std::runtime_error("list_ranking_pgas: exceeded round bound");
       // Wyllie: R[i] += R[N[i]]; N[i] = N[N[i]]  (lock step, coalesced).
       idx.assign(nb.begin(), nb.end());
       ctx.mem_seq(idx.size() * sizeof(std::uint64_t), Cat::Copy);
@@ -134,16 +130,10 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
     if (me == 0) rounds.store(r + 1, std::memory_order_relaxed);
   });
 
-  if (overran.load())
-    throw std::runtime_error("list_ranking_pgas: exceeded round bound");
-
   ListRankResult res;
   res.ranks.assign(rnk.raw_all().begin(), rnk.raw_all().end());
   res.rounds = rounds.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  res.costs = collect_costs(rt, wall);
+  res.costs = collect_costs(rt);
   return res;
 }
 
@@ -165,7 +155,6 @@ ListRankResult list_ranking_weighted_pgas(
 
 ListRankResult list_ranking_contract(pgas::Runtime& rt,
                                      const std::vector<std::uint64_t>& succ) {
-  const auto t0 = std::chrono::steady_clock::now();
   rt.reset_costs();
   const std::size_t n = succ.size();
   const int s = rt.topo().total_threads();
@@ -204,10 +193,7 @@ ListRankResult list_ranking_contract(pgas::Runtime& rt,
   ListRankResult res;
   res.ranks.assign(rnk.raw_all().begin(), rnk.raw_all().end());
   res.rounds = 2;  // gather + scatter
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  res.costs = collect_costs(rt, wall);
+  res.costs = collect_costs(rt);
   return res;
 }
 

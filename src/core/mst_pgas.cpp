@@ -1,7 +1,5 @@
 #include "core/mst_pgas.hpp"
 
-#include <bit>
-#include <chrono>
 #include <limits>
 #include <stdexcept>
 
@@ -39,7 +37,6 @@ constexpr std::uint64_t kInfKey = std::numeric_limits<std::uint64_t>::max();
 
 ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
                       const MstOptions& opt) {
-  const auto t0 = std::chrono::steady_clock::now();
   if (el.m() >= (1ULL << 32))
     throw std::invalid_argument("mst_pgas: edge ids must fit 32 bits");
   for (const auto& e : el.edges)
@@ -49,9 +46,6 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
 
   const std::size_t n = el.n;
   const int s = rt.topo().total_threads();
-  const int max_iters = opt.max_iters > 0
-                            ? opt.max_iters
-                            : 4 * (n < 2 ? 1 : std::bit_width(n)) + 64;
 
   // Labels and candidates MUST share one layout: step 3 walks cb[k]/db[k]
   // in parallel assuming slot k of both slices is the same supervertex.
@@ -67,7 +61,8 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
       static_cast<std::size_t>(s));
   // At-rest integrity scrubs the label array only: `cand` is rebuilt from
   // scratch every trip, so it is not worth defending.
-  RecoveryLoop loop(rt, d, "mst_pgas", max_iters, opt.scrub_interval);
+  RecoveryLoop loop(rt, d, "mst_pgas", opt.round_cap(default_round_cap(n)),
+                    opt.scrub_interval);
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int me = ctx.id();
@@ -202,10 +197,7 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
     r.edges.insert(r.edges.end(), edges.begin(), edges.end());
   for (const std::uint64_t id : r.edges) r.total_weight += el.edges[id].w;
   r.iterations = loop.iterations();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt);
   return r;
 }
 

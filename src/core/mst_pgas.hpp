@@ -1,35 +1,14 @@
 #pragma once
 
-#include "collectives/options.hpp"
 #include "core/par_common.hpp"
 #include "graph/edge_list.hpp"
 #include "pgas/runtime.hpp"
 
 namespace pgraph::core {
 
-/// Options for the collective-based parallel Boruvka MST.
-struct MstOptions {
-  coll::CollectiveOptions coll = coll::CollectiveOptions::optimized();
-  bool compact = true;
-  int max_iters = 0;
-  /// At-rest integrity: scrub the label array every k real loop trips
-  /// (0 = off); checkpoints/mirrors only refresh on scrub-validated trips.
-  /// See CcOptions::scrub_interval and docs/ROBUSTNESS.md.
-  int scrub_interval = 0;
-
-  static MstOptions base() {
-    MstOptions o;
-    o.coll = coll::CollectiveOptions::base();
-    o.compact = false;
-    return o;
-  }
-  static MstOptions optimized(int tprime = 0) {
-    MstOptions o;
-    o.coll = coll::CollectiveOptions::optimized(tprime);
-    o.compact = true;
-    return o;
-  }
-};
+/// Boruvka takes CC's knobs: collective options, compaction, the round
+/// cap and the scrub interval of its label array.
+using MstOptions = CcOptions;
 
 /// Parallel Boruvka rewritten with GetD / SetDMin (Section IV): the
 /// SetDMin priority-write collective replaces MST-SMP's fine-grained locks

@@ -1,8 +1,6 @@
 #include "core/mst_smp.hpp"
 
 #include <atomic>
-#include <bit>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -28,15 +26,13 @@ void store_rlx(std::uint64_t& x, std::uint64_t v) {
 
 ParMstResult mst_smp(pgas::Runtime& rt, const graph::WEdgeList& el,
                      int max_iters) {
-  const auto t0 = std::chrono::steady_clock::now();
   if (el.m() >= (1ULL << 32))
     throw std::invalid_argument("mst_smp: edge ids must fit 32 bits");
   rt.reset_costs();
 
   const std::size_t n = el.n;
   const int s = rt.topo().total_threads();
-  if (max_iters <= 0)
-    max_iters = 4 * (n < 2 ? 1 : std::bit_width(n)) + 64;
+  if (max_iters <= 0) max_iters = default_round_cap(n);
 
   // Shared state: supervertex labels, per-vertex candidate record guarded
   // by a fine-grained spinlock.
@@ -48,7 +44,6 @@ ParMstResult mst_smp(pgas::Runtime& rt, const graph::WEdgeList& el,
       static_cast<std::size_t>(s));
   std::vector<std::uint64_t> mst_weight(static_cast<std::size_t>(s), 0);
   std::atomic<int> iterations{0};
-  std::atomic<bool> overran{false};
 
   const auto vrange = [&](int me) {
     return graph::even_chunk(n, s, me);
@@ -72,10 +67,9 @@ ParMstResult mst_smp(pgas::Runtime& rt, const graph::WEdgeList& el,
 
     int it = 0;
     for (;; ++it) {
-      if (it >= max_iters) {
-        overran.store(true, std::memory_order_relaxed);
-        break;
-      }
+      // Every thread reaches the cap on the same trip: a collective throw.
+      if (it >= max_iters)
+        throw std::runtime_error("mst_smp: exceeded iteration bound");
 
       // --- reset candidates over my vertex range.
       for (std::size_t i = vlo; i < vhi; ++i) cand_key[i] = kInf;
@@ -160,9 +154,6 @@ ParMstResult mst_smp(pgas::Runtime& rt, const graph::WEdgeList& el,
     if (me == 0) iterations.store(it + 1, std::memory_order_relaxed);
   });
 
-  if (overran.load())
-    throw std::runtime_error("mst_smp: exceeded iteration bound");
-
   ParMstResult r;
   for (int t = 0; t < s; ++t) {
     r.edges.insert(r.edges.end(),
@@ -171,10 +162,7 @@ ParMstResult mst_smp(pgas::Runtime& rt, const graph::WEdgeList& el,
     r.total_weight += mst_weight[static_cast<std::size_t>(t)];
   }
   r.iterations = iterations.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt);
   return r;
 }
 

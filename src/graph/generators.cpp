@@ -10,16 +10,6 @@
 
 namespace pgraph::graph {
 
-namespace {
-
-/// Pack an unordered vertex pair into a set key.  Requires ids < 2^32.
-std::uint64_t pair_key(VertexId u, VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (u << 32) | v;
-}
-
-}  // namespace
-
 WEdgeList with_random_weights(const EdgeList& el, std::uint64_t seed,
                               Weight max_w) {
   WEdgeList wl;

@@ -16,6 +16,13 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
+/// Pack an unordered vertex pair into one word, the smaller id high: the
+/// key of the generators' dedupe sets, the stream edge stores and the
+/// serve cache.  Requires ids < 2^32.
+inline std::uint64_t pair_key(VertexId u, VertexId v) {
+  return u < v ? (u << 32) | v : (v << 32) | u;
+}
+
 /// Weighted undirected edge.
 struct WEdge {
   VertexId u = 0;

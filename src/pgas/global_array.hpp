@@ -240,17 +240,6 @@ class GlobalArray {
     store_raw(i, v);
   }
 
-  /// Atomically shrink element i to min(current, v).  Used where PRAM
-  /// algorithms rely on benign write races that must stay monotone for the
-  /// host execution to converge (the cost charged by callers is still that
-  /// of a plain racy write — the real machine would race benignly).
-  void fetch_min_relaxed(std::size_t i, T v)
-    requires(sizeof(T) <= 8)
-  {
-    chk_elem(nullptr, i, analysis::AccessKind::CombineMin);
-    fetch_min_raw(i, v);
-  }
-
   Runtime& runtime() { return *rt_; }
 
   /// --- access-discipline annotations (no-ops unless PGRAPH_CHECK_ACCESS)

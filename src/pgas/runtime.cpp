@@ -382,6 +382,7 @@ void Runtime::set_trace_sink(TraceSink* sink) {
 }
 
 void Runtime::reset_costs() {
+  window_start_ = std::chrono::steady_clock::now();
   for (auto& st : saved_stats_) st.reset();
   std::fill(saved_clocks_.begin(), saved_clocks_.end(), 0.0);
   last_barrier_ns_ = 0.0;

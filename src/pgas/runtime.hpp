@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -200,11 +201,19 @@ class Runtime {
   /// throw.
   void run(const std::function<void(ThreadCtx&)>& f);
 
-  /// Zero all clocks, stats and counters (not the topology).
+  /// Zero all clocks, stats and counters (not the topology), and open a
+  /// new cost window on the host clock.
   void reset_costs();
 
   /// Max thread clock after the last run (including a final NIC drain).
   double modeled_time_ns() const { return finish_ns_; }
+  /// Host seconds since the cost window opened: the last reset_costs(), or
+  /// construction.
+  double cost_window_s() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         window_start_)
+        .count();
+  }
   /// Per-category stats of the critical thread (element-wise max).
   machine::PhaseStats critical_stats() const;
   /// Element-wise sum over threads (total resource consumption).
@@ -232,7 +241,6 @@ class Runtime {
   /// Attach (or detach, with nullptr) a trace sink.  Must not be called
   /// while run() is executing.  The sink outlives the attachment.
   void set_trace_sink(TraceSink* sink);
-  TraceSink* trace_sink() const { return sink_; }
 
   /// Attach (or detach, with nullptr) a fault injector.  Must not be
   /// called while run() is executing; the injector outlives the
@@ -425,6 +433,10 @@ class Runtime {
   std::uint64_t trace_prev_msgs_ = 0;
   std::uint64_t trace_prev_bytes_ = 0;
   std::uint64_t trace_prev_fine_ = 0;
+
+  /// Host time the cost window opened (construction or reset_costs()).
+  std::chrono::steady_clock::time_point window_start_ =
+      std::chrono::steady_clock::now();
 
   // Last member: destroyed first, so the workers are joined before any
   // state their fibers could touch goes away.

@@ -30,12 +30,6 @@ struct Topology {
     return thread / threads_per_node;
   }
 
-  /// The node a thread was originally placed on, ignoring any remap.
-  int home_node(int thread) const {
-    assert(thread >= 0 && thread < total_threads());
-    return thread / threads_per_node;
-  }
-
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
 
   /// thread -> node map (used by the exchange simulator).

@@ -5,16 +5,6 @@
 
 namespace pgraph::serve {
 
-const char* shed_reason_name(ShedReason r) {
-  switch (r) {
-    case ShedReason::None: return "none";
-    case ShedReason::QueueFull: return "queue-full";
-    case ShedReason::BreakerOpen: return "breaker-open";
-    case ShedReason::DeadlineExpired: return "deadline-expired";
-  }
-  return "?";
-}
-
 const char* serve_event_name(ServeEventKind k) {
   switch (k) {
     case ServeEventKind::BreakerOpen: return "breaker-open";

@@ -17,8 +17,6 @@ enum class ShedReason : std::uint8_t {
   DeadlineExpired = 3,  ///< deadline passed while waiting in the coalescer
 };
 
-const char* shed_reason_name(ShedReason r);
-
 /// Mode/breaker transitions on the modeled clock, recorded in arrival
 /// order.  tenant == -1 marks server-global events (brownout, recovery).
 enum class ServeEventKind : std::uint8_t {

@@ -14,12 +14,10 @@ namespace pgraph::serve {
 
 namespace {
 
-/// Pack an unordered vertex pair into a cache key (ids < 2^32, the same
-/// bound DynamicGraph enforces).
-std::uint64_t pair_key(graph::VertexId u, graph::VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) |
-         static_cast<std::uint64_t>(v);
+/// A request's cache key: its vertex pair, or its vertex for a size query.
+std::uint64_t cache_key(const Request& rq) {
+  return rq.kind == QueryKind::SameComponent ? graph::pair_key(rq.u, rq.v)
+                                             : rq.u;
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -298,8 +296,7 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
       const bool is_same = rq.kind == QueryKind::SameComponent;
       auto& sched = is_same ? same_sched : size_sched;
       auto& cached = is_same ? store.same : store.size;
-      const std::uint64_t key =
-          is_same ? pair_key(rq.u, rq.v) : static_cast<std::uint64_t>(rq.u);
+      const std::uint64_t key = cache_key(rq);
       if (sched.count(key) != 0) {
         ++stats_.coalesced;  // deduped against this window
         continue;
@@ -365,9 +362,7 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
         const Request& rq = w.reqs[i].req;
         Outcome& o = outcomes_[w.reqs[i].idx];
         const bool is_same = rq.kind == QueryKind::SameComponent;
-        const std::uint64_t key =
-            is_same ? pair_key(rq.u, rq.v)
-                    : static_cast<std::uint64_t>(rq.u);
+        const std::uint64_t key = cache_key(rq);
         o.status = Status::Ok;
         o.answer = is_same ? store.same.at(key) : store.size.at(key);
       }
@@ -381,9 +376,7 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
         const Request& rq = w.reqs[i].req;
         Outcome& o = outcomes_[w.reqs[i].idx];
         const bool is_same = rq.kind == QueryKind::SameComponent;
-        const std::uint64_t key =
-            is_same ? pair_key(rq.u, rq.v)
-                    : static_cast<std::uint64_t>(rq.u);
+        const std::uint64_t key = cache_key(rq);
         const auto& cached = is_same ? store.same : store.size;
         const auto it = cached.find(key);
         std::uint64_t ans = 0;
@@ -512,8 +505,7 @@ bool QueryServer::lookup_cached(const Request& rq, std::uint64_t epoch,
   const bool is_same = rq.kind == QueryKind::SameComponent;
   const auto& m = ce->second;
   const auto& cached = is_same ? m.same : m.size;
-  const auto it = cached.find(is_same ? pair_key(rq.u, rq.v)
-                                      : static_cast<std::uint64_t>(rq.u));
+  const auto it = cached.find(cache_key(rq));
   if (it == cached.end()) return false;
   *answer = it->second;
   return true;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -20,21 +19,6 @@
 namespace pgraph::stream {
 
 using machine::Cat;
-
-namespace {
-
-/// Pack an unordered vertex pair into an edge-store key (ids < 2^32).
-std::uint64_t pair_key(graph::VertexId u, graph::VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (u << 32) | v;
-}
-
-double secs_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 DynamicGraph::DynamicGraph(pgas::Runtime& rt, const graph::EdgeList& base,
                            Options opt)
@@ -67,8 +51,9 @@ DynamicGraph::DynamicGraph(pgas::Runtime& rt, const graph::EdgeList& base,
     }
     const int t = d_.owner(e.u);
     auto& posm = pos_[static_cast<std::size_t>(t)];
-    const auto [it, fresh] = posm.emplace(
-        pair_key(e.u, e.v), edges_[static_cast<std::size_t>(t)].size());
+    const auto [it, fresh] =
+        posm.emplace(graph::pair_key(e.u, e.v),
+                     edges_[static_cast<std::size_t>(t)].size());
     if (!fresh) {
       ++initial_.ignored;
       continue;
@@ -111,7 +96,6 @@ std::uint64_t DynamicGraph::num_components() const {
 
 void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
                           BatchStats& st) {
-  const auto t0 = std::chrono::steady_clock::now();
   rt_.reset_costs();
   for (auto& f : fresh_tls_) f.clear();
 
@@ -253,7 +237,7 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
       const graph::VertexId v = mine[k + 1] >> 1;
       const bool erase = (mine[k + 1] & 1) != 0;
       assert(u < n_ && v < n_);
-      const std::uint64_t key = pair_key(u, v);
+      const std::uint64_t key = graph::pair_key(u, v);
       if (!erase) {
         if (u == v) {
           ++ignored;
@@ -281,7 +265,8 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
         const graph::Edge moved = store.back();
         store[slot] = moved;
         store.pop_back();
-        if (slot < store.size()) posm[pair_key(moved.u, moved.v)] = slot;
+        if (slot < store.size())
+          posm[graph::pair_key(moved.u, moved.v)] = slot;
         ++erased;
       }
     }
@@ -294,11 +279,10 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
   st.ignored = ignored;
   st.dirty_components = dirty;
   for (const auto& f : fresh_tls_) st.fresh_edges += f.size();
-  st.ingest = core::collect_costs(rt_, secs_since(t0));
+  st.ingest = core::collect_costs(rt_);
 }
 
 void DynamicGraph::rebuild(BatchStats& st) {
-  const auto t0 = std::chrono::steady_clock::now();
   const graph::EdgeList el = materialize();
   // The full recompute path: carries cc_coalesced's superstep checkpoint /
   // rollback and buddy replication, so outages or a permanent node loss
@@ -326,11 +310,10 @@ void DynamicGraph::rebuild(BatchStats& st) {
   });
   st.rebuilt = true;
   st.iterations = res.iterations;
-  st.maintain = core::collect_costs(rt_, secs_since(t0));
+  st.maintain = core::collect_costs(rt_);
 }
 
 void DynamicGraph::publish(BatchStats& st) {
-  const auto t0 = std::chrono::steady_clock::now();
   rt_.reset_costs();
   const std::size_t slot = epoch_ % kEpochRing;
   pgas::GlobalArray<std::uint64_t>& snap = *snap_[slot];
@@ -379,7 +362,7 @@ void DynamicGraph::publish(BatchStats& st) {
   snap_valid_[slot] = true;
   sizes_valid_[slot] = false;
   st.epoch = epoch_;
-  st.publish = core::collect_costs(rt_, secs_since(t0));
+  st.publish = core::collect_costs(rt_);
 }
 
 BatchStats DynamicGraph::apply_batch(std::span<const graph::EdgeUpdate> ops) {
@@ -462,7 +445,6 @@ void DynamicGraph::compute_sizes(std::size_t slot) {
 }
 
 QueryResult DynamicGraph::query(const QueryBatch& q) {
-  const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t e = q.epoch == QueryBatch::kLatest ? epoch_ : q.epoch;
   std::size_t slot = kEpochRing;
   for (std::size_t i = 0; i < kEpochRing; ++i)
@@ -478,7 +460,7 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
   // cost) — the serving layer's coalescer never flushes an empty window,
   // but a fully-cached one resolves without touching the runtime.
   if (q.same_component.empty() && q.component_size.empty()) {
-    res.costs = core::collect_costs(rt_, secs_since(t0));
+    res.costs = core::collect_costs(rt_);
     return res;
   }
 
@@ -559,7 +541,7 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
     }
   }
 
-  res.costs = core::collect_costs(rt_, secs_since(t0));
+  res.costs = core::collect_costs(rt_);
   return res;
 }
 

@@ -116,13 +116,6 @@ class DynamicGraph {
   /// The runtime this stream charges — exposed so front ends (the query
   /// server's resilience layer) can read modeled time and fault state.
   pgas::Runtime& runtime() { return rt_; }
-  /// Epoch the ring retains just below the latest one, if any: the
-  /// staleness bound for degraded serving (docs/SERVING.md).
-  bool previous_epoch(std::uint64_t* e) const {
-    if (epoch_ == 0 || !has_epoch(epoch_ - 1)) return false;
-    *e = epoch_ - 1;
-    return true;
-  }
   /// Is `e` still queryable (published and not yet evicted from the ring)?
   /// The serving layer probes this instead of letting std::out_of_range
   /// escape a coalesced flush; see docs/SERVING.md.

@@ -1,6 +1,5 @@
 #include "trace/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -71,30 +70,36 @@ class Parser {
 
   bool run(Value& out) {
     skip_ws();
-    if (!value(out)) return false;
+    if (!value(out, 0)) return false;
     skip_ws();
     if (pos_ != s_.size()) return fail("trailing characters");
     return true;
   }
 
  private:
+  /// Deepest array/object nesting read.  The exporters nest at most 5
+  /// deep; the cap keeps a hostile document from exhausting the stack.
+  static constexpr int kMaxDepth = 64;
+
   bool fail(const char* what) {
     if (err_ != nullptr)
       *err_ = std::string(what) + " at offset " + std::to_string(pos_);
     return false;
   }
 
+  bool peek(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
+
   void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
+    while (peek(' ') || peek('\t') || peek('\n') || peek('\r')) ++pos_;
   }
 
-  bool value(Value& out) {
+  bool value(Value& out, int depth) {
     if (pos_ >= s_.size()) return fail("unexpected end");
     const char c = s_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) return fail("nesting deeper than 64");
+      return c == '{' ? object(out, depth + 1) : array(out, depth + 1);
+    }
     if (c == '"') {
       out.kind_ = Value::Kind::String;
       return string(out.str_);
@@ -104,26 +109,25 @@ class Parser {
     return num(out);
   }
 
-  bool object(Value& out) {
+  bool object(Value& out, int depth) {
     out.kind_ = Value::Kind::Object;
     ++pos_;  // '{'
     skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
+    if (peek('}')) {
       ++pos_;
       return true;
     }
     while (true) {
       skip_ws();
       std::string key;
-      if (pos_ >= s_.size() || s_[pos_] != '"' || !string(key))
-        return fail("expected object key");
+      if (!peek('"') || !string(key)) return fail("expected object key");
       skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected ':'");
+      if (!peek(':')) return fail("expected ':'");
       ++pos_;
       skip_ws();
       Value v;
-      if (!value(v)) return false;
-      out.obj_.emplace(std::move(key), std::move(v));
+      if (!value(v, depth)) return false;
+      out.obj_.insert_or_assign(std::move(key), std::move(v));
       skip_ws();
       if (pos_ >= s_.size()) return fail("unterminated object");
       if (s_[pos_] == ',') {
@@ -138,18 +142,18 @@ class Parser {
     }
   }
 
-  bool array(Value& out) {
+  bool array(Value& out, int depth) {
     out.kind_ = Value::Kind::Array;
     ++pos_;  // '['
     skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
+    if (peek(']')) {
       ++pos_;
       return true;
     }
     while (true) {
       skip_ws();
       Value v;
-      if (!value(v)) return false;
+      if (!value(v, depth)) return false;
       out.arr_.push_back(std::move(v));
       skip_ws();
       if (pos_ >= s_.size()) return fail("unterminated array");
@@ -169,10 +173,16 @@ class Parser {
     ++pos_;  // opening quote
     out.clear();
     while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
+      const auto c = static_cast<unsigned char>(s_[pos_]);
+      if (c < 0x20) return fail("control character in string");
+      if (c >= 0x80) {
+        if (!utf8(out)) return fail("invalid UTF-8 in string");
+        continue;
+      }
+      ++pos_;
       if (c == '"') return true;
       if (c != '\\') {
-        out += c;
+        out += static_cast<char>(c);
         continue;
       }
       if (pos_ >= s_.size()) return fail("bad escape");
@@ -199,32 +209,22 @@ class Parser {
           out += '\f';
           break;
         case 'u': {
-          if (pos_ + 4 > s_.size()) return fail("bad \\u escape");
           unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9')
-              code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code += static_cast<unsigned>(h - 'A' + 10);
+          if (!hex4(code)) return false;
+          // A high surrogate escape followed by a low one is one code
+          // point; a lone surrogate is kept as is, as Python keeps it.
+          const std::size_t next = pos_;
+          if (code >= 0xD800 && code < 0xDC00 &&
+              s_.substr(pos_, 2) == "\\u") {
+            pos_ += 2;
+            unsigned low = 0;
+            if (!hex4(low)) return false;
+            if (low >= 0xDC00 && low < 0xE000)
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
             else
-              return fail("bad \\u digit");
+              pos_ = next;  // the next escape stands on its own
           }
-          // The exporters only escape control characters; encode the code
-          // point as UTF-8 (BMP only, no surrogate pairing).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
+          put_utf8(out, code);
           break;
         }
         default:
@@ -232,6 +232,72 @@ class Parser {
       }
     }
     return fail("unterminated string");
+  }
+
+  /// Four hex digits of a \u escape.
+  bool hex4(unsigned& code) {
+    if (pos_ + 4 > s_.size()) return fail("bad \\u escape");
+    for (int k = 0; k < 4; ++k) {
+      const char h = s_[pos_];
+      code <<= 4;
+      if (h >= '0' && h <= '9')
+        code += static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f')
+        code += static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F')
+        code += static_cast<unsigned>(h - 'A' + 10);
+      else
+        return fail("bad \\u digit");
+      ++pos_;
+    }
+    return true;
+  }
+
+  static void put_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+
+  /// Copy one raw multi-byte UTF-8 sequence, refusing what a strict
+  /// decoder refuses: stray continuation bytes, overlong forms, encoded
+  /// surrogates and code points past U+10FFFF.  On failure `pos_` stays
+  /// on the sequence's first byte.
+  bool utf8(std::string& out) {
+    const auto lead = static_cast<unsigned char>(s_[pos_]);
+    std::size_t len = 0;
+    unsigned char lo = 0x80, hi = 0xBF;  // range of the second byte
+    if (lead >= 0xC2 && lead <= 0xDF) {
+      len = 2;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+      len = 3;
+      if (lead == 0xE0) lo = 0xA0;
+      if (lead == 0xED) hi = 0x9F;
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+      len = 4;
+      if (lead == 0xF0) lo = 0x90;
+      if (lead == 0xF4) hi = 0x8F;
+    }
+    if (len == 0 || pos_ + len > s_.size()) return false;
+    for (std::size_t k = 1; k < len; ++k) {
+      const auto b = static_cast<unsigned char>(s_[pos_ + k]);
+      if (b < (k == 1 ? lo : 0x80) || b > (k == 1 ? hi : 0xBF)) return false;
+    }
+    out.append(s_.substr(pos_, len));
+    pos_ += len;
+    return true;
   }
 
   bool boolean(Value& out) {
@@ -258,28 +324,28 @@ class Parser {
     return fail("bad literal");
   }
 
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool num(Value& out) {
     const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    bool any = false;
     const auto digits = [&] {
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        any = true;
-      }
+      const std::size_t from = pos_;
+      while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+      return pos_ > from;
     };
-    digits();
-    if (pos_ < s_.size() && s_[pos_] == '.') {
+    if (peek('-')) ++pos_;
+    if (peek('0'))
+      ++pos_;  // no leading zeros: "01" ends after the 0
+    else if (!digits())
+      return fail("expected number");
+    if (peek('.')) {
       ++pos_;
-      digits();
+      if (!digits()) return fail("expected fraction digit");
     }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+    if (peek('e') || peek('E')) {
       ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-      digits();
+      if (peek('-') || peek('+')) ++pos_;
+      if (!digits()) return fail("expected exponent digit");
     }
-    if (!any) return fail("expected number");
     out.kind_ = Value::Kind::Number;
     out.num_ = std::strtod(std::string(s_.substr(start, pos_ - start)).c_str(),
                            nullptr);

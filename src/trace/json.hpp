@@ -18,8 +18,7 @@ std::string number(double v);
 
 /// A tiny immutable JSON document, parsed by parse() below.  This exists
 /// so that the schema-validation tests (and the trace exporter's own
-/// round-trip checks) do not need an external JSON dependency; it handles
-/// exactly the subset the exporters emit plus standard escapes.
+/// round-trip checks) do not need an external JSON dependency.
 class Value {
  public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -56,8 +55,12 @@ class Value {
   std::map<std::string, Value> obj_;
 };
 
-/// Parse `text` into `out`.  Returns false (with a one-line message in
-/// `*err` when given) on malformed input; `out` is unspecified then.
+/// Parse `text` into `out` as Python's json module (scripts/bench_diff.py)
+/// reads it: RFC 8259 numbers, strings and whitespace, strict UTF-8, and
+/// the last value of a repeated key.  Arrays and objects nest at most 64
+/// deep, and NaN/Infinity are refused.  Returns false (with a one-line
+/// message ending "at offset <n>" in `*err` when given) on malformed
+/// input; `out` is unspecified then.
 bool parse(std::string_view text, Value& out, std::string* err = nullptr);
 
 }  // namespace pgraph::trace::json

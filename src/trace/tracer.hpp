@@ -137,7 +137,6 @@ class SuperstepTracer final : public pgas::TraceSink {
   const std::vector<Segment>& segments() const { return segments_; }
   std::vector<ScopeEvent> all_scopes() const;
   std::vector<CrcwEvent> all_crcw() const;
-  int max_threads() const { return static_cast<int>(threads_.size()); }
   double end_ns() const { return end_ns_; }
 
   /// Record a host-side instant annotation (serving-mode transitions).
@@ -146,7 +145,6 @@ class SuperstepTracer final : public pgas::TraceSink {
   /// process only when at least one exists, so traces without them are
   /// byte-identical to pre-annotation output.
   void note_instant(std::string name, double ts_ns);
-  const std::vector<Annotation>& annotations() const { return notes_; }
 
   /// Attribution accumulated since the last take (bench rows call this
   /// once per configuration), and over the whole recording.  Durations

@@ -1,5 +1,6 @@
-// Parallel CC variants (fine-grained, coalesced, SV, CGM) against the DSU
-// ground truth, across topologies and optimization configurations.
+// Parallel CC variants (fine-grained, coalesced, SV, CGM, spanning forest,
+// incremental) against the DSU ground truth, across topologies,
+// partitions and optimization configurations.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -10,13 +11,20 @@
 #include "core/cc_fine.hpp"
 #include "core/cc_seq.hpp"
 #include "core/cgm_cc.hpp"
+#include "core/mst_pgas.hpp"
+#include "core/mst_seq.hpp"
+#include "core/mst_smp.hpp"
 #include "graph/generators.hpp"
 #include "graph/permute.hpp"
+#include "graph/stats.hpp"
+#include "partition/partitioning.hpp"
+#include "stream/dynamic_graph.hpp"
 
 namespace g = pgraph::graph;
 namespace pg = pgraph::pgas;
 namespace m = pgraph::machine;
 namespace core = pgraph::core;
+namespace strm = pgraph::stream;
 
 namespace {
 
@@ -201,25 +209,172 @@ TEST(CcParallel, SingleVertexAndTwoVertexGraphs) {
 }
 
 TEST(CcParallel, IterationCapThrowsAndRuntimeStaysUsable) {
-  // A path needs many rounds; a cap of one iteration must surface the
-  // kernel's bound error (raised on every SPMD thread at once, so no
-  // hang), and the same runtime must then solve the graph normally.
+  // A path needs many rounds; a cap of one iteration must surface each
+  // kernel's bound error (thrown inside the run on every SPMD thread at
+  // once, so no hang), and the same runtime must then solve the graph.
   pg::Runtime rt(pg::Topology::cluster(2, 2),
                  m::CostParams::hps_cluster());
   const auto el = g::path_graph(64);
+  const auto wel = g::with_random_weights(el, 3, 1000);
   core::CcOptions capped;
   capped.max_iters = 1;
-  const auto expect_cap = [&](auto kernel, const char* what) {
+  const auto expect_cap = [](const char* what, const auto& kernel) {
     try {
-      kernel(rt, el, capped);
+      kernel();
       ADD_FAILURE() << what << " did not hit its iteration cap";
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()),
                 std::string(what) + ": exceeded iteration bound");
     }
   };
-  expect_cap(core::cc_coalesced, "cc_coalesced");
-  expect_cap(core::sv_coalesced, "sv_coalesced");
+  expect_cap("cc_coalesced", [&] { core::cc_coalesced(rt, el, capped); });
+  expect_cap("sv_coalesced", [&] { core::sv_coalesced(rt, el, capped); });
+  expect_cap("cc_fine_grained", [&] { core::cc_fine_grained(rt, el, 1); });
+  expect_cap("mst_smp", [&] { core::mst_smp(rt, wel, 1); });
+  expect_cap("mst_pgas", [&] { core::mst_pgas(rt, wel, capped); });
   EXPECT_EQ(core::cc_coalesced(rt, el).num_components, 1u);
   EXPECT_EQ(core::sv_coalesced(rt, el).num_components, 1u);
+  EXPECT_EQ(core::cc_fine_grained(rt, el).num_components, 1u);
+  const std::uint64_t weight = core::mst_kruskal(wel).total_weight;
+  EXPECT_EQ(core::mst_smp(rt, wel).total_weight, weight);
+  EXPECT_EQ(core::mst_pgas(rt, wel).total_weight, weight);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: every CC engine against cc_dsu, over small graphs x
+// topologies x partitions x option sets.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<std::pair<const char*, g::EdgeList>> differential_graphs() {
+  g::EdgeList edgeless;
+  edgeless.n = 13;
+  return {{"random", g::random_graph(400, 600, 7)},
+          {"rmat", g::rmat_graph(64, 200, 8)},
+          {"hybrid", g::hybrid_graph(100, 300, 9)},
+          {"path", g::path_graph(40)},
+          {"star", g::star_graph(33)},
+          {"clique", g::disjoint_cliques(1, 10)},
+          {"edgeless", edgeless}};
+}
+
+std::vector<std::pair<const char*, core::CcOptions>> differential_options() {
+  core::CcOptions hier = core::CcOptions::optimized();
+  hier.coll.hierarchical = true;
+  core::CcOptions loose = core::CcOptions::optimized();
+  loose.compact = false;
+  return {{"base", core::CcOptions::base()},
+          {"opt t'=0", core::CcOptions::optimized(0)},
+          {"opt t'=1", core::CcOptions::optimized(1)},
+          {"opt t'=4", core::CcOptions::optimized(4)},
+          {"hierarchical", hier},
+          {"compact off", loose}};
+}
+
+/// Labels of `el` after a DynamicGraph built on its first half of edges
+/// folds in the rest as one insert batch, kept on the incremental path.
+std::vector<std::uint64_t> incremental_labels(pg::Runtime& rt,
+                                              const g::EdgeList& el,
+                                              const core::CcOptions& opt) {
+  const std::size_t half = el.m() / 2;
+  g::EdgeList base;
+  base.n = el.n;
+  base.edges.assign(el.edges.begin(),
+                    el.edges.begin() + static_cast<std::ptrdiff_t>(half));
+  std::vector<g::EdgeUpdate> batch;
+  for (std::size_t k = half; k < el.m(); ++k)
+    batch.push_back({el.edges[k].u, el.edges[k].v, k, g::UpdateKind::Insert});
+  strm::DynamicGraph dg(rt, base, {.cc = opt, .rebuild_frac = 1e9});
+  EXPECT_FALSE(dg.apply_batch(batch).rebuilt);
+  std::vector<std::uint64_t> labels;
+  dg.labels().read_all(labels);
+  return labels;
+}
+
+/// Every parallel engine on one topology: the option-free ones (fine
+/// grained, CGM) once per graph, the rest once per partition with the
+/// option set (g + p + nodes) mod 6 for graph g and partition p, so on
+/// each topology every engine meets every partition x option pair (seven
+/// graphs cover the six sets).  Returns the number of checks made.
+std::size_t check_engines_on(int nodes, int threads) {
+  const auto options = differential_options();
+  const char* const partitions[] = {"block", "cyclic", "block_cyclic:3",
+                                    "degree"};
+  pg::Runtime rt(pg::Topology::cluster(nodes, threads),
+                 m::CostParams::hps_cluster());
+  const auto graphs = differential_graphs();
+  std::size_t checks = 0;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const auto& [gname, el] = graphs[gi];
+    const auto truth = core::cc_dsu(el);
+    const auto expect_same = [&](const char* engine,
+                                 const std::vector<std::uint64_t>& labels) {
+      EXPECT_TRUE(core::same_partition(truth.labels, labels)) << engine;
+      EXPECT_EQ(core::count_components(labels), truth.num_components)
+          << engine;
+      ++checks;
+    };
+    SCOPED_TRACE(std::string(gname) + " on " + std::to_string(nodes) + "x" +
+                 std::to_string(threads));
+    rt.set_partition_spec({});
+    expect_same("cc_fine_grained", core::cc_fine_grained(rt, el).labels);
+    expect_same("cgm_cc", core::cgm_cc(rt, el).labels);
+    for (std::size_t pi = 0; pi < std::size(partitions); ++pi) {
+      const char* const pname = partitions[pi];
+      const auto& [oname, opt] =
+          options[(gi + pi + static_cast<std::size_t>(nodes)) %
+                  options.size()];
+      SCOPED_TRACE(std::string(pname) + ", " + oname);
+      pgraph::partition::PartitionSpec spec;
+      EXPECT_EQ(pgraph::partition::PartitionSpec::parse(pname, spec), "");
+      if (spec.kind == pgraph::partition::PartitionKind::Degree)
+        spec = spec.with_degrees(g::degree_histogram(el));
+      rt.set_partition_spec(spec);
+      expect_same("cc_coalesced", core::cc_coalesced(rt, el, opt).labels);
+      expect_same("sv_coalesced", core::sv_coalesced(rt, el, opt).labels);
+      expect_same("incremental", incremental_labels(rt, el, opt));
+      // A spanning forest has n - components edges and joins exactly the
+      // components.
+      const auto forest = core::spanning_tree_pgas(rt, el, opt);
+      EXPECT_EQ(forest.edges.size(), el.n - truth.num_components);
+      g::EdgeList joined;
+      joined.n = el.n;
+      for (const std::uint64_t id : forest.edges)
+        joined.edges.push_back(el.edges[id]);
+      expect_same("spanning_tree_pgas", core::cc_dsu(joined).labels);
+    }
+  }
+  return checks;
+}
+
+}  // namespace
+
+TEST(CcDifferential, SequentialBfsAgreesWithDsu) {
+  for (const auto& [gname, el] : differential_graphs()) {
+    const auto truth = core::cc_dsu(el);
+    const auto got = core::cc_bfs(el);
+    EXPECT_TRUE(core::same_partition(truth.labels, got.labels)) << gname;
+    EXPECT_EQ(got.num_components, truth.num_components) << gname;
+  }
+}
+
+TEST(CcDifferential, EnginesAgreeWithDsuOn1x1) {
+  EXPECT_EQ(check_engines_on(1, 1), 7u * (2 + 4 * 4));
+}
+
+TEST(CcDifferential, EnginesAgreeWithDsuOn1x4) {
+  EXPECT_EQ(check_engines_on(1, 4), 7u * (2 + 4 * 4));
+}
+
+TEST(CcDifferential, EnginesAgreeWithDsuOn2x2) {
+  EXPECT_EQ(check_engines_on(2, 2), 7u * (2 + 4 * 4));
+}
+
+TEST(CcDifferential, EnginesAgreeWithDsuOn3x2) {
+  EXPECT_EQ(check_engines_on(3, 2), 7u * (2 + 4 * 4));
+}
+
+TEST(CcDifferential, EnginesAgreeWithDsuOn4x3) {
+  EXPECT_EQ(check_engines_on(4, 3), 7u * (2 + 4 * 4));
 }

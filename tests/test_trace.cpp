@@ -533,3 +533,210 @@ TEST(Tracer, NoteInstantExportsDedicatedTrackOnlyWhenPresent) {
   }
   EXPECT_EQ(instants, 2);
 }
+
+// ---------------------------------------------------------------------------
+// trace::json reads documents the way scripts/bench_diff.py's json does.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// parse()'s message for `text`, or "accepted".
+std::string json_error(std::string_view text) {
+  tr::json::Value v;
+  std::string err;
+  return tr::json::parse(text, v, &err) ? "accepted" : err;
+}
+
+/// A document's one string value.
+std::string json_string(const std::string& text) {
+  tr::json::Value v;
+  std::string err;
+  EXPECT_TRUE(tr::json::parse(text, v, &err)) << err;
+  EXPECT_TRUE(v.is_string());
+  return v.as_string();
+}
+
+/// A bench JSON and a Chrome trace as the exporters write them, from a
+/// small traced run (scopes, a CRCW window, an instant with escapes).
+std::vector<std::string> exporter_documents() {
+  pg::Runtime rt(pg::Topology::cluster(2, 2), quiet_params());
+  tr::SuperstepTracer tracer;
+  tracer.attach(rt);
+  pg::GlobalArray<std::uint64_t> d(rt, 16);
+  c::CollectiveContext cc(rt);
+  rt.run([&](pg::ThreadCtx& ctx) {
+    pg::TraceScope ts(ctx, "fuzz.step");
+    ctx.charge(m::Cat::Work, 1e4 * (1 + ctx.id()));
+    ctx.barrier();
+    c::CollWorkspace<std::uint64_t> ws;
+    std::vector<std::uint64_t> idx{static_cast<std::uint64_t>(ctx.id()) * 3};
+    std::vector<std::uint64_t> val{7};
+    c::setd_min(ctx, d, idx, std::span<const std::uint64_t>(val),
+                c::CollectiveOptions::optimized(), cc, ws);
+  });
+  tracer.note_instant("serve.\"mode\"\tenter\x01", 1e3);
+  std::ostringstream trace;
+  tracer.write_chrome_trace(trace);
+
+  tr::BenchReport rep;
+  rep.bench = "fuzz";
+  rep.preset = "quiet";
+  rep.set_param("n", 16);
+  tr::BenchRow row;
+  row.label = "row, \"quoted\"\\";
+  row.modeled_ns = rt.modeled_time_ns();
+  row.wall_ms = 0.125;
+  row.messages = rt.net().total_messages();
+  row.barriers = rt.barriers_executed();
+  row.set_breakdown(rt.critical_stats());
+  row.extra.emplace_back("ratio", 1.0 / 3.0);
+  row.attribution = tracer.take_row_attribution();
+  row.digests = {0, 1ULL << 63};
+  rep.rows.push_back(row);
+  rep.attribution = row.attribution;
+  std::ostringstream bench;
+  rep.write(bench);
+  return {bench.str(), trace.str()};
+}
+
+}  // namespace
+
+TEST(JsonFuzz, DeepNestingIsCappedWithItsOffset) {
+  // 50,000 nested arrays (a 50 KB input) overflowed the recursive
+  // parser's stack.
+  EXPECT_EQ(json_error(std::string(50000, '[')),
+            "nesting deeper than 64 at offset 64");
+  EXPECT_EQ(json_error(std::string(64, '[') + std::string(64, ']')),
+            "accepted");
+  std::string objects;
+  for (int k = 0; k < 65; ++k) objects += "{\"k\":";
+  objects += "0" + std::string(65, '}');
+  EXPECT_EQ(json_error(objects), "nesting deeper than 64 at offset 320");
+}
+
+TEST(JsonFuzz, NumbersFollowRfc8259) {
+  // Python's json refuses each of these.
+  EXPECT_EQ(json_error("+1"), "expected number at offset 0");
+  EXPECT_EQ(json_error(".5"), "expected number at offset 0");
+  EXPECT_EQ(json_error("1."), "expected fraction digit at offset 2");
+  EXPECT_EQ(json_error("01"), "trailing characters at offset 1");
+  EXPECT_EQ(json_error("1e"), "expected exponent digit at offset 2");
+  EXPECT_EQ(json_error("[1e+]"), "expected exponent digit at offset 4");
+  EXPECT_EQ(json_error("[-]"), "expected number at offset 2");
+  EXPECT_EQ(json_error("-01"), "trailing characters at offset 2");
+  EXPECT_EQ(json_error("1.e3"), "expected fraction digit at offset 2");
+  EXPECT_EQ(json_error("0x10"), "trailing characters at offset 1");
+  EXPECT_EQ(json_error("[NaN]"), "expected number at offset 1");
+  EXPECT_EQ(json_error("-Infinity"), "expected number at offset 1");
+  const std::pair<const char*, double> ok[] = {
+      {"0", 0.0},       {"-0", -0.0},     {"7", 7.0},
+      {"10", 10.0},     {"-12.25", -12.25}, {"0.5", 0.5},
+      {"1E+2", 100.0},  {"1.5e-3", 1.5e-3}, {"2e0", 2.0}};
+  for (const auto& [text, want] : ok) {
+    tr::json::Value v;
+    ASSERT_TRUE(tr::json::parse(text, v, nullptr)) << text;
+    EXPECT_EQ(v.as_number(), want) << text;
+    EXPECT_EQ(std::signbit(v.as_number()), std::signbit(want)) << text;
+  }
+}
+
+TEST(JsonFuzz, RawControlCharactersInStringsAreRejected) {
+  for (int ch = 0; ch < 0x20; ++ch) {
+    std::string doc = "[\"ab";
+    doc += static_cast<char>(ch);
+    doc += "\"]";
+    EXPECT_EQ(json_error(doc), "control character in string at offset 4")
+        << "byte " << ch;
+  }
+  // Escaped, they read back as the bytes.
+  EXPECT_EQ(json_string("\"\\u0000\\u001f\\t\""), std::string("\0\x1f\t", 3));
+  EXPECT_EQ(json_string("\"\x7f\""), "\x7f");
+}
+
+TEST(JsonFuzz, RepeatedKeyKeepsItsLastValue) {
+  tr::json::Value v;
+  std::string err;
+  ASSERT_TRUE(tr::json::parse(R"({"a":1,"b":2,"a":{"c":3}})", v, &err))
+      << err;
+  EXPECT_EQ(v.size(), 2u);
+  EXPECT_DOUBLE_EQ(v["a"]["c"].as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(v["b"].as_number(), 2.0);
+}
+
+TEST(JsonFuzz, OnlyRfc8259WhitespaceSeparatesTokens) {
+  EXPECT_EQ(json_error("\v1"), "expected number at offset 0");
+  EXPECT_EQ(json_error("[1,\f2]"), "expected number at offset 3");
+  EXPECT_EQ(json_error("1\v"), "trailing characters at offset 1");
+  EXPECT_EQ(json_error(" \t\n\r[ \t\n\r1 \t\n\r, {}] \t\n\r"), "accepted");
+}
+
+TEST(JsonFuzz, StringsAreStrictUtf8) {
+  for (const std::string ok :
+       {"\xC3\xA9", "\xE2\x82\xAC", "\xF0\x9F\x98\x80", "\xEF\xBF\xBF",
+        "\xF4\x8F\xBF\xBF", "\xED\x9F\xBF"})
+    EXPECT_EQ(json_string("\"" + ok + "\""), ok);
+  // What a strict decoder refuses: stray continuations, overlong forms,
+  // encoded surrogates, code points past U+10FFFF and cut sequences.
+  const std::vector<std::string> bad = {
+      "\x80",         "\xBF",         "\xC0\xAF",
+      "\xC1\xBF",     "\xE0\x80\xAF", "\xED\xA0\x80",
+      "\xF0\x80\x80\xAF", "\xF4\x90\x80\x80", "\xF5\x80\x80\x80",
+      "\xFF",         "\xC3",         "\xE2\x82",
+      std::string("\xC3") + "A"};
+  for (const std::string& b : bad)
+    EXPECT_EQ(json_error("[\"a" + b + "\"]"),
+              "invalid UTF-8 in string at offset 3");
+}
+
+TEST(JsonFuzz, SurrogatePairEscapesDecodeToOneCodePoint) {
+  EXPECT_EQ(json_string("\"\\ud83d\\ude00\""), "\xF0\x9F\x98\x80");
+  // A lone surrogate is kept, as Python keeps it.
+  EXPECT_EQ(json_string("\"\\ud800x\""), "\xED\xA0\x80x");
+  EXPECT_EQ(json_string("\"\\ud800\\ud800\\udc00\""),
+            "\xED\xA0\x80\xF0\x90\x80\x80");
+  EXPECT_EQ(json_error("\"\\ud800\\uzzzz\""), "bad \\u digit at offset 9");
+}
+
+TEST(JsonFuzz, SeededMutationsParseOrNameAnOffset) {
+  const std::vector<std::string> docs = exporter_documents();
+  for (const std::string& doc : docs) ASSERT_EQ(json_error(doc), "accepted");
+  const std::string splices[] = {"[", "{", "\"", "\\u", "+",
+                                 ".", "e", std::string(1, '\0')};
+  g::Xoshiro256 rng(20261020);
+  std::size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string text = docs[static_cast<std::size_t>(iter) % docs.size()];
+    const auto ops = 1 + rng.next_below(3);
+    for (std::uint64_t k = 0; k < ops; ++k) {
+      switch (rng.next_below(3)) {
+        case 0:  // truncate
+          text.resize(rng.next_below(text.size() + 1));
+          break;
+        case 1:  // flip one bit of one byte
+          if (!text.empty())
+            text[rng.next_below(text.size())] ^=
+                static_cast<char>(1u << rng.next_below(8));
+          break;
+        default:  // splice a token in anywhere
+          text.insert(rng.next_below(text.size() + 1),
+                      splices[rng.next_below(std::size(splices))]);
+      }
+    }
+    const std::string err = json_error(text);
+    if (err == "accepted") {
+      ++accepted;
+      continue;
+    }
+    ++rejected;
+    // "<what> at offset <n>", n inside the input.
+    const std::size_t at = err.rfind(" at offset ");
+    ASSERT_NE(at, std::string::npos) << err;
+    const std::string n = err.substr(at + 11);
+    ASSERT_FALSE(n.empty()) << err;
+    ASSERT_EQ(n.find_first_not_of("0123456789"), std::string::npos) << err;
+    EXPECT_LE(std::stoull(n), text.size()) << err;
+  }
+  // Both outcomes are exercised, so neither branch is vacuous.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
+}
