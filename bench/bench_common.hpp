@@ -156,13 +156,7 @@ class Report {
     r.fine_messages = c.fine_messages;
     r.bytes = c.bytes;
     r.barriers = c.barriers;
-    r.extra = std::move(extra);
-    append_fault_extras(r.extra);
-    if (tracer_) {
-      r.attribution = tracer_->take_row_attribution();
-      r.digests = tracer_->take_row_digests();
-    }
-    rep_.rows.push_back(std::move(r));
+    push(std::move(r), std::move(extra));
   }
 
   /// Row without a full RunCosts (benches that only track modeled time).
@@ -170,13 +164,7 @@ class Report {
     trace::BenchRow r;
     r.label = label;
     r.modeled_ns = modeled_ns;
-    r.extra = std::move(extra);
-    append_fault_extras(r.extra);
-    if (tracer_) {
-      r.attribution = tracer_->take_row_attribution();
-      r.digests = tracer_->take_row_digests();
-    }
-    rep_.rows.push_back(std::move(r));
+    push(std::move(r), std::move(extra));
   }
 
   /// Write the requested outputs; returns a main()-style exit code.
@@ -206,6 +194,17 @@ class Report {
   }
 
  private:
+  /// Append `r` with its extras, fault deltas, attribution and digests.
+  void push(trace::BenchRow r, Extra extra) {
+    r.extra = std::move(extra);
+    append_fault_extras(r.extra);
+    if (tracer_) {
+      r.attribution = tracer_->take_row_attribution();
+      r.digests = tracer_->take_row_digests();
+    }
+    rep_.rows.push_back(std::move(r));
+  }
+
   /// Fault counters of this row, as deltas against the previous row (the
   /// injector accumulates across the whole bench).  Rides in `extra`, so
   /// the JSON schema is unchanged and fault-free reports are unchanged.

@@ -42,29 +42,23 @@ struct CollectiveContext {
   /// cases are barrier-separated, so no synchronization is needed.
   std::vector<std::vector<std::uint64_t>> last_cnt;
 
-  /// Defeat the degenerate-batch skip on the next collective.  A
-  /// permanent-loss shrink promotes the buddy mirrors of *every*
-  /// replicated array — including smatrix/pmatrix — so the lost node's
-  /// rows snap back to their checkpoint-time contents while this
-  /// host-side cache keeps describing the pre-shrink matrix.  A requester
-  /// that then skips an "already zero" entry leaves a stale nonzero count
-  /// behind for the adopted owner to serve, which reads past the
-  /// requester's published buffers.  Setting every cached count to a
-  /// nonzero sentinel forces the next write_matrices pass (flat put loop
-  /// and hierarchical degenerate check alike) to republish every entry,
-  /// zeros included, after which cache and matrices are coherent again.
-  void invalidate_skip_cache() {
-    for (auto& row : last_cnt)
-      for (auto& cnt : row) cnt = 1;
-  }
+  /// last_shrinks[r]: the topology's shrink count when row r was last
+  /// written.  A shrink promotes the buddy mirrors of *every* replicated
+  /// array — smatrix/pmatrix included — so the lost node's rows snap back
+  /// to checkpoint-time counts the cache does not describe; skipping an
+  /// "already zero" entry would leave a stale count for the adopted owner
+  /// to serve out of the requester's buffers.  The first write after the
+  /// count moved therefore republishes every entry, zeros included.
+  std::vector<int> last_shrinks;
 
   explicit CollectiveContext(pgas::Runtime& rt)
       : smatrix(rt, square(rt.topo().total_threads())),
         pmatrix(rt, square(rt.topo().total_threads())),
         last_cnt(static_cast<std::size_t>(rt.topo().total_threads()),
                  std::vector<std::uint64_t>(
-                     static_cast<std::size_t>(rt.topo().total_threads()), 0)) {
-  }
+                     static_cast<std::size_t>(rt.topo().total_threads()), 0)),
+        last_shrinks(static_cast<std::size_t>(rt.topo().total_threads()),
+                     rt.topo().shrinks) {}
 
  private:
   static std::size_t square(int s) {

@@ -88,12 +88,17 @@ inline void write_matrices(pgas::ThreadCtx& ctx, CollectiveContext& cc,
     // A nonzero -> zero transition must still publish the zero count
     // (owners would otherwise serve the stale batch); the offset entry
     // is never read when the count is zero, so pmatrix is left alone.
+    // After a shrink every entry is published once (last_shrinks).
     auto& last = cc.last_cnt[static_cast<std::size_t>(me)];
+    int& shrinks = cc.last_shrinks[static_cast<std::size_t>(me)];
+    const bool stale = shrinks != ctx.topo().shrinks;
+    shrinks = ctx.topo().shrinks;
     std::size_t writes = 0;
     for (int j = 0; j < s; ++j) {
       const std::size_t cnt = thr_off[static_cast<std::size_t>(j) + 1] -
                               thr_off[static_cast<std::size_t>(j)];
-      if (cnt == 0 && last[static_cast<std::size_t>(j)] == 0) continue;
+      if (cnt == 0 && last[static_cast<std::size_t>(j)] == 0 && !stale)
+        continue;
       const std::size_t row = static_cast<std::size_t>(j) *
                                   static_cast<std::size_t>(s) +
                               static_cast<std::size_t>(me);
@@ -122,13 +127,16 @@ inline void write_matrices(pgas::ThreadCtx& ctx, CollectiveContext& cc,
   if (me == leader) {
     // Node-level degenerate-batch skip: when every thread hosted here has
     // an empty request vector now *and* published all-zero counts on the
-    // previous call, the remote tiles already read zero — skip the
-    // stores, the tile messages, and the setup charges entirely.
+    // previous call, under the current topology, the remote tiles already
+    // read zero — skip the stores, the tile messages, and the setup
+    // charges entirely.
     bool degenerate = true;
     for (int r = 0; r < s && degenerate; ++r) {
       if (topo.node_of(r) != mynode) continue;
       const auto* ro = ctx.peer_as<const std::size_t>(r, kSlotCnt);
-      if (ro[static_cast<std::size_t>(s)] != 0) degenerate = false;
+      if (ro[static_cast<std::size_t>(s)] != 0 ||
+          cc.last_shrinks[static_cast<std::size_t>(r)] != topo.shrinks)
+        degenerate = false;
       for (const std::uint64_t c : cc.last_cnt[static_cast<std::size_t>(r)])
         if (c != 0) {
           degenerate = false;
@@ -152,6 +160,7 @@ inline void write_matrices(pgas::ThreadCtx& ctx, CollectiveContext& cc,
         cc.pmatrix.store_relaxed(row, ro[static_cast<std::size_t>(j)]);
         cc.last_cnt[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] =
             cnt;
+        cc.last_shrinks[static_cast<std::size_t>(r)] = topo.shrinks;
       }
     }
     for (int step = 1; step < p; ++step) {

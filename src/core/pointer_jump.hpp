@@ -1,8 +1,11 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/getd.hpp"
@@ -65,7 +68,10 @@ inline bool jump_round(pgas::ThreadCtx& ctx,
   return changed;
 }
 
-/// Lock-step pointer jumping "until all trees become rooted stars".
+/// Lock-step pointer jumping "until all trees become rooted stars".  A
+/// forest of depth h settles in ceil(log2 h) jumps, plus one that changes
+/// nothing; labels still changing after bit_width(n) + 2 jumps hold a
+/// cycle, and every thread throws (each jump ends in a collective).
 inline void jump_to_stars(pgas::ThreadCtx& ctx,
                           pgas::GlobalArray<std::uint64_t>& d,
                           const coll::CollectiveOptions& copt,
@@ -75,9 +81,14 @@ inline void jump_to_stars(pgas::ThreadCtx& ctx,
                           std::vector<std::uint64_t>& grand,
                           std::optional<coll::KnownElement> known =
                               std::nullopt) {
-  for (;;) {
+  const int cap = std::bit_width(d.size()) + 2;
+  for (int jumps = 1;; ++jumps) {
     const bool changed = jump_round(ctx, d, copt, cc, ws, par, grand, known);
     if (!pgas::allreduce_or(ctx, changed)) break;
+    if (jumps >= cap)
+      throw std::runtime_error(
+          "jump_to_stars: labels still changing after " +
+          std::to_string(cap) + " jumps (the label array holds a cycle)");
   }
 }
 

@@ -190,15 +190,16 @@ void ThreadCtx::count_message(std::size_t bytes) {
 }
 
 void ThreadCtx::exchange_barrier() {
+  const int shrinks = topo().shrinks;
   rt_->barrier_sync(*this, true);
-  // A shrink in the completion step tags its epoch; the threads returning
-  // from exactly that barrier (epoch advanced by one) throw together so
+  // A shrink in the completion step moves the topology's count; the
+  // threads returning from exactly that barrier throw together so
   // checkpointing algorithms can roll back onto the surviving nodes.
-  if (rt_->loss_throw_epoch_ + 1 == rt_->epoch_) {
+  if (topo().shrinks != shrinks) {
     throw fault::FaultError(
         fault::FaultKind::PermanentLoss,
         "permanent node loss; runtime shrank onto the buddy (epoch " +
-            std::to_string(rt_->loss_throw_epoch_) + ")");
+            std::to_string(epoch() - 1) + ")");
   }
   // Retry exhaustion is detected in the completion step, so every thread
   // of this barrier observes it and throws together (collective failure;
@@ -478,7 +479,6 @@ bool Runtime::try_shrink_after_exhaustion(
   thread_node_ = topo_.thread_node_map();
   fault_->count(&fault::FaultCounters::promoted_bytes, p.bytes);
   fault_->count(&fault::FaultCounters::loss_events);
-  loss_throw_epoch_ = epoch_;
   return true;
 }
 

@@ -393,11 +393,6 @@ class Runtime {
 
   // --- degraded mode (permanent node loss) ------------------------------
   ReplicaSet replicas_;
-  /// Epoch whose completion step performed a shrink; the threads returning
-  /// from that exchange barrier (epoch_ == loss_throw_epoch_ + 1) all
-  /// throw FaultError{PermanentLoss} so checkpointing algorithms roll
-  /// back.  ~0 means "no shrink pending".
-  std::uint64_t loss_throw_epoch_ = ~0ull;
   /// Set when a shrink was refused because a buddy mirror failed its
   /// checksum validation; the collective failure throw is then
   /// FaultError{MemoryCorrupt} instead of RetryExhausted, so the operator

@@ -21,6 +21,10 @@ struct Topology {
   int threads_per_node = 1;
   /// Live thread -> node map; empty means the identity block layout.
   std::vector<std::int32_t> owner;
+  /// Shrinks so far (`remap_node` calls).  Layers whose state a shrink
+  /// invalidates (the collectives' skip cache, the loss throw, the
+  /// server's recovery poll) compare this count instead of being told.
+  int shrinks = 0;
 
   int total_threads() const { return nodes * threads_per_node; }
 
@@ -96,6 +100,7 @@ struct Topology {
     for (auto& o : owner)
       if (o == static_cast<std::int32_t>(dead))
         o = static_cast<std::int32_t>(to);
+    ++shrinks;
   }
 
   static Topology single_node(int threads) {

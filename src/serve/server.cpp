@@ -65,11 +65,10 @@ QueryServer::QueryServer(stream::DynamicGraph& dg, int tenants,
         CircuitBreaker(ro.breaker_trip_after, ro.breaker_cooldown_ns));
     budgets_.assign(static_cast<std::size_t>(tenants),
                     RetryBudget(ro.retry_tokens, ro.retry_refill_per_s));
-    // Losses the DynamicGraph already absorbed (construction, earlier
-    // batches) are not ours to recover from.
-    if (const fault::FaultInjector* inj = dg_.runtime().fault_injector())
-      seen_loss_ = inj->count_of(&fault::FaultCounters::loss_events);
   }
+  // Losses the DynamicGraph already absorbed (construction, earlier
+  // batches) are not ours to recover from.
+  seen_shrinks_ = dg_.runtime().topo().shrinks;
 }
 
 std::size_t QueryServer::offer(const Request& r) {
@@ -524,16 +523,21 @@ bool QueryServer::lookup_degraded(const Request& rq, std::uint64_t epoch,
   return true;
 }
 
-void QueryServer::breaker_result(const Window& w,
-                                 const std::vector<std::size_t>& members,
-                                 bool ok, double now_ns) {
+std::vector<std::int32_t> QueryServer::tenants_of(
+    const Window& w, const std::vector<std::size_t>& members) {
   std::vector<std::int32_t> tenants;
   for (std::size_t i : members) {
     const std::int32_t t = w.reqs[i].req.tenant;
     if (std::find(tenants.begin(), tenants.end(), t) == tenants.end())
       tenants.push_back(t);
   }
-  for (std::int32_t t : tenants) {
+  return tenants;
+}
+
+void QueryServer::breaker_result(const Window& w,
+                                 const std::vector<std::size_t>& members,
+                                 bool ok, double now_ns) {
+  for (std::int32_t t : tenants_of(w, members)) {
     CircuitBreaker& cb = breakers_[static_cast<std::size_t>(t)];
     const bool was_closed = cb.state() == CircuitBreaker::State::Closed;
     if (ok) {
@@ -553,12 +557,7 @@ void QueryServer::breaker_result(const Window& w,
 bool QueryServer::spend_retry_tokens(const Window& w,
                                      const std::vector<std::size_t>& members,
                                      double now_ns) {
-  std::vector<std::int32_t> tenants;
-  for (std::size_t i : members) {
-    const std::int32_t t = w.reqs[i].req.tenant;
-    if (std::find(tenants.begin(), tenants.end(), t) == tenants.end())
-      tenants.push_back(t);
-  }
+  const std::vector<std::int32_t> tenants = tenants_of(w, members);
   // All-or-nothing: a retry serves the whole coalesced group, so every
   // member tenant must contribute a token.
   for (std::int32_t t : tenants) {
@@ -573,11 +572,9 @@ bool QueryServer::spend_retry_tokens(const Window& w,
 }
 
 void QueryServer::poll_recovery(double now_ns, double* service_ns) {
-  const fault::FaultInjector* inj = dg_.runtime().fault_injector();
-  if (inj == nullptr) return;
-  const std::uint64_t ev = inj->count_of(&fault::FaultCounters::loss_events);
-  if (ev <= seen_loss_) return;
-  seen_loss_ = ev;
+  const int shrinks = dg_.runtime().topo().shrinks;
+  if (shrinks == seen_shrinks_) return;
+  seen_shrinks_ = shrinks;
   // A node was permanently lost and the topology shrank: republish the
   // current epoch on the survivor topology (refreshing the ring slot and
   // the buddy mirrors) before the next flush, charging the cost like any
@@ -607,14 +604,11 @@ stream::BatchStats QueryServer::publish(
   stats_.publish_ns += st.total_modeled_ns();
   ++stats_.publishes;
   invalidate_evicted();
-  if (opt_.resilience.enabled) {
-    // apply_batch recovers from a shrink internally (publish_recover), so
-    // fold any loss it absorbed into the seen baseline rather than
-    // republishing a second time.
-    if (const fault::FaultInjector* inj = dg_.runtime().fault_injector())
-      seen_loss_ = inj->count_of(&fault::FaultCounters::loss_events);
-    update_mode(server_free_ns_);
-  }
+  // apply_batch recovers from a shrink internally (publish_recover), so
+  // fold any loss it absorbed into the seen baseline rather than
+  // republishing a second time.
+  seen_shrinks_ = dg_.runtime().topo().shrinks;
+  if (opt_.resilience.enabled) update_mode(server_free_ns_);
   return st;
 }
 

@@ -209,6 +209,9 @@ class QueryServer {
   /// Previous-epoch probe: true if a Degraded answer is available.
   bool lookup_degraded(const Request& rq, std::uint64_t epoch,
                        std::uint64_t* answer, std::uint64_t* from) const;
+  /// The distinct tenants of a flush group's members, in first-seen order.
+  static std::vector<std::int32_t> tenants_of(
+      const Window& w, const std::vector<std::size_t>& members);
   /// Apply one flush group's backend verdict to the member tenants'
   /// breakers, maintaining open_breakers_ and the transition counters.
   void breaker_result(const Window& w, const std::vector<std::size_t>& members,
@@ -217,7 +220,7 @@ class QueryServer {
   bool spend_retry_tokens(const Window& w,
                           const std::vector<std::size_t>& members,
                           double now_ns);
-  /// Detect a topology shrink (loss_events advanced) and republish the
+  /// After a topology shrink (the runtime's count moved), republish the
   /// current epoch on the survivor topology, charging the cost.
   void poll_recovery(double now_ns, double* service_ns);
 
@@ -241,7 +244,7 @@ class QueryServer {
   std::vector<RetryBudget> budgets_;      ///< per tenant
   int open_breakers_ = 0;        ///< breakers not in Closed state
   std::size_t queued_reqs_ = 0;  ///< admitted, not yet entered service
-  std::uint64_t seen_loss_ = 0;  ///< loss_events already recovered from
+  int seen_shrinks_ = 0;  ///< topology shrinks already recovered from
 
   std::vector<Outcome> outcomes_;
   std::vector<std::vector<double>> lat_;  ///< per-tenant Ok latencies

@@ -20,6 +20,24 @@ namespace pgraph::stream {
 
 using machine::Cat;
 
+namespace {
+
+/// Run `f`; true when a permanent node loss cut it short.  The shrink
+/// promoted the published mirrors, so the caller recovers on the
+/// survivors (a retry, or a rebuild); every other fault propagates.
+template <class F>
+bool shrank_during(F&& f) {
+  try {
+    f();
+  } catch (const fault::FaultError& fe) {
+    if (fe.kind() != fault::FaultKind::PermanentLoss) throw;
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 DynamicGraph::DynamicGraph(pgas::Runtime& rt, const graph::EdgeList& base,
                            Options opt)
     : rt_(rt),
@@ -82,9 +100,7 @@ graph::EdgeList DynamicGraph::materialize() const {
 }
 
 std::uint64_t DynamicGraph::num_components() const {
-  std::size_t slot = kEpochRing;
-  for (std::size_t i = 0; i < kEpochRing; ++i)
-    if (snap_valid_[i] && snap_epoch_[i] == epoch_) slot = i;
+  const std::size_t slot = slot_of(epoch_);
   assert(slot < kEpochRing && "latest epoch must be published");
   std::vector<std::uint64_t> labels;
   snap_[slot]->read_all(labels);  // global order under any layout
@@ -177,6 +193,7 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
       // and the hash-store probe per record are charged here even though
       // the functional application happens host-side after the run.
       auto& mine = stage[static_cast<std::size_t>(me)];
+      mine.clear();  // a retry after a shrink starts over
       const std::size_t store_now = edges_[static_cast<std::size_t>(me)].size();
       for (int j = 0; j < s; ++j) {
         const std::size_t cnt = srow[static_cast<std::size_t>(j)];
@@ -202,24 +219,11 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
     ctx.exchange_barrier();
   };
 
-  for (int attempt = 0;; ++attempt) {
-    for (auto& v : stage) v.clear();
-    try {
-      rt_.run(spmd);
-      break;
-    } catch (const fault::FaultError& fe) {
-      // The unwound collective may leave smatrix desynced from the
-      // skip cache (a shrink restores the lost node's rows outright);
-      // force a full matrix republish whether we retry here or the
-      // caller does.
-      cc_.invalidate_skip_cache();
-      if (fe.kind() != fault::FaultKind::PermanentLoss || attempt > 0) throw;
-      // The shrink promoted the published mirrors (live labels and the
-      // snapshot ring are back to the last published epoch, the stores
-      // were never touched); redo the routing on the survivors.  Costs of
-      // the aborted attempt stay on the clock: degraded mode is not free.
-    }
-  }
+  // The shrink promoted the published mirrors (live labels and the
+  // snapshot ring are back to the last published epoch, the stores
+  // were never touched); redo the routing on the survivors.  Costs of
+  // the aborted attempt stay on the clock: degraded mode is not free.
+  if (shrank_during([&] { rt_.run(spmd); })) rt_.run(spmd);
 
   // Apply the staged records owner by owner.  Within an owner, records are
   // in global timestamp order; across owners the streams are disjoint (an
@@ -378,17 +382,13 @@ BatchStats DynamicGraph::apply_batch(std::span<const graph::EdgeUpdate> ops) {
     fresh.reserve(st.fresh_edges);
     for (const auto& f : fresh_tls_)
       fresh.insert(fresh.end(), f.begin(), f.end());
-    try {
+    // A permanent node loss shrank the topology mid-pass and promoted
+    // the pre-batch mirrors; recompute over the survivors.
+    full = shrank_during([&] {
       const IncrementalResult inc = cc_incremental(rt_, d_, fresh, opt_.cc);
       st.iterations = inc.iterations;
       st.maintain = inc.costs;
-    } catch (const fault::FaultError& fe) {
-      cc_.invalidate_skip_cache();
-      // A permanent node loss shrank the topology mid-pass and promoted
-      // the pre-batch mirrors; recompute over the survivors.
-      if (fe.kind() != fault::FaultKind::PermanentLoss) throw;
-      full = true;
-    }
+    });
   }
   if (full) rebuild(st);
 
@@ -404,14 +404,10 @@ BatchStats DynamicGraph::republish() {
 }
 
 void DynamicGraph::publish_recover(BatchStats& st) {
-  try {
-    publish(st);
-  } catch (const fault::FaultError& fe) {
-    cc_.invalidate_skip_cache();
-    if (fe.kind() != fault::FaultKind::PermanentLoss) throw;
-    // The shrink mid-publish reverted the lost node's slice of the live
-    // labels to the previous epoch's mirror; recompute from the (intact,
-    // host-side) edge stores and publish again.
+  // The shrink mid-publish reverted the lost node's slice of the live
+  // labels to the previous epoch's mirror; recompute from the (intact,
+  // host-side) edge stores and publish again.
+  if (shrank_during([&] { publish(st); })) {
     rebuild(st);
     publish(st);
   }
@@ -446,9 +442,7 @@ void DynamicGraph::compute_sizes(std::size_t slot) {
 
 QueryResult DynamicGraph::query(const QueryBatch& q) {
   const std::uint64_t e = q.epoch == QueryBatch::kLatest ? epoch_ : q.epoch;
-  std::size_t slot = kEpochRing;
-  for (std::size_t i = 0; i < kEpochRing; ++i)
-    if (snap_valid_[i] && snap_epoch_[i] == e) slot = i;
+  const std::size_t slot = slot_of(e);
   if (slot == kEpochRing)
     throw std::out_of_range(
         "DynamicGraph::query: epoch not in the snapshot ring");
@@ -513,33 +507,24 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
     }
   };
 
-  for (int attempt = 0;; ++attempt) {
-    try {
-      // Lazy per-epoch size aggregation: charged (once) to the first query
-      // batch that needs it, cached in sizes_valid_ for every later batch
-      // on the same epoch.  The aggregation-only cost is surfaced in
-      // res.agg_ns so callers (the serving layer, the regression test) can
-      // see that a second batch pays nothing here.
-      if (!q.component_size.empty() && !sizes_valid_[slot]) {
-        compute_sizes(slot);
-        res.agg_ns = rt_.modeled_time_ns();  // all cost since reset_costs()
-      }
-      res.same.assign(q.same_component.size(), 0);
-      res.size.assign(q.component_size.size(), 0);
-      rt_.run(spmd);
-      break;
-    } catch (const fault::FaultError& fe) {
-      // Promotion also restored smatrix/pmatrix rows from checkpoint-time
-      // mirrors, so the host-side skip cache can no longer vouch for
-      // remote zeros; republish the full matrix on the next collective
-      // (here on retry, or in the caller's retry after a rethrow).
-      cc_.invalidate_skip_cache();
-      if (fe.kind() != fault::FaultKind::PermanentLoss || attempt > 0) throw;
-      // Promotion restored the published mirrors, so the snapshot ring on
-      // the survivors is exactly what publish() wrote; one retry serves
-      // the same epoch bit-identically (at degraded-mode cost).
+  const auto serve = [&] {
+    // Lazy per-epoch size aggregation: charged (once) to the first query
+    // batch that needs it, cached in sizes_valid_ for every later batch
+    // on the same epoch.  The aggregation-only cost is surfaced in
+    // res.agg_ns so callers (the serving layer, the regression test) can
+    // see that a second batch pays nothing here.
+    if (!q.component_size.empty() && !sizes_valid_[slot]) {
+      compute_sizes(slot);
+      res.agg_ns = rt_.modeled_time_ns();  // all cost since reset_costs()
     }
-  }
+    res.same.assign(q.same_component.size(), 0);
+    res.size.assign(q.component_size.size(), 0);
+    rt_.run(spmd);
+  };
+  // Promotion restored the published mirrors, so the snapshot ring on
+  // the survivors is exactly what publish() wrote; one retry serves
+  // the same epoch bit-identically (at degraded-mode cost).
+  if (shrank_during(serve)) serve();
 
   res.costs = core::collect_costs(rt_);
   return res;

@@ -119,11 +119,7 @@ class DynamicGraph {
   /// Is `e` still queryable (published and not yet evicted from the ring)?
   /// The serving layer probes this instead of letting std::out_of_range
   /// escape a coalesced flush; see docs/SERVING.md.
-  bool has_epoch(std::uint64_t e) const {
-    for (std::size_t i = 0; i < kEpochRing; ++i)
-      if (snap_valid_[i] && snap_epoch_[i] == e) return true;
-    return false;
-  }
+  bool has_epoch(std::uint64_t e) const { return slot_of(e) < kEpochRing; }
   std::size_t num_vertices() const { return n_; }
   std::size_t live_edges() const;
   /// Current live edge set, concatenated in owner order (deterministic for
@@ -147,6 +143,12 @@ class DynamicGraph {
   void publish_recover(BatchStats& st);
   /// Aggregate component sizes for ring slot `slot` (SetDAdd pass).
   void compute_sizes(std::size_t slot);
+  /// Ring slot holding epoch `e`, or kEpochRing if `e` is not queryable.
+  std::size_t slot_of(std::uint64_t e) const {
+    for (std::size_t i = 0; i < kEpochRing; ++i)
+      if (snap_valid_[i] && snap_epoch_[i] == e) return i;
+    return kEpochRing;
+  }
 
   pgas::Runtime& rt_;
   std::size_t n_;

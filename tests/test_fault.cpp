@@ -742,6 +742,157 @@ TEST(FaultChaos, MstLossBitIdenticalAfterShrink) {
   EXPECT_EQ(rt.topo().live_node_count(), 3);
 }
 
+// --- late loss: the skip cache after a shrink ------------------------------
+//
+// A shrink restores smatrix/pmatrix rows from checkpoint-time mirrors, so
+// a requester's skip cache no longer describes them: skipping an "already
+// zero" entry leaves a stale count for the adopted owner to serve out of
+// the requester's current (smaller) buffers.  The loss tests above shrink
+// early, before any restored row differed from what the cache said; the
+// kernel plans below, found by a sweep over loss_at and loss_node on this
+// fixture, crashed or returned a wrong MST weight while callers had to
+// invalidate the cache by hand.
+
+TEST(FaultRuntime, SkipCacheSurvivesShrink) {
+  flt::FaultInjector inj(
+      flt::FaultConfig::parse("loss_at=20,loss_node=2", chaos_seed()));
+  pg::Runtime rt = make_rt();
+  rt.set_fault_injector(&inj);
+  pg::GlobalArray<std::uint64_t> arr(rt, 256);
+  for (std::size_t i = 0; i < 256; ++i) arr.raw(i) = 1000 + i;
+  coll::CollectiveContext ccx(rt);
+  const auto copt = coll::CollectiveOptions::optimized();
+  // Thread 0 reads owner 4's block (node 2), every thread's row is
+  // mirrored, and thread 0's count for owner 4 drops to zero.
+  std::vector<std::uint64_t> owner4(32);
+  for (std::size_t i = 0; i < owner4.size(); ++i) owner4[i] = 128 + i;
+  std::uint64_t dropped_at = 0;
+  bool threw = false;
+  try {
+    rt.run([&](pg::ThreadCtx& ctx) {
+      coll::CollWorkspace<std::uint64_t> ws;
+      std::vector<std::uint64_t> idx, out;
+      if (ctx.id() == 0) idx = owner4;
+      out.resize(idx.size());
+      coll::getd(ctx, arr, idx, std::span<std::uint64_t>(out), copt, ccx, ws);
+      pg::replicate_to_buddy(ctx);
+      coll::getd(ctx, arr, {}, std::span<std::uint64_t>(), copt, ccx, ws);
+      if (ctx.id() == 0) dropped_at = ctx.epoch();
+      for (int r = 0; r < 64; ++r) cross_node_round(ctx, 64);
+    });
+  } catch (const flt::FaultError& e) {
+    threw = true;
+    EXPECT_EQ(e.kind(), flt::FaultKind::PermanentLoss);
+  }
+  ASSERT_TRUE(threw);
+  ASSERT_LT(dropped_at, 20u);  // the zero was published before the loss
+  ASSERT_EQ(rt.topo().node_of(4), 1);
+  // The shrink restored owner 4's row with thread 0's count of 32.  A GetD
+  // from a fresh workspace that requests nothing must republish the zero
+  // before owner 4 serves; the next real read sees the promoted block.
+  std::vector<std::uint64_t> got(owner4.size());
+  rt.run([&](pg::ThreadCtx& ctx) {
+    coll::CollWorkspace<std::uint64_t> fresh;
+    coll::getd(ctx, arr, {}, std::span<std::uint64_t>(), copt, ccx, fresh);
+    std::vector<std::uint64_t> idx;
+    if (ctx.id() == 0) idx = owner4;
+    std::vector<std::uint64_t> out(idx.size());
+    coll::getd(ctx, arr, idx, std::span<std::uint64_t>(out), copt, ccx, fresh);
+    if (ctx.id() == 0) got = out;
+  });
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], 1000 + owner4[i]) << i;
+}
+
+namespace {
+
+enum class LateKernel { Cc, CcHierarchical, Sv, Mst };
+
+const char* late_kernel_name(LateKernel k) {
+  switch (k) {
+    case LateKernel::Cc: return "cc";
+    case LateKernel::CcHierarchical: return "cc hierarchical";
+    case LateKernel::Sv: return "sv";
+    case LateKernel::Mst: return "mst";
+  }
+  return "?";
+}
+
+/// CC/SV labels, or the one-element MST weight (weights seeded 7), of `k`
+/// on `el` on a fresh 4x2 runtime under the fault plan `faults` ("" runs
+/// fault-free).  `shrank` reports whether the runtime lost a node.
+std::vector<std::uint64_t> late_loss_answer(LateKernel k,
+                                            const g::EdgeList& el,
+                                            const std::string& faults,
+                                            bool* shrank = nullptr) {
+  flt::FaultInjector inj(flt::FaultConfig::parse(faults, chaos_seed()));
+  pg::Runtime rt = make_rt();
+  if (!faults.empty()) rt.set_fault_injector(&inj);
+  std::vector<std::uint64_t> out;
+  if (k == LateKernel::Mst) {
+    out = {core::mst_pgas(rt, g::with_random_weights(el, 7), {}).total_weight};
+  } else if (k == LateKernel::Sv) {
+    out = core::sv_coalesced(rt, el, {}).labels;
+  } else {
+    core::CcOptions o;
+    o.coll.hierarchical = k == LateKernel::CcHierarchical;
+    out = core::cc_coalesced(rt, el, o).labels;
+  }
+  if (shrank != nullptr) *shrank = rt.topo().shrinks > 0;
+  return out;
+}
+
+void expect_late_loss_matches(LateKernel k, const g::EdgeList& el,
+                              const std::string& plan) {
+  bool shrank = false;
+  EXPECT_EQ(late_loss_answer(k, el, plan, &shrank),
+            late_loss_answer(k, el, ""))
+      << late_kernel_name(k) << " under " << plan;
+  EXPECT_TRUE(shrank) << late_kernel_name(k) << " under " << plan;
+}
+
+}  // namespace
+
+TEST(FaultChaos, LateLossCcMatchesFaultFree) {
+  expect_late_loss_matches(LateKernel::Cc, g::rmat_graph(256, 1024, 3),
+                           "loss_at=48,loss_node=0");
+}
+
+TEST(FaultChaos, LateLossSvMatchesFaultFree) {
+  expect_late_loss_matches(LateKernel::Sv, g::path_graph(300),
+                           "loss_at=264,loss_node=0");
+}
+
+TEST(FaultChaos, LateLossMstMatchesFaultFree) {
+  const auto el = g::path_graph(300);
+  expect_late_loss_matches(LateKernel::Mst, el, "loss_at=60,loss_node=2");
+  // This one returned a wrong total weight instead of crashing.
+  expect_late_loss_matches(LateKernel::Mst, el, "loss_at=114,loss_node=2");
+}
+
+TEST(FaultChaos, LateLossSweepMatchesFaultFree) {
+  // A coarse diagonal of the sweep: loss_at 6, 27, ..., 384 with the lost
+  // node rotating, for every checkpointing kernel on both graphs.
+  const g::EdgeList graphs[] = {g::path_graph(300),
+                                g::rmat_graph(256, 1024, 3)};
+  int shrinks = 0;
+  for (const g::EdgeList& el : graphs) {
+    for (const LateKernel k : {LateKernel::Cc, LateKernel::CcHierarchical,
+                               LateKernel::Sv, LateKernel::Mst}) {
+      const auto clean = late_loss_answer(k, el, "");
+      for (int i = 0; 6 + 21 * i <= 399; ++i) {
+        const std::string plan = "loss_at=" + std::to_string(6 + 21 * i) +
+                                 ",loss_node=" + std::to_string(i % 4);
+        bool shrank = false;
+        EXPECT_EQ(late_loss_answer(k, el, plan, &shrank), clean)
+            << late_kernel_name(k) << " on n=" << el.n << " under " << plan;
+        shrinks += shrank;
+      }
+    }
+  }
+  EXPECT_GT(shrinks, 0);
+}
+
 TEST(FaultChaos, ZeroLossPlanLeavesCcModeledTimeUnchanged) {
   const auto el = g::random_graph(200, 800, 18);
   core::ParCCResult clean;

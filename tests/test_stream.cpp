@@ -160,6 +160,35 @@ TEST(StreamIncremental, IterationCapThrowsAndPassResumes) {
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(d.raw(i), 0u) << i;
 }
 
+TEST(StreamIncremental, LabelCycleThrowsInsteadOfSpinning) {
+  // Labels that are not a forest: 5 -> 6 -> 7 -> 5 is a 3-cycle, which
+  // every pointer jump maps onto another 3-cycle.  The pass must throw on
+  // every thread instead of jumping forever, and the same runtime then
+  // solves the repaired (canonical) labels.
+  pg::Runtime rt = make_rt(2, 2);
+  pg::GlobalArray<std::uint64_t> d(rt, 16);
+  for (std::size_t i = 0; i < 16; ++i) d.raw(i) = i;
+  d.raw(5) = 6;
+  d.raw(6) = 7;
+  d.raw(7) = 5;
+  const std::vector<g::Edge> fresh = {{3, 4}};
+  try {
+    strm::cc_incremental(rt, d, fresh, {});
+    ADD_FAILURE() << "cc_incremental settled labels that hold a cycle";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "jump_to_stars: labels still changing after 7 jumps (the "
+                 "label array holds a cycle)");
+  }
+  for (std::size_t i = 0; i < 16; ++i) d.raw(i) = i;
+  d.raw(6) = d.raw(7) = 5;
+  strm::cc_incremental(rt, d, fresh, {});
+  for (std::size_t i = 0; i < 16; ++i) {
+    const std::uint64_t want = i == 4 ? 3 : (i == 6 || i == 7) ? 5 : i;
+    EXPECT_EQ(d.raw(i), want) << i;
+  }
+}
+
 TEST(StreamQueries, AnswersMatchGroundTruth) {
   g::TemporalStreamParams p;
   p.base_edges = 300;
