@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
       graph::Xoshiro256 rng(a.seed + ctx.id());
       std::vector<std::uint64_t> idx(per_thread), out(per_thread);
       for (auto& x : idx) x = rng.next_below(n);
-      coll::CollWorkspace<std::uint64_t> ws;
+      // One request column, repeated: its `id` keys are computed once.
+      coll::CollWorkspace<std::uint64_t> ws(/*keep_keys=*/true);
       for (int rep = 0; rep < reps; ++rep)
         coll::getd(ctx, d, idx, std::span<std::uint64_t>(out),
                    coll::CollectiveOptions::optimized(2), cc, ws);

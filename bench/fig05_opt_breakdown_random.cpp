@@ -29,8 +29,7 @@ std::vector<Step> cumulative_steps(int tprime) {
   steps.push_back({"+circular", o});
   o.coll.localcpy = true;
   steps.push_back({"+localcpy", o});
-  o.coll.id_direct = true;
-  o.coll.id_cache = true;
+  o.coll.id = true;
   steps.push_back({"+id", o});
   return steps;
 }

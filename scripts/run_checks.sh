@@ -30,8 +30,10 @@
 #            parser mutation tests and scaled()), graph_util (the Io
 #            reader tests and the GraphIoFuzz DIMACS/binary mutations),
 #            partition (the PartitionSpec parser and its PartitionSpecFuzz
-#            mutations) and trace (the JsonFuzz parser repros and seeded
-#            mutations of exporter output) test binaries under it
+#            mutations), trace (the JsonFuzz parser repros and seeded
+#            mutations of exporter output) and generators (the RandomGraph,
+#            Rmat and Hybrid suites: sizes from bench --n/--m flags, and
+#            the impossible requests that must throw) test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
 #            (scripts/baselines/BENCH_smoke.json; skipped without python3),
 #            after a self-test that perturbed copies fail the gate
@@ -157,20 +159,21 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util/partition/trace ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util/partition/trace/generators ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
         --target test_collectives --target test_fault --target test_stream \
         --target test_runtime --target test_sched --target test_machine \
         --target test_scrub --target test_harness --target test_graph_util \
-        --target test_partition --target test_trace
+        --target test_partition --target test_trace --target test_generators
       # The next two groups are test_sched's and test_machine's suites;
       # Scrub and BenchArgs cover test_scrub and test_harness's parser,
       # Io and GraphIoFuzz test_graph_util's graph readers, PartitionSpec
       # (and PartitionSpecFuzz) test_partition's spec parser, JsonFuzz
-      # test_trace's JSON reader.
+      # test_trace's JSON reader, RandomGraph, Rmat and Hybrid
+      # test_generators' generators.
       ctest --preset ubsan \
-        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz|PartitionSpec|JsonFuzz)' \
+        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz|PartitionSpec|JsonFuzz|RandomGraph|Rmat|Hybrid)' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)

@@ -33,8 +33,8 @@ inline std::uint64_t collective_sig(std::uint64_t array_uid,
   h = mix64(h ^ static_cast<std::uint64_t>(tprime));
   const std::uint64_t bits =
       (opt.circular ? 1ull : 0ull) | (opt.localcpy ? 2ull : 0ull) |
-      (opt.id_direct ? 4ull : 0ull) | (opt.id_cache ? 8ull : 0ull) |
-      (opt.offload ? 16ull : 0ull) | (opt.hierarchical ? 32ull : 0ull);
+      (opt.id ? 4ull : 0ull) | (opt.offload ? 16ull : 0ull) |
+      (opt.hierarchical ? 32ull : 0ull);
   h = mix64(h ^ bits);
   h = mix64(h ^ known_index);
   return h;

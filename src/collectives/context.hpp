@@ -66,19 +66,25 @@ struct CollectiveContext {
   }
 };
 
-/// The `id` optimization's per-request virtual-block keys, which survive
-/// across calls while the caller's request vector is unchanged.
+/// The `id` optimization's per-request virtual-block keys, kept across
+/// calls only by a workspace that serves one request column.
 struct KeyCache {
-  std::vector<std::uint32_t> keys;  ///< cached virtual-block key per request
-  bool keys_valid = false;          ///< caller-managed (id_cache contract)
+  std::vector<std::uint32_t> keys;  ///< virtual-block key per request
+  bool keys_valid = false;          ///< keys still describe the column
 
   void invalidate_keys() { keys_valid = false; }
 };
 
 /// Per-thread scratch that persists across collective calls so buffers are
-/// allocated once and the `id` key cache can survive iterations.
+/// allocated once.  Every call recomputes the `id` keys unless the workspace
+/// was built with keep_keys for one request column, whose owner keeps them
+/// current (compact_requests aligns them; a rollback drops them).
 template <class T>
 struct CollWorkspace : KeyCache {
+  CollWorkspace() = default;
+  explicit CollWorkspace(bool keep) : keep_keys(keep) {}
+
+  const bool keep_keys = false;       ///< serves one request column
   std::vector<std::uint64_t> sorted;  ///< request indices in bucket order
   std::vector<T> sorted_val;          ///< values in bucket order (SetD*)
   std::vector<std::uint32_t> rank;    ///< original slot of sorted[k]

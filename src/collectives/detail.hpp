@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/context.hpp"
@@ -207,16 +209,29 @@ std::size_t group_by_vblock(pgas::ThreadCtx& ctx, const sched::VBlocks& vb,
                             Local local, Answer answer) {
   const std::size_t m = indices.size();
   const std::size_t w = vb.nbuckets();
-  // Compute (or reuse) the virtual-block key of every request index,
-  // charging Cat::Work per the `id` optimization level.
-  if (!(opt.id_cache && ws.keys_valid && ws.keys.size() == m)) {
+  // Compute the virtual-block key of every request index, charging
+  // Cat::Work per the `id` optimization level.  Under `id` a workspace
+  // that serves one request column reuses the keys of its last call.
+  if (!(opt.id && ws.keys_valid && ws.keys.size() == m)) {
     ws.keys.resize(m);
     for (std::size_t i = 0; i < m; ++i)
       ws.keys[i] = static_cast<std::uint32_t>(vb.vkey(indices[i]));
-    ctx.compute(m * (opt.id_direct ? kDirectKeyOps : kIntrinsicKeyOps),
-                Cat::Work);
-    ws.keys_valid = true;
+    ctx.compute(m * (opt.id ? kDirectKeyOps : kIntrinsicKeyOps), Cat::Work);
+    ws.keys_valid = ws.keep_keys;
   }
+#ifdef PGRAPH_CHECK_ACCESS
+  // A kept workspace handed a different column of the same length would
+  // route requests by stale keys: recompute them (uncharged) and compare.
+  else {
+    for (std::size_t i = 0; i < m; ++i)
+      if (ws.keys[i] != static_cast<std::uint32_t>(vb.vkey(indices[i])))
+        throw std::logic_error(
+            std::string("collective at site '") +
+            (opt.site != nullptr ? opt.site : "(anonymous)") +
+            "': kept id keys do not match the requests (request " +
+            std::to_string(i) + ")");
+  }
+#endif
 
   ws.bucket_off.assign(w + 1, 0);
   for (std::size_t i = 0; i < m; ++i)

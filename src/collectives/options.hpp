@@ -19,13 +19,10 @@ struct CollectiveOptions {
   bool localcpy = false;
 
   /// Compute target thread/block keys with direct (vectorizable)
-  /// arithmetic instead of the upc_threadof intrinsic ("id", part 1).
-  bool id_direct = false;
-
-  /// Reuse the key buffer across iterations when the caller guarantees the
-  /// request indices are unchanged ("id", part 2: "the target ids do not
-  /// change across iteration").
-  bool id_cache = false;
+  /// arithmetic instead of the upc_threadof intrinsic, and let a workspace
+  /// built for one request column reuse them across calls ("id": "the
+  /// target ids do not change across iteration"; see CollWorkspace).
+  bool id = false;
 
   /// Drop GetD requests for a known-constant element (D[0] = 0 in CC) and
   /// substitute the value locally ("offload").
@@ -65,8 +62,7 @@ struct CollectiveOptions {
     CollectiveOptions o;
     o.circular = true;
     o.localcpy = true;
-    o.id_direct = true;
-    o.id_cache = true;
+    o.id = true;
     o.offload = true;
     o.tprime = tprime;
     return o;

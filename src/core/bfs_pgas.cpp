@@ -67,7 +67,8 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
     std::vector<std::uint64_t> eu, ev;
     load_endpoints(ctx, el.edges, eu, ev);
 
-    coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_set;
+    // The endpoint columns keep their `id` keys; ws_set is scratch.
+    coll::CollWorkspace<std::uint64_t> ws_u(true), ws_v(true), ws_set;
     std::vector<std::uint64_t> du, dv, gi, gv;
 
     std::uint64_t level = 0;
@@ -92,7 +93,6 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
       }
       ctx.compute(eu.size() * 4, Cat::Work);
       if (!pgas::allreduce_or(ctx, !gi.empty())) break;
-      ws_set.invalidate_keys();
       coll::setd_min(ctx, dist, gi, std::span<const std::uint64_t>(gv), opt,
                      cc, ws_set);
 

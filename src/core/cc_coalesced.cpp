@@ -83,7 +83,6 @@ bool CcRounds::step() {
 
   if (!pgas::allreduce_or(ctx_, !gi_.empty())) return false;
 
-  ws_set_.invalidate_keys();
   // Arbitrary concurrent write, as in the paper's CC ("SetD implements
   // arbitrary concurrent writes").  All targets are star roots and all
   // proposals are smaller labels, so any winner preserves monotone
@@ -147,7 +146,8 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
     std::vector<std::uint64_t> eu, ev;
     load_endpoints(ctx, el.edges, eu, ev);
 
-    coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_lab, ws_set;
+    // The endpoint columns keep their `id` keys; the others are scratch.
+    coll::CollWorkspace<std::uint64_t> ws_u(true), ws_v(true), ws_lab, ws_set;
     std::vector<std::uint64_t> du, dv, ddu, ddv, gi, gv, par, grand, stu,
         stv;
 
@@ -161,7 +161,6 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
       auto blk = my_block();
       par.assign(blk.begin(), blk.end());
       grand.resize(par.size());
-      ws_lab.invalidate_keys();
       coll::getd(ctx, run.d, par, std::span<std::uint64_t>(grand), copt,
                  run.cc, ws_lab);
       for (std::size_t k = 0; k < stb.size(); ++k) stb[k] = 1;
@@ -178,12 +177,10 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
         }
       }
       ctx.mem_seq(par.size() * sizeof(std::uint64_t) * 2, Cat::Copy);
-      ws_set.invalidate_keys();
       coll::setd(ctx, st, gi, std::span<const std::uint64_t>(gv), copt,
                  run.cc, ws_set);
       // st[i] = st[D[i]]
       std::vector<std::uint64_t>& stpar = grand;  // reuse buffer
-      ws_lab.invalidate_keys();
       coll::getd(ctx, st, par, std::span<std::uint64_t>(stpar), copt, run.cc,
                  ws_lab);
       for (std::size_t k = 0; k < stb.size(); ++k) stb[k] = stpar[k];
@@ -194,7 +191,7 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
     // from D every step, so they need no snapshot.
     const RecoveryLoop::Private state{
         .vectors = {&eu, &ev},
-        .key_caches = {&ws_u, &ws_v, &ws_lab, &ws_set}};
+        .key_caches = {&ws_u, &ws_v}};
     run.loop.run(ctx, state, [&] {
       bool changed = false;
 
@@ -207,10 +204,8 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
                  ws_v);
       ddu.resize(du.size());
       ddv.resize(dv.size());
-      ws_lab.invalidate_keys();
       coll::getd(ctx, run.d, du, std::span<std::uint64_t>(ddu), copt, run.cc,
                  ws_lab);
-      ws_lab.invalidate_keys();
       coll::getd(ctx, run.d, dv, std::span<std::uint64_t>(ddv), copt, run.cc,
                  ws_lab);
 
@@ -227,7 +222,6 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
       }
       ctx.compute(eu.size() * 6, Cat::Work);
       changed = changed || !gi.empty();
-      ws_set.invalidate_keys();
       coll::setd_min(ctx, run.d, gi, std::span<const std::uint64_t>(gv),
                      copt, run.cc, ws_set);
 
@@ -246,10 +240,8 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
                  ws_u);
       coll::getd(ctx, run.d, ev, std::span<std::uint64_t>(dv), copt, run.cc,
                  ws_v);
-      ws_lab.invalidate_keys();
       coll::getd(ctx, run.d, du, std::span<std::uint64_t>(ddu), copt, run.cc,
                  ws_lab);
-      ws_lab.invalidate_keys();
       coll::getd(ctx, run.d, dv, std::span<std::uint64_t>(ddv), copt, run.cc,
                  ws_lab);
       gi.clear();
@@ -277,7 +269,6 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
       }
       ctx.compute(eu.size() * 4, Cat::Work);
       changed = changed || !gi.empty();
-      ws_set.invalidate_keys();
       coll::setd_min(ctx, run.d, gi, std::span<const std::uint64_t>(gv),
                      copt, run.cc, ws_set);
 
@@ -290,6 +281,8 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
       if (opt.compact) {
         compact_requests(
             ctx, [&](std::size_t k) { return du[k] != dv[k]; }, {&eu, &ev});
+        // SV recomputes its endpoint keys after a compaction; keeping them
+        // aligned, as CC does, would lower its modeled time.
         ws_u.invalidate_keys();
         ws_v.invalidate_keys();
       }

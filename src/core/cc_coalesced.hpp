@@ -28,10 +28,9 @@ class CcRounds {
   bool step();
 
   /// What a rollback restores besides the label block: the request
-  /// columns shrink under compaction, and the key caches follow them.
+  /// columns shrink under compaction, and their kept keys follow them.
   RecoveryLoop::Private state() {
-    return {.vectors = {&eu_, &ev_},
-            .key_caches = {&ws_u_, &ws_v_, &ws_set_, &ws_jump_}};
+    return {.vectors = {&eu_, &ev_}, .key_caches = {&ws_u_, &ws_v_}};
   }
 
  private:
@@ -40,7 +39,9 @@ class CcRounds {
   coll::CollectiveContext& cc_;
   const CcOptions& opt_;
   std::vector<std::uint64_t> eu_, ev_, du_, dv_, gi_, gv_, par_, grand_;
-  coll::CollWorkspace<std::uint64_t> ws_u_, ws_v_, ws_set_, ws_jump_;
+  // The endpoint columns keep their `id` keys; the others are scratch.
+  coll::CollWorkspace<std::uint64_t> ws_u_{true}, ws_v_{true};
+  coll::CollWorkspace<std::uint64_t> ws_set_, ws_jump_;
 };
 
 /// CC rewritten with the GetD/SetD collectives (Section IV): grafting reads

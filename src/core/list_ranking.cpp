@@ -94,7 +94,7 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
       ctx.mem_random(nb.size(), n * 8, 8, Cat::Work);  // w[succ] gathers
     ctx.barrier();
 
-    coll::CollWorkspace<std::uint64_t> ws;
+    coll::CollWorkspace<std::uint64_t> ws(/*keep_keys=*/true);
     std::vector<std::uint64_t> idx, rn, nn;
 
     int r = 0;

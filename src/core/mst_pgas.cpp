@@ -83,7 +83,9 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
     }
     ctx.mem_seq(chunk.size() * sizeof(graph::WEdge), Cat::Work);
 
-    coll::CollWorkspace<std::uint64_t> ws_u, ws_v, ws_jump, ws_misc;
+    // The endpoint columns keep their `id` keys; the others are scratch.
+    coll::CollWorkspace<std::uint64_t> ws_u(true), ws_v(true);
+    coll::CollWorkspace<std::uint64_t> ws_jump, ws_misc;
     coll::CollWorkspace<CandRec> ws_cand;
     std::vector<std::uint64_t> du, dv, gi, par, grand, roots, rloc, rpar,
         rkey;
@@ -95,7 +97,7 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
     // its edges, so the marked-edge list rolls back too.
     const RecoveryLoop::Private state{
         .vectors = {&eu, &ev, &ew, &eid, &my_mst},
-        .key_caches = {&ws_u, &ws_v, &ws_jump, &ws_misc, &ws_cand}};
+        .key_caches = {&ws_u, &ws_v}};
     loop.run(ctx, state, [&] {
       // --- step 1: labels of both endpoints of every active edge.
       du.resize(eu.size());
@@ -130,7 +132,6 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
         gval.push_back({key, du[k]});
       }
       ctx.compute(eu.size() * 6, Cat::Work);
-      ws_cand.invalidate_keys();
       coll::setd_min(ctx, cand, gi, std::span<const CandRec>(gval), copt,
                      cc, ws_cand);
 
@@ -163,7 +164,6 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
         // hook them onto each other); the smaller root reverts and does
         // not mark its edge, so each connecting edge is counted once.
         grand.resize(rpar.size());
-        ws_misc.invalidate_keys();
         coll::getd(ctx, d, rpar, std::span<std::uint64_t>(grand), copt, cc,
                    ws_misc);
         for (std::size_t k = 0; k < roots.size(); ++k) {

@@ -30,7 +30,8 @@ inline void init_labels(pgas::ThreadCtx& ctx,
 /// One lock-step pointer-jumping round over the caller's block:
 /// D[i] <- D[D[i]] via GetD ("the algorithm applies pointer-jumping to all
 /// vertices in lock step", Section IV).  Returns whether any label changed
-/// locally.
+/// locally.  `ws` must be a scratch workspace: the parents change every
+/// round.
 ///
 /// `known` enables the offload optimization and must only be passed when
 /// the algorithm guarantees the element stays constant: true for CC (labels
@@ -48,7 +49,6 @@ inline bool jump_round(pgas::ThreadCtx& ctx,
   par.assign(blk.begin(), blk.end());
   ctx.mem_seq(par.size() * sizeof(std::uint64_t), machine::Cat::Copy);
   grand.resize(par.size());
-  ws.invalidate_keys();  // parents change every round
   coll::getd(ctx, d, par, std::span<std::uint64_t>(grand), copt, cc, ws,
              known);
   // Direct local writes are a checksum commit point for scrubbed arrays.

@@ -4,11 +4,25 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "graph/rng.hpp"
 
 namespace pgraph::graph {
+
+namespace {
+
+/// Throw unless m unique edges fit on n vertices (n(n-1)/2, in double so a
+/// large n cannot overflow): the unique-edge draws below would never end.
+void check_simple_bound(const char* generator, std::size_t n, std::size_t m) {
+  if (static_cast<double>(m) >
+      0.5 * static_cast<double>(n) * static_cast<double>(n - 1))
+    throw std::invalid_argument(std::string(generator) +
+                                ": m exceeds simple-graph bound");
+}
+
+}  // namespace
 
 WEdgeList with_random_weights(const EdgeList& el, std::uint64_t seed,
                               Weight max_w) {
@@ -26,10 +40,7 @@ WEdgeList with_random_weights(const EdgeList& el, std::uint64_t seed,
 EdgeList random_graph(std::size_t n, std::size_t m, std::uint64_t seed) {
   if (n < 2) throw std::invalid_argument("random_graph: need n >= 2");
   if (n > (1ULL << 32)) throw std::invalid_argument("random_graph: n too large");
-  const double max_edges = 0.5 * static_cast<double>(n) *
-                           static_cast<double>(n - 1);
-  if (static_cast<double>(m) > max_edges)
-    throw std::invalid_argument("random_graph: m exceeds simple-graph bound");
+  check_simple_bound("random_graph", n, m);
 
   EdgeList el;
   el.n = n;
@@ -57,8 +68,12 @@ EdgeList rmat_graph(std::size_t n, std::size_t m, std::uint64_t seed,
     ++levels;
   }
   const double d = 1.0 - p.a - p.b - p.c;
-  if (p.a < 0 || p.b < 0 || p.c < 0 || d < 0)
+  if (!(p.a >= 0 && p.b >= 0 && p.c >= 0 && d >= 0))  // NaN fails too
     throw std::invalid_argument("rmat_graph: invalid quadrant probabilities");
+  // Without the off-diagonal quadrants u and v agree on every bit.
+  if (p.b + p.c == 0)
+    throw std::invalid_argument("rmat_graph: b + c == 0 draws only self-loops");
+  if (p.dedupe) check_simple_bound("rmat_graph", pot, m);
 
   EdgeList el;
   el.n = pot;
@@ -92,6 +107,7 @@ EdgeList rmat_graph(std::size_t n, std::size_t m, std::uint64_t seed,
 
 EdgeList hybrid_graph(std::size_t n, std::size_t m, std::uint64_t seed) {
   if (n < 16) throw std::invalid_argument("hybrid_graph: need n >= 16");
+  check_simple_bound("hybrid_graph", n, m);
   Xoshiro256 rng(seed);
 
   // Pick the 2*sqrt(n) core vertices at random (distinct).

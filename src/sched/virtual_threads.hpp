@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -19,11 +18,10 @@ namespace pgraph::sched {
 /// sorting requests by virtual key gives the owner temporal locality within
 /// each sub-block during its gather/apply phase.
 ///
-/// The legacy (n, s, t') constructor assumes the block layout; the
-/// Partitioning constructor routes the owner map through the array's
-/// policy instead (docs/PARTITIONING.md), keeping the raw block arithmetic
-/// below as the zero-overhead fast path (`part == nullptr`).  The
-/// constructors set every field; owner() and vkey() divide with FastDiv.
+/// The owner map goes through the array's policy (docs/PARTITIONING.md),
+/// except under the block layout, where the raw block arithmetic below is
+/// the zero-overhead fast path (`part == nullptr`).  The constructor sets
+/// every field; owner() and vkey() divide with FastDiv.
 struct VBlocks {
   std::size_t n = 0;        ///< total elements in the shared array
   std::size_t blk = 1;      ///< largest per-thread partition (ceil(n/s)
@@ -36,15 +34,6 @@ struct VBlocks {
   const partition::Partitioning* part = nullptr;
   FastDiv blk_div{1};      ///< divides by blk
   FastDiv sub_blk_div{1};  ///< divides by sub_blk
-
-  VBlocks() = default;
-
-  VBlocks(std::size_t n_, int nthreads_, int tprime_)
-      : n(n_), nthreads(nthreads_), tprime(tprime_ < 1 ? 1 : tprime_) {
-    assert(nthreads_ >= 1);
-    set_block((n + static_cast<std::size_t>(nthreads) - 1) /
-              static_cast<std::size_t>(nthreads));
-  }
 
   VBlocks(const partition::Partitioning& p, int tprime_)
       : n(p.size()), nthreads(p.num_threads()),

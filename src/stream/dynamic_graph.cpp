@@ -496,10 +496,8 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
       std::vector<std::uint64_t> qv(mloc), lab(mloc), sz(mloc);
       for (std::size_t k = 0; k < mloc; ++k) qv[k] = q.component_size[lo + k];
       ctx.mem_seq(mloc * sizeof(std::uint64_t), Cat::Work);
-      ws_a.invalidate_keys();
       coll::getd(ctx, snap, qv, std::span<std::uint64_t>(lab), copt, cc_,
                  ws_a, known);
-      ws_b.invalidate_keys();
       coll::getd(ctx, szs, lab, std::span<std::uint64_t>(sz), copt, cc_,
                  ws_b);
       for (std::size_t k = 0; k < mloc; ++k) res.size[lo + k] = sz[k];

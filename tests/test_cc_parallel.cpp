@@ -127,8 +127,7 @@ std::vector<CcOptCase> cc_opt_cases() {
   c.coll.circular = true;
   out.push_back({c, "base+circular"});
   c = core::CcOptions::base();
-  c.coll.id_cache = true;
-  c.coll.id_direct = true;
+  c.coll.id = true;
   out.push_back({c, "base+id"});
   c = core::CcOptions::base();
   c.coll.localcpy = true;

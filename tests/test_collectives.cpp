@@ -79,8 +79,9 @@ TEST_P(CollectivesP, GetDReturnsRequestedValues) {
     for (auto& x : idx) x = rng.next_below(n);
     idx[0] = 0;  // make sure the offload path triggers
     std::vector<std::uint64_t> out(mreq);
-    c::CollWorkspace<std::uint64_t> ws;
-    // Run twice: the second call exercises the id-cache path.
+    // One request column, run twice: under `id` the second call reuses the
+    // kept keys.
+    c::CollWorkspace<std::uint64_t> ws(/*keep_keys=*/true);
     for (int rep = 0; rep < 2; ++rep) {
       c::getd(ctx, d, idx, std::span<std::uint64_t>(out), cfg.opt, cc, ws,
               c::KnownElement{0, 0});
@@ -207,6 +208,133 @@ TEST_P(CollectivesP, SetDMinTwoWordRecords) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CollectivesP, ::testing::ValuesIn(configs()));
+
+// --- the `id` key rule ------------------------------------------------------
+// A default workspace is scratch: every call computes, and charges, the keys
+// of its own requests.  Only a workspace built with keep_keys reuses them
+// across calls, for the one request column it serves.
+
+namespace {
+
+/// 400 elements on a 2x2 cluster: thread t owns [100t, 100t + 100).
+struct KeysFixture {
+  static constexpr std::size_t n = 400;
+  pg::Runtime rt{pg::Topology::cluster(2, 2), m::CostParams::hps_cluster()};
+  pg::GlobalArray<std::uint64_t> d{rt, n};
+  c::CollectiveContext cc{rt};
+  std::vector<int> bad = std::vector<int>(4, 0);
+
+  KeysFixture() {
+    for (std::size_t i = 0; i < n; ++i) d.raw(i) = 1000 + i * 3;
+  }
+
+  /// GetD `idx` on `ws`, flag a wrong answer, and return the call's Work
+  /// (the key charge: the collectives charge nothing else to Work).
+  double getd(pg::ThreadCtx& ctx, const std::vector<std::uint64_t>& idx,
+              const c::CollectiveOptions& opt,
+              c::CollWorkspace<std::uint64_t>& ws) {
+    std::vector<std::uint64_t> out(idx.size());
+    const double work = ctx.stats().get(m::Cat::Work);
+    c::getd(ctx, d, idx, std::span<std::uint64_t>(out), opt, cc, ws);
+    for (std::size_t k = 0; k < idx.size(); ++k)
+      if (out[k] != 1000 + idx[k] * 3)
+        bad[static_cast<std::size_t>(ctx.id())] = 1;
+    return ctx.stats().get(m::Cat::Work) - work;
+  }
+
+  double key_ns(std::size_t keys, std::size_t ops) const {
+    return rt.mem().compute_ns(keys * ops);
+  }
+};
+
+}  // namespace
+
+TEST(CollectivesKeys, ScratchWorkspaceServesChangedRequests) {
+  for (const bool other_owners : {false, true}) {
+    KeysFixture f;
+    const auto opt = c::CollectiveOptions::optimized(4);
+    std::vector<std::vector<double>> work(4);
+    f.rt.run([&](pg::ThreadCtx& ctx) {
+      const auto t = static_cast<std::uint64_t>(ctx.id());
+      std::vector<std::uint64_t> first(8), second(8);
+      for (std::uint64_t k = 0; k < 8; ++k) {
+        first[k] = 100 * t + k;
+        // (a) other indices of the same owner; (b) the other three owners.
+        second[k] = other_owners ? 100 * ((t + 1 + k % 3) % 4) + 10 + k
+                                 : 100 * t + 50 + k;
+      }
+      c::CollWorkspace<std::uint64_t> ws;
+      auto& w = work[static_cast<std::size_t>(t)];
+      w.push_back(f.getd(ctx, first, opt, ws));
+      w.push_back(f.getd(ctx, second, opt, ws));
+    });
+    SCOPED_TRACE(other_owners ? "other owners" : "same owners");
+    EXPECT_EQ(f.bad, std::vector<int>(4, 0));
+    const double want = f.key_ns(8, c::kDirectKeyOps);
+    for (const auto& w : work) EXPECT_EQ(w, std::vector<double>({want, want}));
+  }
+}
+
+TEST(CollectivesKeys, KeptColumnChargesKeysOnce) {
+  KeysFixture f;
+  std::vector<std::vector<double>> work(4);
+  f.rt.run([&](pg::ThreadCtx& ctx) {
+    const auto t = static_cast<std::uint64_t>(ctx.id());
+    std::vector<std::uint64_t> idx(8);
+    for (std::uint64_t k = 0; k < idx.size(); ++k)
+      idx[k] = (37 * (8 * t + k) + 11) % KeysFixture::n;  // every owner
+    auto& w = work[static_cast<std::size_t>(t)];
+    const auto opt = c::CollectiveOptions::optimized(4);
+    c::CollWorkspace<std::uint64_t> ws(/*keep_keys=*/true);
+    w.push_back(f.getd(ctx, idx, opt, ws));
+    w.push_back(f.getd(ctx, idx, opt, ws));
+    ws.invalidate_keys();
+    w.push_back(f.getd(ctx, idx, opt, ws));
+    w.push_back(f.getd(ctx, idx, opt, ws));
+    idx.push_back(idx.front());  // the column grows: its keys are stale
+    w.push_back(f.getd(ctx, idx, opt, ws));
+    w.push_back(f.getd(ctx, idx, opt, ws));
+    // Without `id` every call computes its keys with the intrinsic.
+    c::CollWorkspace<std::uint64_t> ws_base(/*keep_keys=*/true);
+    w.push_back(f.getd(ctx, idx, c::CollectiveOptions::base(), ws_base));
+    w.push_back(f.getd(ctx, idx, c::CollectiveOptions::base(), ws_base));
+  });
+  EXPECT_EQ(f.bad, std::vector<int>(4, 0));
+  const double id8 = f.key_ns(8, c::kDirectKeyOps);
+  const double id9 = f.key_ns(9, c::kDirectKeyOps);
+  const double base9 = f.key_ns(9, c::kIntrinsicKeyOps);
+  const std::vector<double> want = {id8, 0, id8, 0, id9, 0, base9, base9};
+  for (const auto& w : work) EXPECT_EQ(w, want);
+}
+
+TEST(CollectivesKeys, CheckBuildRejectsKeptKeysOfAnotherColumn) {
+#ifndef PGRAPH_CHECK_ACCESS
+  GTEST_SKIP() << "configure with -DPGRAPH_CHECK_ACCESS=ON (preset 'check') "
+                  "to exercise the kept-key guard";
+#else
+  // A kept workspace handed another column of the same length would route
+  // by the first column's keys; the check build recomputes them and throws.
+  KeysFixture f;
+  auto opt = c::CollectiveOptions::optimized(4);
+  opt.site = "keys.guard";
+  try {
+    f.rt.run([&](pg::ThreadCtx& ctx) {
+      const auto t = static_cast<std::uint64_t>(ctx.id());
+      std::vector<std::uint64_t> idx(8);
+      for (std::uint64_t k = 0; k < idx.size(); ++k) idx[k] = 100 * t + k;
+      c::CollWorkspace<std::uint64_t> ws(/*keep_keys=*/true);
+      f.getd(ctx, idx, opt, ws);
+      for (std::uint64_t k = 0; k < idx.size(); ++k)
+        idx[k] = 100 * ((t + 1) % 4) + k;
+      f.getd(ctx, idx, opt, ws);
+    });
+    FAIL() << "a kept workspace served another column by stale keys";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("keys.guard"), std::string::npos)
+        << e.what();
+  }
+#endif
+}
 
 // --- cost-shape properties -------------------------------------------------
 

@@ -2,6 +2,8 @@
 // the structured helpers.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "graph/generators.hpp"
@@ -63,6 +65,34 @@ TEST(RandomGraph, DeterministicAcrossCalls) {
 TEST(RandomGraph, RejectsImpossibleDensity) {
   EXPECT_THROW(g::random_graph(4, 100, 1), std::invalid_argument);
   EXPECT_THROW(g::random_graph(1, 0, 1), std::invalid_argument);
+}
+
+// The generators draw until they have m edges, so a request they cannot
+// satisfy must throw instead of spinning.
+TEST(Hybrid, RejectsImpossibleDensity) {
+  EXPECT_THROW(g::hybrid_graph(16, 1000, 1), std::invalid_argument);
+  EXPECT_THROW(g::hybrid_graph(16, 16 * 15 / 2 + 1, 1), std::invalid_argument);
+  EXPECT_EQ(g::hybrid_graph(16, 16 * 15 / 2, 1).m(), 16u * 15 / 2);
+}
+
+TEST(Rmat, RejectsImpossibleDensity) {
+  // 4 vertices hold 6 unique edges; without dedupe repeats are allowed.
+  EXPECT_THROW(g::rmat_graph(4, 7, 1, {.dedupe = true}),
+               std::invalid_argument);
+  EXPECT_EQ(g::rmat_graph(4, 6, 1, {.dedupe = true}).m(), 6u);
+  EXPECT_EQ(g::rmat_graph(4, 7, 1).m(), 7u);
+}
+
+TEST(Rmat, RejectsParamsThatOnlyDrawSelfLoops) {
+  // With b = c = 0, u and v take the same quadrant bit on every level.
+  for (const bool dedupe : {false, true})
+    EXPECT_THROW(
+        g::rmat_graph(64, 10, 1, {.a = .5, .b = 0, .c = 0, .dedupe = dedupe}),
+        std::invalid_argument);
+  // A NaN probability fails every comparison, so every draw lands in d.
+  EXPECT_THROW(
+      g::rmat_graph(64, 10, 1, {.a = std::numeric_limits<double>::quiet_NaN()}),
+      std::invalid_argument);
 }
 
 TEST(RandomGraph, DenseNearCompleteStillTerminates) {

@@ -19,6 +19,7 @@
 namespace s = pgraph::sched;
 namespace m = pgraph::machine;
 using pgraph::graph::Xoshiro256;
+using pgraph::partition::Partitioning;
 
 TEST(CountSort, StableAndRanked) {
   const std::vector<std::uint64_t> in = {5, 1, 4, 1, 3, 5, 0};
@@ -162,7 +163,8 @@ TEST(ScheduledGather, TraceThroughCacheSimShowsFewerMisses) {
 }
 
 TEST(VBlocks, KeysAndOwners) {
-  const s::VBlocks vb(100, 4, 3);  // blk = 25, sub = 9
+  const Partitioning part = Partitioning::block(100, 4);
+  const s::VBlocks vb(part, 3);  // blk = 25, sub = 9
   EXPECT_EQ(vb.blk, 25u);
   EXPECT_EQ(vb.sub_blk, 9u);
   EXPECT_EQ(vb.nbuckets(), 12u);
@@ -179,7 +181,8 @@ TEST(VBlocks, KeysAndOwners) {
 }
 
 TEST(VBlocks, KeysAreMonotoneInIndex) {
-  const s::VBlocks vb(1000, 7, 5);
+  const Partitioning part = Partitioning::block(1000, 7);
+  const s::VBlocks vb(part, 5);
   std::size_t prev = 0;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const std::size_t k = vb.vkey(i);
@@ -190,7 +193,8 @@ TEST(VBlocks, KeysAreMonotoneInIndex) {
 }
 
 TEST(VBlocks, TprimeOneMatchesOwner) {
-  const s::VBlocks vb(997, 8, 1);
+  const Partitioning part = Partitioning::block(997, 8);
+  const s::VBlocks vb(part, 1);
   for (std::uint64_t i = 0; i < 997; ++i)
     EXPECT_EQ(vb.vkey(i), static_cast<std::size_t>(vb.owner(i)));
 }
@@ -263,7 +267,8 @@ TEST(VBlocks, OwnerAndKeyMatchPlainDivision) {
   for (const std::uint64_t n : sizes)
     for (const int threads : {1, 2, 7, 64})
       for (const int tprime : {1, 3, 8, 1000}) {
-        const s::VBlocks vb(n, threads, tprime);
+        const Partitioning part = Partitioning::block(n, threads);
+        const s::VBlocks vb(part, tprime);
         const PlainVBlocks plain(n, threads, tprime);
         ASSERT_EQ(vb.blk, plain.blk);
         ASSERT_EQ(vb.sub_blk, plain.sub);
