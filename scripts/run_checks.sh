@@ -33,7 +33,10 @@
 #            mutations), trace (the JsonFuzz parser repros and seeded
 #            mutations of exporter output) and generators (the RandomGraph,
 #            Rmat and Hybrid suites: sizes from bench --n/--m flags, and
-#            the impossible requests that must throw) test binaries under it
+#            the impossible requests that must throw), plus the kernels on
+#            core::RecoveryLoop whose caps it computes (cc_parallel: the
+#            CcParallel suite with its INT_MAX cap case; bfs_pgas and
+#            list_ranking, whose loops moved onto it) test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
 #            (scripts/baselines/BENCH_smoke.json; skipped without python3),
 #            after a self-test that perturbed copies fail the gate
@@ -159,21 +162,25 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util/partition/trace/generators ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util/partition/trace/generators/cc_parallel/bfs_pgas/list_ranking ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
         --target test_collectives --target test_fault --target test_stream \
         --target test_runtime --target test_sched --target test_machine \
         --target test_scrub --target test_harness --target test_graph_util \
-        --target test_partition --target test_trace --target test_generators
+        --target test_partition --target test_trace --target test_generators \
+        --target test_cc_parallel --target test_bfs_pgas \
+        --target test_list_ranking
       # The next two groups are test_sched's and test_machine's suites;
       # Scrub and BenchArgs cover test_scrub and test_harness's parser,
       # Io and GraphIoFuzz test_graph_util's graph readers, PartitionSpec
       # (and PartitionSpecFuzz) test_partition's spec parser, JsonFuzz
       # test_trace's JSON reader, RandomGraph, Rmat and Hybrid
-      # test_generators' generators.
+      # test_generators' generators, CcParallel test_cc_parallel's loop
+      # caps, and the last four groups test_bfs_pgas's and
+      # test_list_ranking's kernels.
       ctest --preset ubsan \
-        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz|PartitionSpec|JsonFuzz|RandomGraph|Rmat|Hybrid)' \
+        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz|PartitionSpec|JsonFuzz|RandomGraph|Rmat|Hybrid|CcParallel|Sweep/BfsP|BfsPgas|Sweep/ListRankP|ListRanking)' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)

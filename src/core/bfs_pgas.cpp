@@ -1,11 +1,12 @@
 #include "core/bfs_pgas.hpp"
 
-#include <atomic>
+#include <climits>
 #include <stdexcept>
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
 #include "core/edge_requests.hpp"
+#include "core/recovery.hpp"
 #include "graph/csr.hpp"
 #include "pgas/coll.hpp"
 #include "pgas/global_array.hpp"
@@ -51,7 +52,10 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   const std::size_t n = el.n;
   pgas::GlobalArray<std::uint64_t> dist(rt, n);
   coll::CollectiveContext cc(rt);
-  std::atomic<int> levels{0};
+  // At most n - 1 levels plus the trip that finds no frontier: a path is
+  // the point of BFS's O(d) rounds, so no O(log n) round cap applies.
+  RecoveryLoop loop(rt, {&dist}, "bfs_pgas",
+                    n < INT_MAX ? static_cast<int>(n) + 1 : INT_MAX, 0);
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int me = ctx.id();
@@ -71,8 +75,8 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
     coll::CollWorkspace<std::uint64_t> ws_u(true), ws_v(true), ws_set;
     std::vector<std::uint64_t> du, dv, gi, gv;
 
-    std::uint64_t level = 0;
-    for (;; ++level) {
+    loop.run(ctx, {{&eu, &ev}, {&ws_u, &ws_v}}, [&](int it) {
+      const auto level = static_cast<std::uint64_t>(it);
       du.resize(eu.size());
       dv.resize(ev.size());
       coll::getd(ctx, dist, eu, std::span<std::uint64_t>(du), opt, cc, ws_u);
@@ -92,7 +96,7 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
         }
       }
       ctx.compute(eu.size() * 4, Cat::Work);
-      if (!pgas::allreduce_or(ctx, !gi.empty())) break;
+      if (!pgas::allreduce_or(ctx, !gi.empty())) return false;
       coll::setd_min(ctx, dist, gi, std::span<const std::uint64_t>(gv), opt,
                      cc, ws_set);
 
@@ -104,14 +108,13 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
             return du[k] == kBfsUnreached || dv[k] == kBfsUnreached;
           },
           {&eu, &ev}, {&ws_u, &ws_v});
-    }
-    if (me == 0)
-      levels.store(static_cast<int>(level), std::memory_order_relaxed);
+      return true;
+    });
   });
 
   BfsResult r;
   r.dist.assign(dist.raw_all().begin(), dist.raw_all().end());
-  r.levels = levels.load();
+  r.levels = loop.iterations() - 1;
   r.costs = collect_costs(rt);
   return r;
 }

@@ -26,7 +26,7 @@ struct CcRun {
         int scrub_interval)
       : d(rt, n, rt.make_partitioning(n)),
         cc(rt),
-        loop(rt, d, kernel, max_iters, scrub_interval) {}
+        loop(rt, {&d}, kernel, max_iters, scrub_interval) {}
 
   /// Host side, after the run.
   ParCCResult result(pgas::Runtime& rt) {
@@ -118,7 +118,7 @@ ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
   rt.run([&](pgas::ThreadCtx& ctx) {
     init_labels(ctx, run.d);
     CcRounds rounds(ctx, run.d, run.cc, el.edges, opt);
-    run.loop.run(ctx, rounds.state(), [&] { return rounds.step(); });
+    run.loop.run(ctx, rounds.state(), [&](int) { return rounds.step(); });
   });
 
   return run.result(rt);
@@ -192,7 +192,7 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
     const RecoveryLoop::Private state{
         .vectors = {&eu, &ev},
         .key_caches = {&ws_u, &ws_v}};
-    run.loop.run(ctx, state, [&] {
+    run.loop.run(ctx, state, [&](int) {
       bool changed = false;
 
       // --- step 1: conditional graft onto roots.

@@ -1,11 +1,11 @@
 #include "core/list_ranking.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 #include "collectives/getd.hpp"
+#include "core/recovery.hpp"
 #include "graph/permute.hpp"
 #include "pgas/coll.hpp"
 #include "pgas/global_array.hpp"
@@ -71,12 +71,12 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
                            const coll::CollectiveOptions& opt) {
   rt.reset_costs();
   const std::size_t n = succ.size();
-  const int max_rounds = 2 * (n < 2 ? 1 : std::bit_width(n)) + 16;
 
   pgas::GlobalArray<std::uint64_t> nxt(rt, n);
   pgas::GlobalArray<std::uint64_t> rnk(rt, n);
   coll::CollectiveContext cc(rt);
-  std::atomic<int> rounds{0};
+  RecoveryLoop loop(rt, {&nxt, &rnk}, "list_ranking_pgas",
+                    default_round_cap(n), 0);
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int me = ctx.id();
@@ -97,11 +97,9 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
     coll::CollWorkspace<std::uint64_t> ws(/*keep_keys=*/true);
     std::vector<std::uint64_t> idx, rn, nn;
 
-    int r = 0;
-    for (;; ++r) {
-      // Every thread reaches the cap on the same trip: a collective throw.
-      if (r >= max_rounds)
-        throw std::runtime_error("list_ranking_pgas: exceeded round bound");
+    // A rollback restores the blocks of N and R; the workspace drops its
+    // keys every round anyway.
+    loop.run(ctx, {}, [&](int) {
       // Wyllie: R[i] += R[N[i]]; N[i] = N[N[i]]  (lock step, coalesced).
       idx.assign(nb.begin(), nb.end());
       ctx.mem_seq(idx.size() * sizeof(std::uint64_t), Cat::Copy);
@@ -125,14 +123,13 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
       }
       ctx.mem_seq(nb.size() * 2 * sizeof(std::uint64_t), Cat::Copy);
       ctx.compute(nb.size() * 2, Cat::Work);
-      if (!pgas::allreduce_or(ctx, changed)) break;
-    }
-    if (me == 0) rounds.store(r + 1, std::memory_order_relaxed);
+      return pgas::allreduce_or(ctx, changed);
+    });
   });
 
   ListRankResult res;
   res.ranks.assign(rnk.raw_all().begin(), rnk.raw_all().end());
-  res.rounds = rounds.load();
+  res.rounds = loop.iterations();
   res.costs = collect_costs(rt);
   return res;
 }

@@ -61,8 +61,8 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
       static_cast<std::size_t>(s));
   // At-rest integrity scrubs the label array only: `cand` is rebuilt from
   // scratch every trip, so it is not worth defending.
-  RecoveryLoop loop(rt, d, "mst_pgas", opt.round_cap(default_round_cap(n)),
-                    opt.scrub_interval);
+  RecoveryLoop loop(rt, {&d}, "mst_pgas",
+                    opt.round_cap(default_round_cap(n)), opt.scrub_interval);
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     const int me = ctx.id();
@@ -98,7 +98,7 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
     const RecoveryLoop::Private state{
         .vectors = {&eu, &ev, &ew, &eid, &my_mst},
         .key_caches = {&ws_u, &ws_v}};
-    loop.run(ctx, state, [&] {
+    loop.run(ctx, state, [&](int) {
       // --- step 1: labels of both endpoints of every active edge.
       du.resize(eu.size());
       dv.resize(ev.size());

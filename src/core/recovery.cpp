@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "pgas/replica.hpp"
@@ -11,12 +12,11 @@ namespace pgraph::core {
 
 using machine::Cat;
 
-RecoveryLoop::RecoveryLoop(pgas::Runtime& rt,
-                           pgas::GlobalArray<std::uint64_t>& d,
-                           const char* kernel, int max_iters,
-                           int scrub_interval)
+RecoveryLoop::RecoveryLoop(
+    pgas::Runtime& rt, std::vector<pgas::GlobalArray<std::uint64_t>*> arrays,
+    const char* kernel, int max_iters, int scrub_interval)
     : rt_(rt),
-      d_(d),
+      arrays_(std::move(arrays)),
       kernel_(kernel),
       max_iters_(max_iters),
       scrub_every_(scrub_interval),
@@ -24,37 +24,40 @@ RecoveryLoop::RecoveryLoop(pgas::Runtime& rt,
                (rt.fault_injector()->config().outage_every > 0 ||
                 rt.fault_injector()->config().loss_enabled() ||
                 rt.fault_injector()->config().mem_flips_enabled())) {
-  if (scrub_every_ > 0) d_.replica().set_scrubbed(true);
+  if (scrub_every_ > 0)
+    for (auto* a : arrays_) a->replica().set_scrubbed(true);
 }
 
 void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
-                       const std::function<bool()>& step) {
+                       const std::function<bool(int)>& step) {
   const int me = ctx.id();
   fault::FaultInjector* const finj = rt_.fault_injector();
+  const std::size_t na = arrays_.size();
 
-  // Per-thread checkpoint: this thread's D block plus its private state
-  // (edge lists shrink under compaction, so a rollback must restore them
-  // too).
-  std::vector<std::uint64_t> ck_d;
-  std::vector<std::vector<std::uint64_t>> ck_vecs(state.vectors.size());
+  // Per-thread checkpoint: this thread's block of every array, then its
+  // private state (edge lists shrink under compaction, so a rollback must
+  // restore them too).
+  std::vector<std::vector<std::uint64_t>> ck(na + state.vectors.size());
   int ck_it = 0;
   bool ck_valid = false;
   // A save lands here first and replaces the snapshot only once sealed.
-  std::vector<std::uint64_t> ck_stage;
+  std::vector<std::vector<std::uint64_t>> ck_stage;
   std::uint64_t seen_recovery = ckpt_on_ ? finj->recovery_events() : 0;
   // Bytes a checkpoint or a rollback moves.
   const auto state_bytes = [&] {
-    std::size_t w = ck_d.size();
-    for (const auto* v : state.vectors) w += v->size();
+    std::size_t w = 0;
+    for (const auto& c : ck) w += c.size();
     return w * sizeof(std::uint64_t);
   };
 
   int it = 0;
   // `executed` counts real trips (`it` rolls back with the checkpoint);
-  // the hard cap keeps pathological fault plans from looping forever.
-  for (int executed = 0;; ++it, ++executed) {
+  // the hard cap keeps pathological fault plans from looping forever.  It
+  // is computed in 64 bits: a cap near INT_MAX must not overflow.
+  const std::int64_t hard_cap = 4 * std::int64_t{max_iters_} + 64;
+  for (std::int64_t executed = 0;; ++it, ++executed) {
     // Every thread reaches the cap on the same trip: a collective throw.
-    if (it >= max_iters_ || executed >= 4 * max_iters_ + 64)
+    if (it >= max_iters_ || executed >= hard_cap)
       throw std::runtime_error(std::string(kernel_) +
                                ": exceeded iteration bound");
 
@@ -84,15 +87,15 @@ void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
         // permanent node loss) since we last looked: the recent
         // superstep work is suspect, so every thread rolls back to the
         // last snapshot and re-runs over the surviving topology.
-        auto blk = d_.local_span(me);
-        std::copy(ck_d.begin(), ck_d.end(), blk.begin());
-        for (std::size_t k = 0; k < ck_vecs.size(); ++k)
-          *state.vectors[k] = ck_vecs[k];
+        for (std::size_t k = 0; k < na; ++k)
+          std::ranges::copy(ck[k], arrays_[k]->local_span(me).begin());
+        for (std::size_t k = na; k < ck.size(); ++k)
+          *state.vectors[k - na] = ck[k];
         it = ck_it;
         for (coll::KeyCache* kc : state.key_caches) kc->invalidate_keys();
         ctx.mem_seq(state_bytes(), Cat::Copy);
         // The restore bypassed the incremental checksum: recompute the
-        // scrub baseline over the freshly restored block.
+        // scrub baseline over the freshly restored blocks.
         rebaseline(ctx);
         if (me == 0) finj->count(&fault::FaultCounters::rollbacks);
         ctx.barrier();  // restores visible before the next getd serves
@@ -102,25 +105,31 @@ void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
         // With scrubbing on, only scrub-validated trips may seal new
         // checkpoints/mirrors: a flip is always *detected* before the
         // corrupt bytes could be re-snapshotted into the repair source.
-        auto blk = d_.local_span(me);
-        ck_stage.assign(blk.begin(), blk.end());
+        ck_stage.resize(na);
+        std::size_t staged = 0;
+        for (std::size_t k = 0; k < na; ++k) {
+          auto blk = arrays_[k]->local_span(me);
+          ck_stage[k].assign(blk.begin(), blk.end());
+          staged += blk.size() * sizeof(std::uint64_t);
+        }
         bool seal_ok = true;
         if (scrub_every_ > 0) {
           // Verify-before-seal: a flip can land on the scrub pass's own
           // barriers, after the compare but before this save.  Re-check
-          // the staged copy against the maintained checksum in the SAME
-          // barrier interval (flips only land at barrier completion, so a
-          // verified stage is a clean stage), then agree collectively
+          // the staged copies against the maintained checksums in the
+          // SAME barrier interval (flips only land at barrier completion,
+          // so a verified stage is a clean stage), then agree collectively
           // before committing it over the old snapshot.
-          if (!d_.replica().partition_clean(me)) rt_.note_corruption();
-          ctx.mem_seq(blk.size() * sizeof(std::uint64_t), Cat::Scrub);
+          for (auto* a : arrays_)
+            if (!a->replica().partition_clean(me)) rt_.note_corruption();
+          ctx.mem_seq(staged, Cat::Scrub);
           ctx.barrier();  // corruption flag -> recovery event, seen by all
           seal_ok = finj->recovery_events() == ev_now;
         }
         if (seal_ok) {
-          ck_d.swap(ck_stage);
-          for (std::size_t k = 0; k < ck_vecs.size(); ++k)
-            ck_vecs[k] = *state.vectors[k];
+          for (std::size_t k = 0; k < na; ++k) ck[k].swap(ck_stage[k]);
+          for (std::size_t k = na; k < ck.size(); ++k)
+            ck[k] = *state.vectors[k - na];
           ck_it = it;
           ck_valid = true;
           ctx.mem_seq(state_bytes(), Cat::Copy);
@@ -136,7 +145,7 @@ void RecoveryLoop::run(pgas::ThreadCtx& ctx, const Private& state,
       // fresh snapshot's GlobalArray partitions onto each node's
       // predecessor (no-op unless a loss or flip plan is configured).
       if (fresh_ckpt) pgas::replicate_to_buddy(ctx);
-      if (!step()) break;
+      if (!step(it)) break;
     } catch (const fault::FaultError& fe) {
       // A permanent node loss surfaced collectively: the runtime already
       // promoted the buddy's mirrors and shrank the topology.  Roll back

@@ -11,12 +11,12 @@
 
 namespace pgraph::core {
 
-/// Superstep supervisor of the checkpointing kernels (cc_coalesced,
-/// sv_coalesced, mst_pgas; docs/ROBUSTNESS.md, "Checkpoint/restart").
+/// Superstep supervisor of every collective kernel (docs/ROBUSTNESS.md,
+/// "Checkpoint/restart").
 ///
 /// The kernel hands run() its superstep body and the private state a
 /// rollback must restore; the loop owns the rest: the iteration cap, the
-/// periodic scrub of the label array, the recovery-event poll with
+/// periodic scrub of the kernel's arrays, the recovery-event poll with
 /// rollback, verify-before-seal checkpoints, buddy replication at
 /// checkpoint boundaries, and the re-run after a permanent node loss.
 /// All threads checkpoint and roll back in lockstep: the recovery-event
@@ -25,8 +25,8 @@ namespace pgraph::core {
 /// program point.
 class RecoveryLoop {
  public:
-  /// One thread's state that a rollback restores besides its block of the
-  /// label array.
+  /// One thread's state that a rollback restores besides its blocks of the
+  /// kernel's arrays.
   struct Private {
     /// Restored by copy (for a list that only grows, e.g. MST's marked
     /// edges, the copy equals truncating it to its checkpoint length).
@@ -35,22 +35,24 @@ class RecoveryLoop {
     std::vector<coll::KeyCache*> key_caches;
   };
 
-  /// Host side, before Runtime::run.  `d` is the kernel's label array;
-  /// with `scrub_interval` > 0 it is opted into scrubbing, one pass every
-  /// `scrub_interval` real loop trips.  `kernel` names the caller in the
-  /// iteration-cap error.
-  RecoveryLoop(pgas::Runtime& rt, pgas::GlobalArray<std::uint64_t>& d,
+  /// Host side, before Runtime::run.  Each thread checkpoints its block of
+  /// every array in `arrays` (`{&d}`, Wyllie's `{&nxt, &rnk}`); with
+  /// `scrub_interval` > 0 they are scrubbed every `scrub_interval` real
+  /// loop trips.  `kernel` names the caller in the iteration-cap error.
+  RecoveryLoop(pgas::Runtime& rt,
+               std::vector<pgas::GlobalArray<std::uint64_t>*> arrays,
                const char* kernel, int max_iters, int scrub_interval);
   // Every SPMD thread of the run holds its address.
   RecoveryLoop(const RecoveryLoop&) = delete;
   RecoveryLoop& operator=(const RecoveryLoop&) = delete;
 
-  /// SPMD, every thread: call `step` once per superstep until it returns
-  /// false (a collective decision).  Exceeding the iteration cap throws
+  /// SPMD, every thread: call `step(it)` once per superstep until it
+  /// returns false (a collective decision); the trip index `it` rolls back
+  /// with the checkpoint (BFS's level).  Exceeding the iteration cap throws
   /// std::runtime_error on every thread.  With no recovery plan attached
   /// and scrubbing off this is a plain loop that charges nothing.
   void run(pgas::ThreadCtx& ctx, const Private& state,
-           const std::function<bool()>& step);
+           const std::function<bool(int)>& step);
 
   /// Supersteps of the converged run (rolled-back trips do not count).
   int iterations() const { return iterations_.load(); }
@@ -76,7 +78,7 @@ class RecoveryLoop {
   void rebaseline(pgas::ThreadCtx& ctx);
 
   pgas::Runtime& rt_;
-  pgas::GlobalArray<std::uint64_t>& d_;
+  const std::vector<pgas::GlobalArray<std::uint64_t>*> arrays_;
   const char* const kernel_;
   const int max_iters_;
   const int scrub_every_;

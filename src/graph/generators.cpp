@@ -73,7 +73,22 @@ EdgeList rmat_graph(std::size_t n, std::size_t m, std::uint64_t seed,
   // Without the off-diagonal quadrants u and v agree on every bit.
   if (p.b + p.c == 0)
     throw std::invalid_argument("rmat_graph: b + c == 0 draws only self-loops");
-  if (p.dedupe) check_simple_bound("rmat_graph", pot, m);
+  const double ab = p.a + p.b;
+  const double abc = p.a + p.b + p.c;
+  if (p.dedupe) {
+    // Unique pairs the draws can reach (in double, as check_simple_bound):
+    // each level lands in one of q quadrants, q_diag of them (a and d)
+    // keep u's and v's bits equal, and with both b and c drawable (u, v)
+    // and (v, u) are one pair.  With all four it is pot(pot-1)/2.
+    const int q_diag = (p.a > 0) + (abc < 1);
+    const int q = q_diag + (ab > p.a) + (abc > ab);
+    const double lv = static_cast<double>(levels);
+    double reachable = std::pow(q, lv) - std::pow(q_diag, lv);
+    if (ab > p.a && abc > ab) reachable /= 2;
+    if (static_cast<double>(m) > reachable)
+      throw std::invalid_argument(
+          "rmat_graph: m exceeds the pairs its quadrant weights reach");
+  }
 
   EdgeList el;
   el.n = pot;
@@ -81,8 +96,6 @@ EdgeList rmat_graph(std::size_t n, std::size_t m, std::uint64_t seed,
   std::unordered_set<std::uint64_t> seen;
   if (p.dedupe) seen.reserve(m * 2);
   Xoshiro256 rng(seed);
-  const double ab = p.a + p.b;
-  const double abc = p.a + p.b + p.c;
   while (el.edges.size() < m) {
     VertexId u = 0, v = 0;
     for (std::size_t l = 0; l < levels; ++l) {

@@ -26,9 +26,9 @@ struct IncrementalResult {
 /// i.e. exactly the fixed point `cc_coalesced` converges to.  The pass
 /// runs cc_coalesced's round itself (`core::CcRounds`: GetD endpoint
 /// labels, graft larger root under smaller via SetD, lock-step pointer
-/// jumping to rooted stars, compact) in a plain capped loop, but over ONLY
-/// the fresh edges: components untouched by the batch cost nothing beyond
-/// the degenerate-batch floor of the collectives.
+/// jumping to rooted stars, compact) on its `core::RecoveryLoop`, but over
+/// ONLY the fresh edges: components untouched by the batch cost nothing
+/// beyond the degenerate-batch floor of the collectives.
 ///
 /// Bit-identity: the canonical min-id labeling of a graph is unique, and
 /// grafting the fresh edges into the old stars converges to the canonical
@@ -39,10 +39,10 @@ struct IncrementalResult {
 ///
 /// `opt.coll` drives the collectives (all Section V optimizations apply);
 /// `opt.compact` drops fresh edges once their endpoints share a label.
-/// A buddy-replication pass runs first (no-op without a loss plan), so a
-/// permanent node loss mid-pass shrinks onto pre-batch mirrors and
-/// surfaces as FaultError{PermanentLoss} for the caller's rebuild path;
-/// unlike cc_coalesced the pass does not checkpoint or roll back.
+/// With an outage, loss or flip plan the loop checkpoints `d` and mirrors
+/// it to the buddy, so the pass rolls back in place; a permanent loss
+/// before its first sealed checkpoint surfaces as
+/// FaultError{PermanentLoss} for the caller's rebuild path.
 ///
 /// Calls rt.reset_costs(); the returned costs cover only this pass.
 IncrementalResult cc_incremental(pgas::Runtime& rt,

@@ -382,8 +382,8 @@ BatchStats DynamicGraph::apply_batch(std::span<const graph::EdgeUpdate> ops) {
     fresh.reserve(st.fresh_edges);
     for (const auto& f : fresh_tls_)
       fresh.insert(fresh.end(), f.begin(), f.end());
-    // A permanent node loss shrank the topology mid-pass and promoted
-    // the pre-batch mirrors; recompute over the survivors.
+    // Only a node loss before the pass's first sealed checkpoint cuts it
+    // short (later ones roll back in place); recompute over the survivors.
     full = shrank_during([&] {
       const IncrementalResult inc = cc_incremental(rt_, d_, fresh, opt_.cc);
       st.iterations = inc.iterations;

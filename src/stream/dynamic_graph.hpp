@@ -54,12 +54,13 @@ struct BatchStats {
 ///     component label of every erased edge (the dirty-component counter).
 ///  2. maintain — insert-only batches run `cc_incremental` (hook-and-
 ///     shortcut over just the fresh edges; bit-identical to a fresh
-///     `cc_coalesced` of the materialized graph).  Any batch with erases
-///     (dirty components), a fresh-edge volume past `rebuild_frac` of the
-///     live set, or a permanent-loss fault mid-pass falls back to a full
-///     `cc_coalesced` rebuild — which carries the checkpoint/rollback and
-///     buddy-replication machinery, so a rebuild interrupted by an outage
-///     rolls back cleanly instead of serving a half-updated labeling.
+///     `cc_coalesced` of the materialized graph).  Both run under the
+///     checkpoint/rollback and buddy-replication machinery, so an outage
+///     or a node loss mid-pass rolls back in place instead of serving a
+///     half-updated labeling.  Any batch with erases (dirty components),
+///     a fresh-edge volume past `rebuild_frac` of the live set, or a
+///     permanent loss before the pass's first sealed checkpoint falls back
+///     to a full `cc_coalesced` rebuild.
 ///  3. publish — the live labels are copied into the epoch ring
 ///     (kEpochRing snapshots), and the new epoch becomes queryable.
 ///

@@ -3,6 +3,7 @@
 // partitions and optimization configurations.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -237,6 +238,12 @@ TEST(CcParallel, IterationCapThrowsAndRuntimeStaysUsable) {
   const std::uint64_t weight = core::mst_kruskal(wel).total_weight;
   EXPECT_EQ(core::mst_smp(rt, wel).total_weight, weight);
   EXPECT_EQ(core::mst_pgas(rt, wel).total_weight, weight);
+  // A cap of INT_MAX must not overflow the loop's hard cap on trips.
+  core::CcOptions huge;
+  huge.max_iters = INT_MAX;
+  EXPECT_EQ(core::cc_coalesced(rt, el, huge).num_components, 1u);
+  EXPECT_EQ(core::sv_coalesced(rt, el, huge).num_components, 1u);
+  EXPECT_EQ(core::mst_pgas(rt, wel, huge).total_weight, weight);
 }
 
 // ---------------------------------------------------------------------------

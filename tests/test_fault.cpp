@@ -1,7 +1,8 @@
 // Deterministic fault injection and the recovery machinery it exercises:
 // retry/backoff in the exchange phase, checksum-validate-retransmit in the
 // collectives, and checkpoint/restart in the kernels on core::RecoveryLoop
-// (cc_coalesced, sv_coalesced, mst_pgas).  The FaultChaos tests are the
+// (cc_coalesced, sv_coalesced, mst_pgas, bfs_pgas, Wyllie list ranking and
+// the BCC pipeline built on them).  The FaultChaos tests are the
 // acceptance gate of docs/ROBUSTNESS.md: under a seeded fault plan the
 // algorithms must produce bit-identical results to a fault-free run, at a
 // (bounded) higher modeled cost.
@@ -22,8 +23,11 @@
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
+#include "core/bcc.hpp"
+#include "core/bfs_pgas.hpp"
 #include "core/cc_coalesced.hpp"
 #include "core/cc_seq.hpp"
+#include "core/list_ranking.hpp"
 #include "core/mst_pgas.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
@@ -806,7 +810,7 @@ TEST(FaultRuntime, SkipCacheSurvivesShrink) {
 
 namespace {
 
-enum class LateKernel { Cc, CcHierarchical, Sv, Mst };
+enum class LateKernel { Cc, CcHierarchical, Sv, Mst, Bfs, Wyllie };
 
 const char* late_kernel_name(LateKernel k) {
   switch (k) {
@@ -814,23 +818,30 @@ const char* late_kernel_name(LateKernel k) {
     case LateKernel::CcHierarchical: return "cc hierarchical";
     case LateKernel::Sv: return "sv";
     case LateKernel::Mst: return "mst";
+    case LateKernel::Bfs: return "bfs";
+    case LateKernel::Wyllie: return "wyllie";
   }
   return "?";
 }
 
-/// CC/SV labels, or the one-element MST weight (weights seeded 7), of `k`
-/// on `el` on a fresh 4x2 runtime under the fault plan `faults` ("" runs
-/// fault-free).  `shrank` reports whether the runtime lost a node.
-std::vector<std::uint64_t> late_loss_answer(LateKernel k,
-                                            const g::EdgeList& el,
-                                            const std::string& faults,
-                                            bool* shrank = nullptr) {
+/// CC/SV labels, the one-element MST weight (weights seeded 7), BFS
+/// distances from vertex 0 or the Wyllie ranks of a random list over el.n
+/// (seed 5), of `k` on `el` on a fresh 4x2 runtime under the fault plan
+/// `faults` ("" runs fault-free).  `shrank` reports whether the runtime
+/// lost a node, `counters` the injector's counters.
+std::vector<std::uint64_t> late_loss_answer(
+    LateKernel k, const g::EdgeList& el, const std::string& faults,
+    bool* shrank = nullptr, flt::FaultCounters* counters = nullptr) {
   flt::FaultInjector inj(flt::FaultConfig::parse(faults, chaos_seed()));
   pg::Runtime rt = make_rt();
   if (!faults.empty()) rt.set_fault_injector(&inj);
   std::vector<std::uint64_t> out;
   if (k == LateKernel::Mst) {
     out = {core::mst_pgas(rt, g::with_random_weights(el, 7), {}).total_weight};
+  } else if (k == LateKernel::Bfs) {
+    out = core::bfs_pgas(rt, el, 0).dist;
+  } else if (k == LateKernel::Wyllie) {
+    out = core::list_ranking_pgas(rt, core::make_random_list(el.n, 5)).ranks;
   } else if (k == LateKernel::Sv) {
     out = core::sv_coalesced(rt, el, {}).labels;
   } else {
@@ -839,6 +850,7 @@ std::vector<std::uint64_t> late_loss_answer(LateKernel k,
     out = core::cc_coalesced(rt, el, o).labels;
   }
   if (shrank != nullptr) *shrank = rt.topo().shrinks > 0;
+  if (counters != nullptr) *counters = inj.counters();
   return out;
 }
 
@@ -877,8 +889,9 @@ TEST(FaultChaos, LateLossSweepMatchesFaultFree) {
                                 g::rmat_graph(256, 1024, 3)};
   int shrinks = 0;
   for (const g::EdgeList& el : graphs) {
-    for (const LateKernel k : {LateKernel::Cc, LateKernel::CcHierarchical,
-                               LateKernel::Sv, LateKernel::Mst}) {
+    for (const LateKernel k :
+         {LateKernel::Cc, LateKernel::CcHierarchical, LateKernel::Sv,
+          LateKernel::Mst, LateKernel::Bfs, LateKernel::Wyllie}) {
       const auto clean = late_loss_answer(k, el, "");
       for (int i = 0; 6 + 21 * i <= 399; ++i) {
         const std::string plan = "loss_at=" + std::to_string(6 + 21 * i) +
@@ -889,6 +902,50 @@ TEST(FaultChaos, LateLossSweepMatchesFaultFree) {
         shrinks += shrank;
       }
     }
+  }
+  EXPECT_GT(shrinks, 0);
+}
+
+TEST(FaultChaos, BfsAndWyllieOutageRollBackAndMatch) {
+  // A path keeps BFS running for 300 levels, so outage windows close
+  // mid-run; both kernels roll back to their last checkpoint and re-run.
+  const auto el = g::path_graph(300);
+  for (const LateKernel k : {LateKernel::Bfs, LateKernel::Wyllie}) {
+    flt::FaultCounters c;
+    EXPECT_EQ(late_loss_answer(k, el, "outage_every=40,outage_k=2", nullptr,
+                               &c),
+              late_loss_answer(k, el, ""))
+        << late_kernel_name(k);
+    EXPECT_GT(c.checkpoints, 0u) << late_kernel_name(k);
+    EXPECT_GT(c.outage_events, 0u) << late_kernel_name(k);
+    EXPECT_GT(c.rollbacks, 0u) << late_kernel_name(k);
+  }
+}
+
+TEST(FaultChaos, BfsAndWyllieLossBitIdenticalAfterShrink) {
+  const auto el = g::random_graph(256, 1024, 15);
+  expect_late_loss_matches(LateKernel::Bfs, el, "loss_at=24");
+  expect_late_loss_matches(LateKernel::Wyllie, el, "loss_at=24");
+}
+
+TEST(FaultChaos, BccLossMatchesFaultFree) {
+  // bcc_pgas runs a spanning tree, two Wyllie rankings and cc_coalesced;
+  // a node loss in any of them rolls back inside that phase.
+  const auto el = g::random_graph(200, 600, 21);
+  core::BccResult clean;
+  {
+    pg::Runtime rt = make_rt();
+    clean = core::bcc_pgas(rt, el);
+  }
+  int shrinks = 0;
+  for (int loss_at = 6; loss_at <= 397; loss_at += 23) {
+    const std::string plan = "loss_at=" + std::to_string(loss_at) +
+                             ",loss_node=" + std::to_string(loss_at % 4);
+    flt::FaultInjector inj(flt::FaultConfig::parse(plan, chaos_seed()));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&inj);
+    EXPECT_TRUE(core::same_blocks(core::bcc_pgas(rt, el), clean)) << plan;
+    shrinks += rt.topo().shrinks > 0;
   }
   EXPECT_GT(shrinks, 0);
 }

@@ -81,6 +81,15 @@ TEST(Rmat, RejectsImpossibleDensity) {
                std::invalid_argument);
   EXPECT_EQ(g::rmat_graph(4, 6, 1, {.dedupe = true}).m(), 6u);
   EXPECT_EQ(g::rmat_graph(4, 7, 1).m(), 7u);
+  // Empty quadrants shrink the reachable pairs below that bound.  With
+  // c = d = 0 u stays 0: a = b = .5 reaches only the 15 edges (0, v).
+  const g::RmatParams ab_only{.a = .5, .b = .5, .c = 0, .dedupe = true};
+  EXPECT_THROW(g::rmat_graph(16, 16, 1, ab_only), std::invalid_argument);
+  EXPECT_EQ(g::rmat_graph(16, 15, 1, ab_only).m(), 15u);
+  // With a = 0 each level lands in b, c or d: (3^4 - 1) / 2 = 40 pairs.
+  const g::RmatParams no_a{.a = 0, .b = .25, .c = .25, .dedupe = true};
+  EXPECT_THROW(g::rmat_graph(16, 41, 1, no_a), std::invalid_argument);
+  EXPECT_EQ(g::rmat_graph(16, 40, 1, no_a).m(), 40u);
 }
 
 TEST(Rmat, RejectsParamsThatOnlyDrawSelfLoops) {

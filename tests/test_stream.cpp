@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cc_coalesced.hpp"
@@ -427,6 +428,51 @@ TEST(StreamLoss, SnapshotRingSurvivesShrinkBitIdentical) {
   const auto st = dg.apply_batch(span(120, 0));
   EXPECT_EQ(st.epoch, dg.latest_epoch());
   ASSERT_EQ(labels_of(dg), fresh_cc(dg.materialize()).labels);
+}
+
+TEST(StreamLoss, IncrementalPassRollsBackInsteadOfRebuilding) {
+  // An insert-only batch small enough for the incremental pass.  Lose node
+  // 2 at each epoch of that pass: a loss the pass meets after its first
+  // sealed checkpoint rolls back in place instead of rebuilding (one that
+  // surfaces only at publish still rebuilds there), and the labels always
+  // equal a fresh cc_coalesced.
+  g::TemporalStreamParams p;
+  p.base_edges = 400;
+  p.delete_frac = 0;
+  const auto ts = g::temporal_stream(300, 30, 17, p);
+  const std::span<const g::EdgeUpdate> batch(ts.updates);
+
+  // Probe the pass's epoch window with a loss plan that never fires.
+  std::uint64_t first = 0, last = 0;
+  {
+    flt::FaultInjector probe(flt::FaultConfig::parse(
+        "loss_at=1000000000,loss_node=2", chaos_seed()));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&probe);
+    strm::DynamicGraph dg(rt, ts.base);
+    const std::uint64_t e0 = rt.epoch();
+    const auto st = dg.apply_batch(batch);
+    ASSERT_FALSE(st.rebuilt);
+    ASSERT_EQ(rt.epoch() - e0, st.ingest.barriers + st.maintain.barriers +
+                                   st.publish.barriers);
+    first = e0 + st.ingest.barriers;
+    last = first + st.maintain.barriers;
+  }
+  ASSERT_GT(last, first);
+
+  int rolled_back = 0;
+  for (std::uint64_t at = first; at < last; ++at) {
+    const std::string plan =
+        "loss_at=" + std::to_string(at) + ",loss_node=2";
+    flt::FaultInjector inj(flt::FaultConfig::parse(plan, chaos_seed()));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&inj);
+    strm::DynamicGraph dg(rt, ts.base);
+    const auto st = dg.apply_batch(batch);
+    ASSERT_EQ(labels_of(dg), fresh_cc(dg.materialize()).labels) << plan;
+    rolled_back += inj.counters().loss_events == 1 && !st.rebuilt;
+  }
+  EXPECT_GT(rolled_back, 0);
 }
 
 TEST(StreamIngest, CountersAndDeterminism) {
