@@ -30,7 +30,7 @@ machine::ExchangePlan all_to_all(const pgas::Topology& topo, double svc,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   preamble(a, "Ablation B",
            "identity vs circular exchange schedule (NIC event-sweep model)",
@@ -76,3 +76,5 @@ int main(int argc, char** argv) {
   emit(a, t2);
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -14,7 +14,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const int nodes = a.nodes > 0 ? a.nodes : kPaperNodes;
   const std::uint64_t n = a.n ? a.n : a.scaled(1u << 20);
@@ -65,3 +65,5 @@ int main(int argc, char** argv) {
             << " elements per call)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -15,7 +15,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   preamble(a, "Ablation D",
            "analytic memory model vs trace-driven cache simulator",
@@ -84,3 +84,5 @@ int main(int argc, char** argv) {
             << " KiB against a " << cache_bytes / 1024 << " KiB cache)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

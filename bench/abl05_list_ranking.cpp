@@ -15,7 +15,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const std::uint64_t n = a.n ? a.n : a.scaled(1u << 18);
   preamble(a, "Ablation E",
@@ -60,3 +60,5 @@ int main(int argc, char** argv) {
   std::cout << "(list of " << n << " elements, scrambled layout)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

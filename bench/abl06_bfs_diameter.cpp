@@ -40,7 +40,7 @@ graph::EdgeList chained_blobs(std::size_t n, std::size_t m, std::size_t k,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const std::uint64_t n = a.n ? a.n : a.scaled(1u << 17);
   const std::uint64_t m = a.m ? a.m : 4 * n;
@@ -83,3 +83,5 @@ int main(int argc, char** argv) {
             << "; the BFS source is vertex 0, in the first blob)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

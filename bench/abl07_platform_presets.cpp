@@ -14,7 +14,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const std::uint64_t n = a.n ? a.n : a.scaled(1u << 18);
   const std::uint64_t m = a.m ? a.m : 4 * n;
@@ -66,3 +66,5 @@ int main(int argc, char** argv) {
             << " nodes x 8 threads)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -13,7 +13,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const int nodes = a.nodes > 0 ? a.nodes : kPaperNodes;
   const std::uint64_t n = a.n ? a.n : a.scaled(1u << 18);
@@ -66,3 +66,5 @@ int main(int argc, char** argv) {
             << "; both verified against union-find during tests)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,6 +50,21 @@ inline machine::CostParams smp_params_for(std::uint64_t n_vertices) {
   machine::CostParams p = params_for(n_vertices);
   p.preset = "smp-node";
   return p;
+}
+
+/// The entry point of every bench: `main` returns bench_main(run, argc,
+/// argv, ...).  An input the bench cannot satisfy (a generator or kernel
+/// throwing std::invalid_argument, e.g. more unique edges than --n
+/// vertices hold) ends the run the way a malformed flag does in
+/// BenchArgs::parse: a message on stderr and exit status 2, not an abort.
+template <class Run, class... Args>
+int bench_main(Run run, Args... args) {
+  try {
+    return run(args...);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
 
 inline void preamble(const BenchArgs& a, const std::string& figure,

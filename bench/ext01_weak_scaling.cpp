@@ -10,7 +10,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const std::uint64_t per_node = a.n ? a.n : a.scaled(1u << 14);
   const int threads = a.threads > 0 ? a.threads : 4;
@@ -58,3 +58,5 @@ int main(int argc, char** argv) {
             << " threads/node)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -11,7 +11,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const int nodes = a.nodes > 0 ? a.nodes : kPaperNodes;
   const int threads = a.threads > 0 ? a.threads : 16;  // paper: 16 threads/node
@@ -63,3 +63,5 @@ int main(int argc, char** argv) {
             << " threads)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -11,7 +11,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const int threads = a.threads > 0 ? a.threads : 16;
   preamble(a, "Figure 4",
@@ -72,3 +72,5 @@ int main(int argc, char** argv) {
             << "node, " << threads << " threads)\n";
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -89,6 +89,6 @@ int run_breakdown(int argc, char** argv, const char* figure,
 
 #ifndef PGRAPH_BREAKDOWN_NO_MAIN
 int main(int argc, char** argv) {
-  return run_breakdown(argc, argv, "Figure 5", "random");
+  return bench_main(run_breakdown, argc, argv, "Figure 5", "random");
 }
 #endif

@@ -9,5 +9,5 @@
 #include "fig05_opt_breakdown_random.cpp"
 
 int main(int argc, char** argv) {
-  return run_breakdown(argc, argv, "Figure 6", "hybrid");
+  return bench_main(run_breakdown, argc, argv, "Figure 6", "hybrid");
 }

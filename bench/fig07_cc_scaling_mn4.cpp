@@ -70,6 +70,6 @@ int run_cc_scaling(int argc, char** argv, const char* figure,
 
 #ifndef PGRAPH_CC_SCALING_NO_MAIN
 int main(int argc, char** argv) {
-  return run_cc_scaling(argc, argv, "Figure 7 (m/n = 4)", 4);
+  return bench_main(run_cc_scaling, argc, argv, "Figure 7 (m/n = 4)", 4);
 }
 #endif

@@ -4,5 +4,5 @@
 #include "fig07_cc_scaling_mn4.cpp"
 
 int main(int argc, char** argv) {
-  return run_cc_scaling(argc, argv, "Figure 8 (m/n = 10)", 10);
+  return bench_main(run_cc_scaling, argc, argv, "Figure 8 (m/n = 10)", 10);
 }

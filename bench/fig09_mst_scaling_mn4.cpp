@@ -77,6 +77,6 @@ int run_mst_scaling(int argc, char** argv, const char* figure,
 
 #ifndef PGRAPH_MST_SCALING_NO_MAIN
 int main(int argc, char** argv) {
-  return run_mst_scaling(argc, argv, "Figure 9 (m/n = 4)", 4);
+  return bench_main(run_mst_scaling, argc, argv, "Figure 9 (m/n = 4)", 4);
 }
 #endif

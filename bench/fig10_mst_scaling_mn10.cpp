@@ -4,5 +4,5 @@
 #include "fig09_mst_scaling_mn4.cpp"
 
 int main(int argc, char** argv) {
-  return run_mst_scaling(argc, argv, "Figure 10 (m/n = 10)", 10);
+  return bench_main(run_mst_scaling, argc, argv, "Figure 10 (m/n = 10)", 10);
 }

@@ -48,7 +48,7 @@ struct Scheme {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a =
       BenchArgs::parse(argc, argv, {.partition = true});
   const int nodes = a.nodes > 0 ? a.nodes : 4;
@@ -198,3 +198,5 @@ int main(int argc, char** argv) {
   }
   return rc;
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

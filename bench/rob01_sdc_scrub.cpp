@@ -49,7 +49,7 @@ constexpr std::uint64_t kFlipEpochs[] = {8, 12, 16, 24, 40};
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv, {.robust = true, .partition = true});
   const int nodes = a.nodes > 0 ? a.nodes : 4;
   const int threads = a.threads > 0 ? a.threads : 2;
@@ -232,3 +232,5 @@ int main(int argc, char** argv) {
   const int frc = rep.finish();
   return rc != 0 ? rc : frc;
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -40,7 +40,7 @@ struct RowResult {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv, {.serve = true, .partition = true});
   const int nodes = a.nodes > 0 ? a.nodes : 4;
   const int threads = a.threads > 0 ? a.threads : 2;
@@ -316,3 +316,5 @@ int main(int argc, char** argv) {
   const int json_rc = rep.finish();
   return rc != 0 ? rc : json_rc;
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

@@ -42,7 +42,7 @@ bool labels_match(stream::DynamicGraph& dg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv, {.stream = true, .partition = true});
   const int nodes = a.nodes > 0 ? a.nodes : 4;
   const int threads = a.threads > 0 ? a.threads : 2;
@@ -235,3 +235,5 @@ int main(int argc, char** argv) {
   const int json_rc = rep.finish();
   return rc != 0 ? rc : json_rc;
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

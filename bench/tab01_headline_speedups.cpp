@@ -16,7 +16,7 @@
 using namespace pgraph;
 using namespace pgraph::bench;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const BenchArgs a = BenchArgs::parse(argc, argv);
   const int nodes = a.nodes > 0 ? a.nodes : kPaperNodes;
   const int threads = a.threads > 0 ? a.threads : 8;  // paper's best point
@@ -86,3 +86,5 @@ int main(int argc, char** argv) {
   emit(a, t);
   return rep.finish();
 }
+
+int main(int argc, char** argv) { return bench_main(run, argc, argv); }

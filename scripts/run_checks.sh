@@ -162,7 +162,7 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     ubsan)
-      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util/partition/trace/generators/cc_parallel/bfs_pgas/list_ranking ===="
+      echo "==== [ubsan] undefined-behavior sanitizer, collectives/fault/stream/runtime/sched/machine/scrub/harness/graph_util/partition/trace/generators/cc_parallel/bfs_pgas/list_ranking/serve ===="
       cmake --preset ubsan
       cmake --build --preset ubsan -j "$JOBS" \
         --target test_collectives --target test_fault --target test_stream \
@@ -170,17 +170,18 @@ for stage in "${STAGES[@]}"; do
         --target test_scrub --target test_harness --target test_graph_util \
         --target test_partition --target test_trace --target test_generators \
         --target test_cc_parallel --target test_bfs_pgas \
-        --target test_list_ranking
+        --target test_list_ranking --target test_serve
       # The next two groups are test_sched's and test_machine's suites;
       # Scrub and BenchArgs cover test_scrub and test_harness's parser,
       # Io and GraphIoFuzz test_graph_util's graph readers, PartitionSpec
       # (and PartitionSpecFuzz) test_partition's spec parser, JsonFuzz
       # test_trace's JSON reader, RandomGraph, Rmat and Hybrid
       # test_generators' generators, CcParallel test_cc_parallel's loop
-      # caps, and the last four groups test_bfs_pgas's and
-      # test_list_ranking's kernels.
+      # caps, the next four groups test_bfs_pgas's and
+      # test_list_ranking's kernels, and Serve test_serve's workload,
+      # server, chaos and resilience suites.
       ctest --preset ubsan \
-        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz|PartitionSpec|JsonFuzz|RandomGraph|Rmat|Hybrid|CcParallel|Sweep/BfsP|BfsPgas|Sweep/ListRankP|ListRanking)' \
+        -R '^(Collectives|Fault|Stream|Runtime|Coll|(CountSort|Scheduled|Sweep/ScheduledGatherP|VBlocks|FastDiv)|(CostParams|MemoryModel|NetworkModel)|Scrub|BenchArgs|Io|GraphIoFuzz|PartitionSpec|JsonFuzz|RandomGraph|Rmat|Hybrid|CcParallel|Sweep/BfsP|BfsPgas|Sweep/ListRankP|ListRanking|Serve)' \
         --output-on-failure -j "$JOBS"
       ;;
     perf)

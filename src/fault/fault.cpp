@@ -251,14 +251,26 @@ std::uint64_t FaultInjector::mem_flip_word(std::uint64_t epoch, int k,
               static_cast<std::uint64_t>(salt));
 }
 
-ExchangeFaults FaultInjector::apply_exchange(
+void FaultInjector::apply_exchange(
     machine::ExchangePlan& plan, const std::vector<std::int32_t>& thread_node,
-    int nodes, std::uint64_t epoch, int attempt) {
-  ExchangeFaults out;
-  if (!armed() || !cfg_.network_faults()) return out;
+    int nodes, std::uint64_t epoch, int attempt, ExchangeFaults& out) {
+  out.retry.clear();
+  out.outage_drops = 0;
+  if (!armed() || !cfg_.network_faults()) return;
   const int down = down_node(nodes, epoch);
   const int lost = perm_lost_node(nodes, epoch);
   const std::uint64_t att = static_cast<std::uint64_t>(attempt);
+  // Mark message k of thread thr dropped (its sender still occupies the
+  // NIC) and queue a clean copy of it for retransmission.
+  const auto drop_and_retry = [&](std::size_t thr, std::size_t k,
+                                  machine::ExchangeMsg m, Counter c) {
+    m.dropped = true;
+    plan[thr][k] = m;
+    count(c);
+    m.dropped = false;
+    m.extra_delay_ns = 0.0;
+    out.retry.emplace_back(thr, m);
+  };
   for (std::size_t thr = 0; thr < plan.size(); ++thr) {
     auto& lst = plan[thr];
     const int src = thr < thread_node.size() ? thread_node[thr] : 0;
@@ -271,13 +283,7 @@ ExchangeFaults FaultInjector::apply_exchange(
         // know the peer is gone for good, so it burns the full ack-timeout
         // + backoff ladder before the runtime declares the node lost and
         // shrinks (Runtime::on_barrier).
-        m.dropped = true;
-        lst[k] = m;
-        count(&FaultCounters::loss_drops);
-        machine::ExchangeMsg clean = m;
-        clean.dropped = false;
-        clean.extra_delay_ns = 0.0;
-        out.retry.emplace_back(thr, clean);
+        drop_and_retry(thr, k, m, &FaultCounters::loss_drops);
         continue;
       }
       if (down >= 0 && (src == down || m.dst_node == down)) {
@@ -289,13 +295,7 @@ ExchangeFaults FaultInjector::apply_exchange(
       }
       if (cfg_.drop_p > 0.0 &&
           unit(draw(kStreamDrop, epoch, att, actor)) < cfg_.drop_p) {
-        m.dropped = true;
-        lst[k] = m;
-        count(&FaultCounters::drops);
-        machine::ExchangeMsg clean = m;
-        clean.dropped = false;
-        clean.extra_delay_ns = 0.0;
-        out.retry.emplace_back(thr, clean);
+        drop_and_retry(thr, k, m, &FaultCounters::drops);
         continue;
       }
       if (cfg_.delay_p > 0.0 &&
@@ -313,7 +313,6 @@ ExchangeFaults FaultInjector::apply_exchange(
       }
     }
   }
-  return out;
 }
 
 double FaultInjector::straggler_delay_ns(std::uint64_t epoch, int thread) {

@@ -297,10 +297,11 @@ class FaultInjector {
   /// Mutate `plan` in place for one delivery attempt: mark drops (the
   /// sender still occupies its NIC; nothing arrives), append duplicates,
   /// and add in-flight delays.  Messages to or from a down node are
-  /// dropped non-retryably.  Returns the retryable losses.
-  ExchangeFaults apply_exchange(machine::ExchangePlan& plan,
-                                const std::vector<std::int32_t>& thread_node,
-                                int nodes, std::uint64_t epoch, int attempt);
+  /// dropped non-retryably.  Writes the retryable losses into `out`,
+  /// which is cleared first and keeps its capacity across attempts.
+  void apply_exchange(machine::ExchangePlan& plan,
+                      const std::vector<std::int32_t>& thread_node, int nodes,
+                      std::uint64_t epoch, int attempt, ExchangeFaults& out);
 
   // --- outages ----------------------------------------------------------
   /// Node that is down during `epoch`, or -1.

@@ -62,8 +62,9 @@ struct BenchCaps {
 /// Robustness benches (BenchCaps::robust) additionally accept:
 ///   --scrub-interval <k>  (scrub resident partitions every k loop trips;
 ///                          must be >= 0; 0 = off)
-///   --certify <0|1>       (run certifying output verifiers / epoch
-///                          re-digests after the kernel)
+///   --certify <0|1>       (run the certifying output verifiers,
+///                          graph::certify_cc / certify_mst, after the
+///                          kernel)
 ///   --mem-flips <n>       (bit flips injected by the bench's fault plan;
 ///                          must be >= 0; 0 = no injection)
 ///

@@ -552,12 +552,12 @@ void Runtime::on_barrier() {
     // until delivered or the retry budget is exhausted (collective
     // FaultError).  Outage losses time out once but are not retried while
     // the node is down — the checkpoint/rollback path recovers those.
+    fault::ExchangeFaults& ef = exch_faults_;
     int attempt = 0;
     for (;;) {
-      fault::ExchangeFaults ef;
       if (fault_ != nullptr)
-        ef = fault_->apply_exchange(plan, thread_node_, topo_.nodes, epoch_,
-                                    attempt);
+        fault_->apply_exchange(plan, thread_node_, topo_.nodes, epoch_,
+                               attempt, ef);
       const double before = exch_dur;
       exch_dur += machine::exchange_duration_ns(
           plan, thread_node_, topo_.nodes, params_.net_latency_ns,

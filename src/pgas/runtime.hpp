@@ -379,6 +379,9 @@ class Runtime {
   /// Exchange messages being priced by the completion step: row i swaps
   /// with thread i's pending list, so both keep their capacity.
   machine::ExchangePlan exch_plan_;
+  /// The injector's verdict on the current delivery attempt of exch_plan_;
+  /// refilled per attempt, so its retry list keeps its capacity.
+  fault::ExchangeFaults exch_faults_;
   machine::ExchangeScratch exch_scratch_;
   /// First exception that left `f` during the current run().
   std::mutex error_mu_;

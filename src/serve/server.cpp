@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -14,10 +15,36 @@ namespace pgraph::serve {
 
 namespace {
 
+// Every per-kind branch of the server: the cache key, the QueryBatch
+// column a request goes into, and the QueryResult column its answer comes
+// back in.
+
 /// A request's cache key: its vertex pair, or its vertex for a size query.
 std::uint64_t cache_key(const Request& rq) {
   return rq.kind == QueryKind::SameComponent ? graph::pair_key(rq.u, rq.v)
                                              : rq.u;
+}
+
+std::size_t kind_index(QueryKind k) { return static_cast<std::size_t>(k); }
+
+/// Append rq's query to `qb`; returns its position in its kind's column.
+std::size_t push_query(stream::QueryBatch& qb, const Request& rq) {
+  if (rq.kind == QueryKind::SameComponent) {
+    qb.same_component.push_back({rq.u, rq.v});
+    return qb.same_component.size() - 1;
+  }
+  qb.component_size.push_back(rq.u);
+  return qb.component_size.size() - 1;
+}
+
+/// The answer at position `pos` of `kind`'s column of `res`.
+std::uint64_t answer_at(const stream::QueryResult& res, QueryKind kind,
+                        std::size_t pos) {
+  return kind == QueryKind::SameComponent ? res.same[pos] : res.size[pos];
+}
+
+std::size_t queries_in(const stream::QueryBatch& qb) {
+  return qb.same_component.size() + qb.component_size.size();
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -78,7 +105,6 @@ std::size_t QueryServer::offer(const Request& r) {
   drain(r.arrive_ns);
 
   const auto t = static_cast<std::size_t>(r.tenant);
-  const std::size_t idx = outcomes_.size();
   Outcome o;
   o.arrive_ns = r.arrive_ns;
   // kLatest binds at admission: the session observes whatever epoch is
@@ -109,41 +135,18 @@ std::size_t QueryServer::offer(const Request& r) {
       // queue slot) instead of queuing into a saturated or broken
       // backend.  Fresh-epoch cache hits stay Ok; previous-epoch hits
       // are Degraded (staleness bound: exactly one epoch).
-      std::uint64_t ans = 0;
-      std::uint64_t from = 0;
-      if (brown && lookup_cached(r, o.epoch, &ans)) {
+      if (brown && lookup_cached(r, o.epoch, &o.answer)) {
         o.status = Status::Ok;
-        o.answer = ans;
-        o.start_ns = o.done_ns = r.arrive_ns;
         ++stats_.cache_hits;
         ++stats_.brownout_cache_ok;
-        ++stats_.tenants[t].completed;
-        ++stats_.completed;
-        lat_[t].push_back(0.0);
-        stats_.last_done_ns = std::max(stats_.last_done_ns, r.arrive_ns);
-        outcomes_.push_back(o);
-        return idx;
+        return settle_on_arrival(o, r.tenant);
       }
-      if (ro.brownout && lookup_degraded(r, o.epoch, &ans, &from)) {
-        o.status = Status::Degraded;
-        o.answer = ans;
-        o.epoch = from;
-        o.start_ns = o.done_ns = r.arrive_ns;
-        ++stats_.tenants[t].degraded;
-        ++stats_.degraded;
-        stats_.last_done_ns = std::max(stats_.last_done_ns, r.arrive_ns);
-        outcomes_.push_back(o);
-        return idx;
-      }
+      if (ro.brownout && serve_degraded(r, o))
+        return settle_on_arrival(o, r.tenant);
       if (!pass) {
         o.status = Status::Shed;
         o.shed_reason = ShedReason::BreakerOpen;
-        o.start_ns = o.done_ns = r.arrive_ns;
-        ++stats_.tenants[t].shed;
-        ++stats_.shed;
-        ++stats_.shed_breaker_open;
-        outcomes_.push_back(o);
-        return idx;
+        return settle_on_arrival(o, r.tenant);
       }
       // Brownout but the breaker admits and nothing is cached: fall
       // through to normal admission so the request still gets a fresh
@@ -154,14 +157,10 @@ std::size_t QueryServer::offer(const Request& r) {
   if (inflight_[t] >= opt_.max_queue) {
     o.status = Status::Shed;
     o.shed_reason = ShedReason::QueueFull;
-    o.start_ns = o.done_ns = r.arrive_ns;
-    ++stats_.tenants[t].shed;
-    ++stats_.shed;
-    ++stats_.shed_queue_full;
-    outcomes_.push_back(o);
-    return idx;
+    return settle_on_arrival(o, r.tenant);
   }
 
+  const std::size_t idx = outcomes_.size();
   ++inflight_[t];
   ++queued_reqs_;
   if (ro.enabled &&
@@ -243,10 +242,7 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
         o.shed_reason = ShedReason::DeadlineExpired;
         o.start_ns = o.done_ns = start_ns;
         retire_.push_back({start_ns, p.req.tenant});
-        const auto t = static_cast<std::size_t>(p.req.tenant);
-        ++stats_.tenants[t].shed;
-        ++stats_.shed;
-        ++stats_.shed_deadline;
+        settle(o, p.req.tenant);
       } else {
         alive.push_back(std::move(p));
       }
@@ -287,50 +283,42 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
     EpochCache local;
     EpochCache& store = opt_.cache ? cache_[epoch] : local;
 
-    std::vector<std::pair<graph::VertexId, graph::VertexId>> same_q;
-    std::vector<graph::VertexId> size_q;
-    std::unordered_map<std::uint64_t, std::size_t> same_sched, size_sched;
+    // One batch entry per key neither in this window nor in the store;
+    // sched maps each such key to its position in its kind's column.
+    stream::QueryBatch qb;
+    qb.epoch = epoch;
+    qb.scope = "serve.flush";
+    std::array<std::unordered_map<std::uint64_t, std::size_t>, kQueryKinds>
+        sched;
     for (std::size_t i : members) {
       const Request& rq = w.reqs[i].req;
-      const bool is_same = rq.kind == QueryKind::SameComponent;
-      auto& sched = is_same ? same_sched : size_sched;
-      auto& cached = is_same ? store.same : store.size;
+      const std::size_t k = kind_index(rq.kind);
       const std::uint64_t key = cache_key(rq);
-      if (sched.count(key) != 0) {
+      if (sched[k].contains(key)) {
         ++stats_.coalesced;  // deduped against this window
         continue;
       }
-      if (cached.count(key) != 0) {
+      if (store.by_kind[k].contains(key)) {
         ++stats_.cache_hits;  // answered by an earlier flush on this epoch
         continue;
       }
       if (opt_.cache) ++stats_.cache_misses;
-      sched.emplace(key, is_same ? same_q.size() : size_q.size());
-      if (is_same)
-        same_q.push_back({rq.u, rq.v});
-      else
-        size_q.push_back(rq.u);
+      sched[k].emplace(key, push_query(qb, rq));
     }
 
     bool ok = true;
-    if (!same_q.empty() || !size_q.empty()) {
-      stream::QueryBatch qb;
-      qb.epoch = epoch;
-      qb.scope = "serve.flush";
-      qb.same_component = std::move(same_q);
-      qb.component_size = std::move(size_q);
+    if (queries_in(qb) > 0) {
       for (;;) {
         try {
           const stream::QueryResult res = dg_.query(qb);
           service_ns += res.costs.modeled_ns;
           stats_.agg_ns += res.agg_ns;
-          stats_.keys_sent +=
-              qb.same_component.size() + qb.component_size.size();
+          stats_.keys_sent += queries_in(qb);
           ++stats_.epoch_batches;
-          for (const auto& [key, pos] : same_sched)
-            store.same[key] = res.same[pos];
-          for (const auto& [key, pos] : size_sched)
-            store.size[key] = res.size[pos];
+          for (std::size_t k = 0; k < kQueryKinds; ++k)
+            for (const auto& [key, pos] : sched[k])
+              store.by_kind[k][key] =
+                  answer_at(res, static_cast<QueryKind>(k), pos);
           if (ro.enabled) poll_recovery(start_ns + service_ns, &service_ns);
           break;
         } catch (const fault::FaultError&) {
@@ -356,44 +344,23 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
       }
     }
 
-    if (ok) {
-      for (std::size_t i : members) {
-        const Request& rq = w.reqs[i].req;
-        Outcome& o = outcomes_[w.reqs[i].idx];
-        const bool is_same = rq.kind == QueryKind::SameComponent;
-        const std::uint64_t key = cache_key(rq);
+    // Every key is in the store once the batch returned.  If the backend
+    // gave up on this group, members whose key an earlier flush cached
+    // still get exact answers, the previous epoch's cache serves the rest
+    // Degraded, and only the remainder is shed (fast-fail, counted against
+    // the breaker).
+    for (std::size_t i : members) {
+      const Request& rq = w.reqs[i].req;
+      Outcome& o = outcomes_[w.reqs[i].idx];
+      if (store.find(rq, &o.answer)) {
         o.status = Status::Ok;
-        o.answer = is_same ? store.same.at(key) : store.size.at(key);
+      } else if (!(ro.brownout && serve_degraded(rq, o))) {
+        assert(!ok);
+        o.status = Status::Shed;
+        o.shed_reason = ShedReason::BreakerOpen;
       }
-      if (ro.enabled) breaker_result(w, members, true, start_ns + service_ns);
-    } else {
-      // The backend gave up on this group: members whose key an earlier
-      // flush already cached still get exact answers; the previous
-      // epoch's cache serves the rest Degraded; only the remainder is
-      // shed (fast-fail, counted against the breaker).
-      for (std::size_t i : members) {
-        const Request& rq = w.reqs[i].req;
-        Outcome& o = outcomes_[w.reqs[i].idx];
-        const bool is_same = rq.kind == QueryKind::SameComponent;
-        const std::uint64_t key = cache_key(rq);
-        const auto& cached = is_same ? store.same : store.size;
-        const auto it = cached.find(key);
-        std::uint64_t ans = 0;
-        std::uint64_t from = 0;
-        if (it != cached.end()) {
-          o.status = Status::Ok;
-          o.answer = it->second;
-        } else if (ro.brownout && lookup_degraded(rq, epoch, &ans, &from)) {
-          o.status = Status::Degraded;
-          o.answer = ans;
-          o.epoch = from;
-        } else {
-          o.status = Status::Shed;
-          o.shed_reason = ShedReason::BreakerOpen;
-        }
-      }
-      breaker_result(w, members, false, start_ns + service_ns);
     }
+    if (ro.enabled) breaker_result(w, members, ok, start_ns + service_ns);
 
     if (ok && verify) {
       // Measurement-only cross-check: re-ask the runtime directly, one
@@ -403,25 +370,14 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
       stream::QueryBatch direct;
       direct.epoch = epoch;
       direct.scope = "serve.verify";
-      std::vector<std::pair<bool, std::size_t>> where;
-      for (std::size_t i : members) {
-        const Request& rq = w.reqs[i].req;
-        if (rq.kind == QueryKind::SameComponent) {
-          where.emplace_back(true, direct.same_component.size());
-          direct.same_component.push_back({rq.u, rq.v});
-        } else {
-          where.emplace_back(false, direct.component_size.size());
-          direct.component_size.push_back(rq.u);
-        }
-      }
+      std::vector<std::size_t> pos;
+      for (std::size_t i : members)
+        pos.push_back(push_query(direct, w.reqs[i].req));
       try {
         const stream::QueryResult ref = dg_.query(direct);
         for (std::size_t k = 0; k < members.size(); ++k) {
-          const std::uint64_t want =
-              where[k].first
-                  ? static_cast<std::uint64_t>(ref.same[where[k].second])
-                  : ref.size[where[k].second];
-          if (outcomes_[w.reqs[members[k]].idx].answer != want)
+          const Pending& p = w.reqs[members[k]];
+          if (outcomes_[p.idx].answer != answer_at(ref, p.req.kind, pos[k]))
             ++stats_.verify_mismatches;
         }
       } catch (const fault::FaultError&) {
@@ -440,33 +396,57 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
     o.start_ns = start_ns;
     o.done_ns = done_ns;
     retire_.push_back({done_ns, p.req.tenant});
-    const auto t = static_cast<std::size_t>(p.req.tenant);
-    switch (o.status) {
-      case Status::StaleEpoch:
-        ++stats_.tenants[t].stale;
-        ++stats_.stale;
-        break;
-      case Status::Degraded:
-        ++stats_.tenants[t].degraded;
-        ++stats_.degraded;
-        break;
-      case Status::Shed:
-        ++stats_.tenants[t].shed;
-        ++stats_.shed;
-        ++stats_.shed_breaker_open;
-        break;
-      default:
-        ++stats_.tenants[t].completed;
-        ++stats_.completed;
-        lat_[t].push_back(o.latency_ns());
-        if (opt_.resilience.enabled && p.req.deadline_ns > 0.0 &&
-            done_ns > p.req.arrive_ns + p.req.deadline_ns)
-          ++stats_.deadline_misses;
-        break;
-    }
-    stats_.last_done_ns = std::max(stats_.last_done_ns, done_ns);
+    settle(o, p.req.tenant);
+    if (o.status == Status::Ok && ro.enabled && p.req.deadline_ns > 0.0 &&
+        done_ns > p.req.arrive_ns + p.req.deadline_ns)
+      ++stats_.deadline_misses;
   }
+  // The makespan runs to the end of every flush, whatever its members'
+  // outcomes (the deadline sheds above never entered it).
+  stats_.last_done_ns = std::max(stats_.last_done_ns, done_ns);
   if (ro.enabled) update_mode(done_ns);
+}
+
+void QueryServer::settle(const Outcome& o, std::int32_t tenant) {
+  const auto t = static_cast<std::size_t>(tenant);
+  TenantStats& ts = stats_.tenants[t];
+  switch (o.status) {
+    case Status::Ok:
+      ++ts.completed;
+      ++stats_.completed;
+      lat_[t].push_back(o.latency_ns());
+      break;
+    case Status::Degraded:
+      ++ts.degraded;
+      ++stats_.degraded;
+      break;
+    case Status::StaleEpoch:
+      ++ts.stale;
+      ++stats_.stale;
+      break;
+    case Status::Shed:
+      ++ts.shed;
+      ++stats_.shed;
+      switch (o.shed_reason) {
+        case ShedReason::QueueFull: ++stats_.shed_queue_full; break;
+        case ShedReason::BreakerOpen: ++stats_.shed_breaker_open; break;
+        case ShedReason::DeadlineExpired: ++stats_.shed_deadline; break;
+        case ShedReason::None: assert(!"shed without a reason"); break;
+      }
+      break;
+    case Status::Pending:
+      assert(!"settling an unfinished request");
+      break;
+  }
+  if (o.status == Status::Ok || o.status == Status::Degraded)
+    stats_.last_done_ns = std::max(stats_.last_done_ns, o.done_ns);
+}
+
+std::size_t QueryServer::settle_on_arrival(Outcome& o, std::int32_t tenant) {
+  o.start_ns = o.done_ns = o.arrive_ns;
+  settle(o, tenant);
+  outcomes_.push_back(o);
+  return outcomes_.size() - 1;
 }
 
 void QueryServer::note_event(ServeEventKind kind, double t_ns,
@@ -496,30 +476,31 @@ void QueryServer::update_mode(double now_ns) {
   }
 }
 
-bool QueryServer::lookup_cached(const Request& rq, std::uint64_t epoch,
-                                std::uint64_t* answer) const {
-  if (!opt_.cache) return false;
-  const auto ce = cache_.find(epoch);
-  if (ce == cache_.end()) return false;
-  const bool is_same = rq.kind == QueryKind::SameComponent;
-  const auto& m = ce->second;
-  const auto& cached = is_same ? m.same : m.size;
+bool QueryServer::EpochCache::find(const Request& rq,
+                                   std::uint64_t* answer) const {
+  const auto& cached = by_kind[kind_index(rq.kind)];
   const auto it = cached.find(cache_key(rq));
   if (it == cached.end()) return false;
   *answer = it->second;
   return true;
 }
 
-bool QueryServer::lookup_degraded(const Request& rq, std::uint64_t epoch,
-                                  std::uint64_t* answer,
-                                  std::uint64_t* from) const {
+bool QueryServer::lookup_cached(const Request& rq, std::uint64_t epoch,
+                                std::uint64_t* answer) const {
+  if (!opt_.cache) return false;
+  const auto ce = cache_.find(epoch);
+  return ce != cache_.end() && ce->second.find(rq, answer);
+}
+
+bool QueryServer::serve_degraded(const Request& rq, Outcome& o) const {
   // The ring keeps exactly one older epoch (kEpochRing == 2), so the
   // staleness of a Degraded answer is bounded by one publish.  The cache
   // map is pruned at ring eviction, so a hit implies the epoch is still
   // retained.
-  if (epoch == 0) return false;
-  if (!lookup_cached(rq, epoch - 1, answer)) return false;
-  *from = epoch - 1;
+  if (o.epoch == 0 || !lookup_cached(rq, o.epoch - 1, &o.answer))
+    return false;
+  o.status = Status::Degraded;
+  --o.epoch;
   return true;
 }
 

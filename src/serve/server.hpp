@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -186,10 +187,17 @@ class QueryServer {
     double open_ns = 0.0;
     double close_ns = 0.0;  ///< when it becomes ready for service
   };
+  static constexpr std::size_t kQueryKinds = 2;  ///< QueryKind values
+  /// One epoch's answers, one map per QueryKind keyed by the request's
+  /// vertex pair (SameComponent) or vertex (ComponentSize).
   struct EpochCache {
-    std::unordered_map<std::uint64_t, std::uint64_t> same;  ///< packed pair
-    std::unordered_map<std::uint64_t, std::uint64_t> size;  ///< vertex id
-    std::size_t entries() const { return same.size() + size.size(); }
+    std::array<std::unordered_map<std::uint64_t, std::uint64_t>, kQueryKinds>
+        by_kind;
+    /// rq's cached answer, if any.
+    bool find(const Request& rq, std::uint64_t* answer) const;
+    std::size_t entries() const {
+      return by_kind[0].size() + by_kind[1].size();
+    }
   };
   enum class Mode : std::uint8_t { Normal = 0, Brownout = 1 };
 
@@ -199,6 +207,13 @@ class QueryServer {
   void close_open(double ready_ns);
   void execute_flush(Window& w, double start_ns);
   void invalidate_evicted();
+  /// The one place a finished request is counted: the aggregate and
+  /// per-tenant counter of its status, the shed counter of its reason, its
+  /// latency if Ok, and the makespan end if it was answered (Ok, Degraded).
+  void settle(const Outcome& o, std::int32_t tenant);
+  /// Finish `o` at its arrival (no queue slot, no backend time), settle it
+  /// and record it; returns its index into outcomes().
+  std::size_t settle_on_arrival(Outcome& o, std::int32_t tenant);
 
   /// Resilience helpers (no-ops unless opt_.resilience.enabled).
   void note_event(ServeEventKind kind, double t_ns, std::int32_t tenant);
@@ -206,9 +221,9 @@ class QueryServer {
   /// Fresh-epoch cache probe for the brownout fast path.
   bool lookup_cached(const Request& rq, std::uint64_t epoch,
                      std::uint64_t* answer) const;
-  /// Previous-epoch probe: true if a Degraded answer is available.
-  bool lookup_degraded(const Request& rq, std::uint64_t epoch,
-                       std::uint64_t* answer, std::uint64_t* from) const;
+  /// Answer `o` Degraded from the previous epoch's cache if it holds rq's
+  /// key; false (and `o` untouched) otherwise.
+  bool serve_degraded(const Request& rq, Outcome& o) const;
   /// The distinct tenants of a flush group's members, in first-seen order.
   static std::vector<std::int32_t> tenants_of(
       const Window& w, const std::vector<std::size_t>& members);

@@ -1,7 +1,6 @@
 #include "stream/dynamic_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <stdexcept>
 #include <unordered_set>
@@ -11,7 +10,6 @@
 #include "collectives/setd.hpp"
 #include "fault/fault.hpp"
 #include "pgas/coll.hpp"
-#include "pgas/digest.hpp"
 #include "pgas/replica.hpp"
 #include "sched/virtual_threads.hpp"
 #include "stream/cc_incremental.hpp"
@@ -321,7 +319,6 @@ void DynamicGraph::publish(BatchStats& st) {
   rt_.reset_costs();
   const std::size_t slot = epoch_ % kEpochRing;
   pgas::GlobalArray<std::uint64_t>& snap = *snap_[slot];
-  std::atomic<bool> certify_mismatch{false};
   rt_.run([&](pgas::ThreadCtx& ctx) {
     pgas::TraceScope ts(ctx, "stream.publish");
     const int me = ctx.id();
@@ -330,38 +327,12 @@ void DynamicGraph::publish(BatchStats& st) {
     std::copy(src.begin(), src.end(), dst.begin());
     ctx.mem_seq(2 * src.size() * sizeof(std::uint64_t), Cat::Copy);
     ctx.barrier();  // the epoch is queryable once every block landed
-    if (opt_.certify) {
-      // Certify mode: re-digest the ring slot against the live labels
-      // before the epoch becomes queryable, so a snapshot corrupted (or
-      // mis-copied) at rest can never serve answers.  The double re-read
-      // rides the modeled clock under the Scrub attribution.
-      const std::uint64_t b = d_.block_begin(me);
-      const std::uint64_t want =
-          pgas::chunk_digest(b, src.data(), sizeof(std::uint64_t), src.size());
-      const std::uint64_t got =
-          pgas::chunk_digest(b, dst.data(), sizeof(std::uint64_t), dst.size());
-      ctx.mem_seq(2 * src.size() * sizeof(std::uint64_t), Cat::Scrub);
-      if (want != got)
-        certify_mismatch.store(true, std::memory_order_relaxed);
-      ctx.barrier();  // verification completes before the epoch publishes
-    }
     // Refresh the buddy mirrors with the just-published state (live
     // labels, snapshot ring): a later shrink promotes exactly this epoch,
     // so queries against published epochs stay bit-identical across a
     // permanent node loss.  No-op without a loss plan.
     pgas::replicate_to_buddy(ctx);
   });
-  if (opt_.certify) {
-    st.certify_checks += static_cast<std::uint64_t>(
-        rt_.topo().total_threads());
-    if (certify_mismatch.load(std::memory_order_relaxed)) {
-      ++st.certify_failures;
-      throw std::runtime_error(
-          "DynamicGraph::publish: epoch snapshot failed certify re-digest "
-          "(epoch " +
-          std::to_string(epoch_) + ")");
-    }
-  }
   snap_epoch_[slot] = epoch_;
   snap_valid_[slot] = true;
   sizes_valid_[slot] = false;

@@ -31,8 +31,6 @@ struct BatchStats {
                                      ///< (per-owner distinct, summed)
   bool rebuilt = false;  ///< maintenance fell back to a full recompute
   int iterations = 0;    ///< graft+jump rounds (or cc_coalesced iterations)
-  std::uint64_t certify_checks = 0;    ///< publish re-digest comparisons
-  std::uint64_t certify_failures = 0;  ///< re-digest mismatches (pre-throw)
   core::RunCosts ingest;    ///< routing updates to their owner threads
   core::RunCosts maintain;  ///< incremental pass or rebuild + label adopt
   core::RunCosts publish;   ///< snapshotting labels into the epoch ring
@@ -73,11 +71,6 @@ struct DynamicGraphOptions {
   /// Fresh-insert volume (fraction of the live edge count) past which an
   /// incremental pass is predicted slower than a rebuild.
   double rebuild_frac = 0.25;
-  /// Certify epochs before they become queryable (docs/ROBUSTNESS.md,
-  /// "At-rest integrity"): after the publish copy, every ring-slot block
-  /// is re-digested against the live labels on the modeled clock (Scrub
-  /// attribution), and a mismatch throws before the epoch is published.
-  bool certify = false;
 };
 
 class DynamicGraph {
@@ -135,6 +128,19 @@ class DynamicGraph {
 
  private:
   /// Route `ops` to their owner threads and apply to the edge stores.
+  /// It keeps its own exchange instead of the collectives' skeleton
+  /// (coll::detail::group_by_vblock, owner_walk; docs/STREAMING.md):
+  ///  - group_by_vblock charges m x kDirectKeyOps (or kIntrinsicKeyOps) of
+  ///    Work for owner keys ingest's count sort never charged, so every
+  ///    stream and serve modeled number would move;
+  ///  - owner_walk applies batches in peer order, circular under the
+  ///    default optimized() options, while ingest must stage them in
+  ///    requester-id order: that is timestamp order, and the host-side
+  ///    replay depends on it (an insert and a later erase of one edge from
+  ///    two chunks would otherwise replay reversed);
+  ///  - owner_walk acts on a GlobalArray block; ingest writes to a
+  ///    per-owner hash store with its own charges, and its data messages
+  ///    stay per thread pair under `hierarchical`.
   void ingest(std::span<const graph::EdgeUpdate> ops, BatchStats& st);
   /// Full recompute: cc_coalesced over materialize(), labels adopted.
   void rebuild(BatchStats& st);

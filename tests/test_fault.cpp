@@ -274,7 +274,8 @@ TEST(FaultInjector, DrawsAreDeterministic) {
     flt::FaultInjector inj(cfg);
     m::ExchangePlan plan(2);
     for (int k = 0; k < 32; ++k) plan[0].push_back({1, 100.0});
-    inj.apply_exchange(plan, nodes, 2, /*epoch=*/7, /*attempt=*/0);
+    flt::ExchangeFaults ef;
+    inj.apply_exchange(plan, nodes, 2, /*epoch=*/7, /*attempt=*/0, ef);
     return plan;
   };
   const auto a = run_once();

@@ -55,6 +55,41 @@ srv::Request req(double at, std::int32_t tenant, srv::QueryKind kind,
   return r;
 }
 
+/// The server's ledger agrees with itself: the per-tenant counters sum to
+/// the aggregates, and counting outcomes() by status (sheds by reason)
+/// reproduces the aggregate counters.
+void expect_ledger_consistent(const srv::QueryServer& s,
+                              const srv::ServeStats& st) {
+  srv::TenantStats sum;
+  for (const srv::TenantStats& t : st.tenants) {
+    sum.offered += t.offered;
+    sum.completed += t.completed;
+    sum.shed += t.shed;
+    sum.stale += t.stale;
+    sum.degraded += t.degraded;
+  }
+  EXPECT_EQ(sum.offered, st.offered);
+  EXPECT_EQ(sum.completed, st.completed);
+  EXPECT_EQ(sum.shed, st.shed);
+  EXPECT_EQ(sum.stale, st.stale);
+  EXPECT_EQ(sum.degraded, st.degraded);
+
+  std::map<srv::Status, std::uint64_t> by_status;
+  std::map<srv::ShedReason, std::uint64_t> by_reason;
+  for (const srv::Outcome& o : s.outcomes()) {
+    ++by_status[o.status];
+    if (o.status == srv::Status::Shed) ++by_reason[o.shed_reason];
+  }
+  EXPECT_EQ(by_status[srv::Status::Pending], 0u);
+  EXPECT_EQ(by_status[srv::Status::Ok], st.completed);
+  EXPECT_EQ(by_status[srv::Status::Degraded], st.degraded);
+  EXPECT_EQ(by_status[srv::Status::StaleEpoch], st.stale);
+  EXPECT_EQ(by_reason[srv::ShedReason::None], 0u);
+  EXPECT_EQ(by_reason[srv::ShedReason::QueueFull], st.shed_queue_full);
+  EXPECT_EQ(by_reason[srv::ShedReason::BreakerOpen], st.shed_breaker_open);
+  EXPECT_EQ(by_reason[srv::ShedReason::DeadlineExpired], st.shed_deadline);
+}
+
 /// Tiny fixed graph: component {1,2,3}, component {10,11}, singletons.
 g::EdgeList tiny_graph() {
   g::EdgeList el;
@@ -265,8 +300,10 @@ TEST(ServeServer, AdmissionShedsOverload) {
   EXPECT_EQ(st.offered, 6u);
   EXPECT_EQ(st.shed, 3u);
   EXPECT_EQ(st.completed, 3u);
+  EXPECT_EQ(st.shed_queue_full, 3u);
   EXPECT_EQ(st.tenants[0].shed, 3u);
   EXPECT_EQ(st.tenants[1].shed, 0u);
+  expect_ledger_consistent(s, st);
   EXPECT_EQ(s.outcomes()[0].status, srv::Status::Ok);
   EXPECT_EQ(s.outcomes()[1].status, srv::Status::Ok);
   for (std::size_t i = 2; i < 5; ++i)
@@ -646,11 +683,89 @@ TEST(ServeResilience, ServingAcrossPermanentLoss) {
   EXPECT_GT(compared, reqs.size() / 2);
 }
 
+TEST(ServeResilience, EveryExitSettlesOnce) {
+  // One scripted session that leaves by each of the server's nine exits:
+  // Ok from a flush, from a failed flush's store and from the brownout
+  // cache at arrival; Degraded from a failed flush and at arrival; Stale;
+  // and shed for a full queue, an expired deadline, a failed flush and an
+  // open breaker at arrival.  The ledger must count each exactly once.
+  pg::Runtime rt = make_rt(2, 2);
+  flt::FaultInjector inj(flt::FaultConfig::parse("drop=1,retries=0,arm=0",
+                                                 chaos_seed()));
+  rt.set_fault_injector(&inj);
+  strm::DynamicGraph dg(rt, tiny_graph());  // construction runs disarmed
+  srv::ServerOptions so;
+  so.window_ns = 1000.0;
+  so.max_queue = 2;
+  so.resilience.enabled = true;
+  so.resilience.retry_tokens = 0.0;  // a failed flush is final
+  so.resilience.breaker_trip_after = 1;
+  so.resilience.breaker_cooldown_ns = 1e9;  // stays open to the end
+  srv::QueryServer s(dg, 2, so);
+  using K = srv::QueryKind;
+  const std::vector<g::EdgeUpdate> u1 = {{20, 21, 1, g::UpdateKind::Insert}};
+  const std::vector<g::EdgeUpdate> u2 = {{22, 23, 2, g::UpdateKind::Insert}};
+
+  s.offer(req(0.0, 0, K::SameComponent, 1, 2));  // 0: Ok, epoch 0
+  s.publish(1e6, u1);
+  s.offer(req(1.1e6, 0, K::SameComponent, 1, 2));      // 1: Ok, epoch 1
+  s.offer(req(1.1e6 + 1, 0, K::ComponentSize, 1));     // 2: Ok, epoch 1
+  s.publish(2e6, u2);  // evicts epoch 0
+  s.offer(req(2.1e6, 1, K::SameComponent, 1, 2, 0));   // 3: Stale
+  srv::Request late = req(2.1e6 + 1, 1, K::SameComponent, 10, 11);
+  late.deadline_ns = 5.0;
+  s.offer(late);                                       // 4: deadline shed
+  s.offer(req(2.1e6 + 2, 1, K::ComponentSize, 3));     // 5: queue full
+  s.offer(req(2.1e6 + 3, 0, K::ComponentSize, 10));    // 6: Ok, epoch 2
+  s.offer(req(10e6, 0, K::SameComponent, 2, 3));       // 7: shed by flush
+  s.offer(req(10e6 + 1, 0, K::ComponentSize, 1));      // 8: Degraded
+  s.offer(req(10e6 + 2, 1, K::ComponentSize, 10));     // 9: Ok from store
+  inj.set_armed(true);  // the window of 7-9 fails and trips both breakers
+  s.offer(req(10.5e6, 0, K::SameComponent, 1, 2));     // 10: Degraded
+  s.offer(req(10.5e6 + 1, 1, K::ComponentSize, 10));   // 11: Ok, cache
+  s.offer(req(10.5e6 + 2, 0, K::ComponentSize, 5));    // 12: breaker shed
+  const srv::ServeStats st = s.finish();
+
+  using S = srv::Status;
+  using R = srv::ShedReason;
+  const std::vector<std::tuple<S, R, std::uint64_t, std::uint64_t>> want = {
+      {S::Ok, R::None, 1, 0},           {S::Ok, R::None, 1, 1},
+      {S::Ok, R::None, 3, 1},           {S::StaleEpoch, R::None, 0, 0},
+      {S::Shed, R::DeadlineExpired, 0, 2},
+      {S::Shed, R::QueueFull, 0, 2},    {S::Ok, R::None, 2, 2},
+      {S::Shed, R::BreakerOpen, 0, 2},  {S::Degraded, R::None, 3, 1},
+      {S::Ok, R::None, 2, 2},           {S::Degraded, R::None, 1, 1},
+      {S::Ok, R::None, 2, 2},           {S::Shed, R::BreakerOpen, 0, 2}};
+  ASSERT_EQ(s.outcomes().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const srv::Outcome& o = s.outcomes()[i];
+    EXPECT_EQ(o.status, std::get<0>(want[i])) << i;
+    EXPECT_EQ(o.shed_reason, std::get<1>(want[i])) << i;
+    EXPECT_EQ(o.answer, std::get<2>(want[i])) << i;
+    EXPECT_EQ(o.epoch, std::get<3>(want[i])) << i;
+  }
+  EXPECT_EQ(st.flush_failures, 1u);
+  EXPECT_EQ(st.breaker_trips, 2u);
+  EXPECT_EQ(st.brownout_cache_ok, 1u);
+  EXPECT_EQ(st.tenants[0].completed, 4u);
+  EXPECT_EQ(st.tenants[1].completed, 2u);
+  EXPECT_EQ(st.tenants[0].degraded, 2u);
+  EXPECT_EQ(st.tenants[1].stale, 1u);
+  EXPECT_EQ(st.tenants[0].shed, 2u);
+  EXPECT_EQ(st.tenants[1].shed, 2u);
+  expect_ledger_consistent(s, st);
+  // The makespan ends at the last answer (11), not at the shed after it,
+  // and the failed flush ended before either.
+  ASSERT_LT(s.outcomes()[7].done_ns, 10.5e6);
+  EXPECT_EQ(st.last_done_ns, 10.5e6 + 1);
+  EXPECT_EQ(st.makespan_ns, 10.5e6 + 1);
+}
+
 TEST(ServeResilience, ChaosMatrixNoCrashAndConservation) {
   // Seeds x fault plans: whatever the plan does, the resilient server
   // never lets a FaultError escape, and every offered request is accounted
   // for exactly once (completed/shed/stale/degraded, with the shed split
-  // summing up).
+  // summing up), in the per-tenant counters and in outcomes() alike.
   const auto el = g::random_graph(120, 170, 37);
   const std::vector<g::EdgeUpdate> pub = {
       {0, 60, 1, g::UpdateKind::Insert}};
@@ -700,6 +815,8 @@ TEST(ServeResilience, ChaosMatrixNoCrashAndConservation) {
                              st.shed_deadline)
           << "seed " << seed << " spec " << spec;
       EXPECT_EQ(st.offered, reqs.size());
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " spec " << spec);
+      expect_ledger_consistent(s, st);
     }
   }
 }
